@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .monomials import ensure_prime
+from .serialize import parse_fraction
 
 # rule identifiers for the characterization verdict, by what each one needs
 RULE_POINT_CHAR_P = "point_bound_char_p"
@@ -23,13 +24,6 @@ RULE_ALL_POINTS_DEGREE = "all_points_degree_bound"
 
 class DataContradictionError(ValueError):
     """Supplied geometric data contradict a claimed bound."""
-
-
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, str):
-        num, _, den = value.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -51,6 +45,12 @@ class FanoInput:
     curves_through_x: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
+        for name in ("n", "char", "antican_selfint", "min_rc_degree"):
+            value = getattr(self, name)
+            if value is None and name in ("antican_selfint", "min_rc_degree"):
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if self.char != 0:
@@ -58,19 +58,26 @@ class FanoInput:
         for name in ("eps_lower_at_point", "eps_lower_everywhere"):
             value = getattr(self, name)
             if value is not None:
-                value = _to_fraction(value)
+                value = parse_fraction(value)
                 if value <= 0:
                     raise ValueError(f"{name} must be positive")
                 object.__setattr__(self, name, value)
         if self.antican_selfint is not None and self.antican_selfint < 1:
             raise ValueError("antican_selfint must be >= 1")
-        curves = tuple((int(d), int(mult)) for d, mult in self.curves_through_x)
+        try:
+            curves = tuple((int(d), int(mult)) for d, mult in self.curves_through_x)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                "curves_through_x must be a list of (degree, multiplicity) pairs"
+            ) from exc
         if any(d < 1 or mult < 1 for d, mult in curves):
             raise ValueError("curve degrees and multiplicities must be >= 1")
         object.__setattr__(self, "curves_through_x", curves)
 
     @classmethod
     def from_json(cls, doc: dict) -> "FanoInput":
+        if not isinstance(doc, dict):
+            raise ValueError("FanoInput must be a JSON object")
         known = {
             "n",
             "char",
@@ -83,13 +90,10 @@ class FanoInput:
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown FanoInput keys: {sorted(unknown)}")
+        if "n" not in doc:
+            raise ValueError("missing FanoInput key 'n'")
         doc = dict(doc)
-        for name in ("eps_lower_at_point", "eps_lower_everywhere"):
-            if doc.get(name) is not None:
-                doc[name] = _to_fraction(doc[name])
-        if "curves_through_x" in doc and doc["curves_through_x"] is not None:
-            doc["curves_through_x"] = tuple(tuple(c) for c in doc["curves_through_x"])
-        else:
+        if doc.get("curves_through_x") is None:
             doc.pop("curves_through_x", None)
         return cls(**doc)
 
@@ -148,7 +152,7 @@ def very_ample_report(
 
 def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
     """(m+1)*eps - (n+1) <= s(m) <= m*eps for every supplied degree m."""
-    eps = _to_fraction(eps)
+    eps = parse_fraction(eps)
     for m, s in s_values.items():
         if not ((m + 1) * eps - (n + 1) <= s <= m * eps):
             return False
@@ -157,7 +161,7 @@ def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
 
 def seshadri_at_most_dim_plus_one(n: int, eps: Fraction) -> bool:
     """The bound derived from the degree-1 link of the chain."""
-    return _to_fraction(eps) <= n + 1
+    return parse_fraction(eps) <= n + 1
 
 
 def seshadri_upper_from_curves(curves) -> Fraction:
@@ -172,7 +176,7 @@ def degree_bound_check(n: int, eps: Fraction, antican_selfint: int) -> bool:
     """eps^n <= (-K)^n, compared exactly (no real roots taken)."""
     if antican_selfint < 1:
         raise ValueError("antican_selfint must be >= 1")
-    return _to_fraction(eps) ** n <= antican_selfint
+    return parse_fraction(eps) ** n <= antican_selfint
 
 
 def mori_mukai_inputs(min_rc_degree: int, n: int) -> bool:
@@ -304,7 +308,7 @@ def bauer_surface_lower(sigma: Fraction) -> RationalInterval:
     Width at most 10^-12; perfect-square radicands give an exact point
     interval.
     """
-    sigma = _to_fraction(sigma)
+    sigma = parse_fraction(sigma)
     radicand = 4 * sigma + 13
     if radicand < 0:
         raise ValueError(f"negative radicand 4*sigma + 13 = {radicand}")
@@ -324,8 +328,8 @@ def meets_bauer_bound(eps: Fraction, sigma: Fraction) -> bool:
     Rearranged to 2/eps - 1 <= sqrt(4*sigma + 13) and squared only when the
     left side is positive, so no real roots are ever taken.
     """
-    eps = _to_fraction(eps)
-    sigma = _to_fraction(sigma)
+    eps = parse_fraction(eps)
+    sigma = parse_fraction(sigma)
     radicand = 4 * sigma + 13
     if radicand < 0:
         raise ValueError(f"negative radicand 4*sigma + 13 = {radicand}")

@@ -39,13 +39,20 @@ class SectionModel:
         if self.n < 1:
             raise ValueError("model dimension n must be >= 1")
         cleaned = []
-        for weights, slope in self.constraints:
-            weights = tuple(int(w) for w in weights)
+        for constraint in self.constraints:
+            try:
+                weights, slope = constraint
+                weights = tuple(int(w) for w in weights)
+                slope = int(slope)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed constraint {constraint!r}: expected [weights, slope]"
+                ) from exc
             if len(weights) != self.n:
                 raise ValueError(f"constraint weights {weights} have wrong length")
             if any(w < 0 for w in weights) or slope < 0:
                 raise ValueError("constraint weights and slopes must be >= 0")
-            cleaned.append((weights, int(slope)))
+            cleaned.append((weights, slope))
         for i in range(self.n):
             if not any(w[i] > 0 for w, _ in cleaned):
                 raise ValueError(
@@ -127,8 +134,7 @@ def product_projective(n1: int, n2: int, c: int, d: int) -> SectionModel:
 
 def custom_staircase(n: int, constraints) -> SectionModel:
     """Model cut out by arbitrary non-negative linear constraints."""
-    cons = tuple((tuple(w), int(s)) for w, s in constraints)
-    return SectionModel(n=n, constraints=cons, label="custom staircase")
+    return SectionModel(n=n, constraints=tuple(constraints), label="custom staircase")
 
 
 def scaled_model(model: SectionModel, r: int) -> SectionModel:

@@ -3,6 +3,20 @@
 Monomials are exponent tuples; ideals are stored as the divisibility-minimal
 antichain of generators, so ideal equality is plain set equality. Everything
 here is pure, exact (Python integers), and immutable.
+
+Membership defaults to a scan of the generator antichain: x^a is in the ideal
+iff some generator divides it. That scan is also the oracle the tests compare
+against. Two shapes built here answer membership structurally instead
+(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1-5):
+
+* powers of the maximal ideal, ``power(maximal_ideal(n), k)`` (and the unit
+  and maximal ideals themselves, as k = 0 and k = 1):
+  x^a is in m^k iff sum(a) >= k;
+* Frobenius powers, ``bracket_power(I, p, e)`` with q = p^e:
+  x^a is in I^[q] iff x^(a // q) is in I, answered by I's own rule.
+
+Neither shape is re-minimalized: the compositions of k are the minimal
+generators of m^k, and scaling by q keeps an antichain an antichain.
 """
 
 from __future__ import annotations
@@ -11,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from math import isqrt
+from operator import le
 
 
 Exponent = tuple[int, ...]
@@ -51,7 +66,7 @@ def ensure_prime(p: int) -> int:
 
 def divides(a: Exponent, b: Exponent) -> bool:
     """Componentwise a <= b, i.e. x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _check_exponent(a, n: int) -> Exponent:
@@ -79,10 +94,18 @@ class MonomialIdeal:
 
     The empty generator set is the zero ideal; the all-zero exponent
     generates the unit ideal.
+
+    ``_rule`` says how membership is answered: None scans the generators, an
+    int k means the ideal is m^k, and a pair (base, q) means it is base^[q].
+    Only the constructors below that know the ideal's shape set it; it is
+    not part of equality, hashing or repr.
     """
 
     n: int
     gens: tuple[Exponent, ...] = field(default=())
+    _rule: int | tuple[MonomialIdeal, int] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -90,9 +113,41 @@ class MonomialIdeal:
         checked = {_check_exponent(g, self.n) for g in self.gens}
         object.__setattr__(self, "gens", tuple(_minimal_antichain(checked)))
 
+    @classmethod
+    def _structured(cls, n: int, gens: tuple[Exponent, ...], rule) -> MonomialIdeal:
+        # gens must already be the sorted minimal antichain of the ideal
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", n)
+        object.__setattr__(ideal, "gens", gens)
+        object.__setattr__(ideal, "_rule", rule)
+        return ideal
+
     def __contains__(self, a) -> bool:
-        a = _check_exponent(a, self.n)
-        return any(divides(g, a) for g in self.gens)
+        # Full validation only when the cheap test fails; a TypeError from
+        # sum/min means non-numeric entries, which _check_exponent reports.
+        try:
+            valid = (
+                type(a) is tuple
+                and len(a) == self.n
+                and type(sum(a)) is int
+                and min(a) >= 0
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            a = _check_exponent(a, self.n)
+        ideal, rule = self, self._rule
+        if type(rule) is tuple:
+            # x^a is in base^[q] iff x^(a // q) is in base
+            ideal, q = rule
+            a = [x // q for x in a]
+            rule = ideal._rule
+        if rule is not None:
+            return sum(a) >= rule
+        for g in ideal.gens:
+            if all(map(le, g, a)):
+                return True
+        return False
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -129,20 +184,27 @@ def zero_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, ())
 
 
+def _compositions(k: int, n: int) -> list[Exponent]:
+    """All exponents of total degree k in n variables, in ascending order."""
+    if n == 1:
+        return [(k,)]
+    return [(i,) + rest for i in range(k + 1) for rest in _compositions(k - i, n - 1)]
+
+
+def _maximal_ideal_power(n: int, k: int) -> MonomialIdeal:
+    # The degree-k monomials are exactly the minimal generators of m^k.
+    if n < 1:
+        raise ValueError("variable count n must be >= 1")
+    return MonomialIdeal._structured(n, tuple(_compositions(k, n)), k)
+
+
 def unit_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, ((0,) * n,))
+    return _maximal_ideal_power(n, 0)
 
 
 def maximal_ideal(n: int) -> MonomialIdeal:
     """The ideal (x1, ..., xn) of the origin."""
-    if n < 1:
-        raise ValueError("variable count n must be >= 1")
-    gens = []
-    for i in range(n):
-        g = [0] * n
-        g[i] = 1
-        gens.append(tuple(g))
-    return MonomialIdeal(n, tuple(gens))
+    return _maximal_ideal_power(n, 1)
 
 
 def _minkowski(a_gens, b_gens, n: int) -> MonomialIdeal:
@@ -153,11 +215,15 @@ def _minkowski(a_gens, b_gens, n: int) -> MonomialIdeal:
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-fold product ideal; the 0th power is the unit ideal.
 
-    Computed by iterated Minkowski sums of the generator exponents, with
+    A power of the maximal ideal m^d (as built by this module) is m^(d*k),
+    generated directly by the compositions of d*k. Any other ideal is
+    computed by iterated Minkowski sums of the generator exponents, with
     minimalization after every step to bound intermediate blowup.
     """
     if k < 0:
         raise ValueError("power exponent must be >= 0")
+    if type(ideal._rule) is int:
+        return _maximal_ideal_power(ideal.n, ideal._rule * k)
     if k == 0:
         return unit_ideal(ideal.n)
     result = ideal
@@ -166,20 +232,19 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
-@lru_cache(maxsize=512)
-def _maximal_power(n: int, k: int) -> MonomialIdeal:
-    return power(maximal_ideal(n), k)
-
-
 def bracket_power(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """Frobenius power: every generator exponent scaled entrywise by p^e."""
     ensure_prime(p)
     if e < 0:
         raise ValueError("Frobenius exponent e must be >= 0")
     q = p**e
-    # Scaling preserves the antichain property, so no re-minimalization is
-    # needed; the constructor re-checks anyway.
-    return MonomialIdeal(ideal.n, tuple(tuple(q * x for x in g) for g in ideal.gens))
+    if q == 1:
+        return ideal
+    # Scaling by q keeps the sorted minimal antichain sorted and minimal.
+    gens = tuple(tuple([q * x for x in g]) for g in ideal.gens)
+    # (I^[r])^[q] = I^[r*q], so a bracket's base is never itself a bracket
+    base, r = ideal._rule if type(ideal._rule) is tuple else (ideal, 1)
+    return MonomialIdeal._structured(ideal.n, gens, (base, r * q))
 
 
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
@@ -318,7 +383,7 @@ def verify_lemma_monomials(n: int, ell: int, e: int, p: int) -> InclusionReport:
         raise ValueError("ell and e must be >= 0")
     ensure_prime(p)
     q = p**e
-    bracket = bracket_power(_maximal_power(n, ell + 1), p, e)
+    bracket = bracket_power(power(maximal_ideal(n), ell + 1), p, e)
 
     left = contains_maximal_power(bracket, ell * q + n * (q - 1) + 1)
     right_degree = (ell + 1) * q

@@ -16,9 +16,18 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+def parse_fraction(value) -> Fraction:
+    """An exact rational from "num/den" text, an integer, or a Fraction.
+
+    Raises ValueError on a zero denominator or on anything non-numeric.
+    """
+    try:
+        if isinstance(value, str):
+            num, _, den = value.partition("/")
+            return Fraction(int(num), int(den) if den else 1)
+        return Fraction(value)
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not an exact rational: {value!r}") from exc
 
 
 def to_jsonable(obj):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from frobjets.cli import (
     EXIT_BAD_INPUT,
     EXIT_CONTRADICTION,
@@ -199,6 +201,28 @@ class TestConfigAndFormats:
         code, out, err = run_cli(capsys, [])
         assert code == EXIT_BAD_INPUT
         assert "usage" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fano", "--json", '{"n":3,"char":2,"eps_lower_at_point":"1/0"}'],
+            ["fano", "--json", '{"n":"x"}'],
+            [
+                "jets", "--model", '{"kind":"custom","n":2,"constraints":[[1,2]]}',
+                "--m", "3", "--l", "1",
+            ],
+        ],
+        ids=["zero-denominator", "non-integer-n", "malformed-constraint"],
+    )
+    def test_rejected_with_one_line_diagnostic(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("invalid input: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
 
 
 class TestVerifyAll:

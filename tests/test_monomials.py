@@ -30,6 +30,11 @@ def degree_monomials(n, d):
     return [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) == d]
 
 
+def scan_member(gens, a):
+    """Oracle: x^a is in the ideal iff some generator divides it."""
+    return any(all(x <= y for x, y in zip(g, a)) for g in gens)
+
+
 def brute_power_gens(base_gens, k, n):
     """Oracle: all k-fold products of generators, as a raw exponent set."""
     if k == 0:
@@ -313,6 +318,129 @@ class TestVerifyLemmaMonomials:
             assert report.right_inclusion == right
             assert report.witness in power(maximal_ideal(n), ell * q + n * (q - 1))
             assert report.witness not in bracket
+
+
+points_in_n_variables = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.tuples(*[st.integers(0, 40)] * n), min_size=1, max_size=30
+    ).map(lambda points: (n, points))
+)
+
+
+@st.composite
+def zero_dimensional_ideals(draw):
+    n = draw(st.integers(1, 3))
+    pure = [draw(st.integers(1, 6)) for _ in range(n)]
+    gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(pure)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=4))
+    return MonomialIdeal(n, tuple(gens))
+
+
+def assert_same_as_generic(ideal):
+    generic = MonomialIdeal(ideal.n, ideal.gens)
+    assert ideal == generic
+    assert hash(ideal) == hash(generic)
+    assert repr(ideal) == repr(generic)
+
+
+class TestStructuredMembership:
+    """Membership by rule (m^k, bracket powers) agrees with the antichain scan."""
+
+    @given(data=points_in_n_variables, k=st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_maximal_power(self, data, k):
+        n, points = data
+        ideal = power(maximal_ideal(n), k)
+        assert_same_as_generic(ideal)
+        for a in points:
+            assert (a in ideal) == scan_member(ideal.gens, a) == (sum(a) >= k)
+
+    @given(
+        data=points_in_n_variables,
+        k=st.integers(0, 5),
+        p=st.sampled_from([2, 3, 5]),
+        e=st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_of_maximal_power(self, data, k, p, e):
+        n, points = data
+        ideal = bracket_power(power(maximal_ideal(n), k), p, e)
+        assert_same_as_generic(ideal)
+        for a in points:
+            assert (a in ideal) == scan_member(ideal.gens, a)
+
+    @given(
+        ideal=zero_dimensional_ideals(),
+        p=st.sampled_from([2, 3]),
+        e=st.integers(0, 3),
+        points=st.lists(st.lists(st.integers(0, 60), min_size=3, max_size=3), max_size=30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_of_zero_dimensional_ideal(self, ideal, p, e, points):
+        bracket = bracket_power(ideal, p, e)
+        assert_same_as_generic(bracket)
+        for a in points:
+            a = tuple(a[: ideal.n])
+            assert (a in bracket) == scan_member(bracket.gens, a)
+            assert (a in ideal) == scan_member(ideal.gens, a)
+
+    @given(
+        ideal=zero_dimensional_ideals(),
+        p=st.sampled_from([2, 3]),
+        e1=st.integers(0, 2),
+        e2=st.integers(0, 2),
+        points=st.lists(st.lists(st.integers(0, 90), min_size=3, max_size=3), max_size=30),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_nested_brackets(self, ideal, p, e1, e2, points):
+        nested = bracket_power(bracket_power(ideal, p, e1), p, e2)
+        direct = bracket_power(ideal, p, e1 + e2)
+        assert nested == direct
+        assert hash(nested) == hash(direct)
+        assert_same_as_generic(nested)
+        for a in points:
+            a = tuple(a[: ideal.n])
+            assert (a in nested) == (a in direct) == scan_member(direct.gens, a)
+
+    def test_unit_and_maximal_ideal_equal_generic(self):
+        for n in (1, 2, 3):
+            assert_same_as_generic(unit_ideal(n))
+            assert_same_as_generic(maximal_ideal(n))
+            assert unit_ideal(n) == MonomialIdeal(n, ((0,) * n,))
+
+    def test_power_of_maximal_power(self):
+        assert power(power(maximal_ideal(3), 2), 3) == power(maximal_ideal(3), 6)
+
+    def test_large_maximal_power(self):
+        # Guards the direct construction: iterated Minkowski sums took ~8 s here.
+        ideal = power(maximal_ideal(4), 20)
+        assert len(ideal.gens) == 1771  # C(23, 3)
+        assert staircase_max_degree(ideal) == 19
+
+    @pytest.mark.parametrize(
+        "ideal",
+        [
+            MonomialIdeal(2, ((2, 0), (1, 1), (0, 3))),
+            power(maximal_ideal(2), 3),
+            bracket_power(power(maximal_ideal(2), 2), 3, 1),
+            bracket_power(MonomialIdeal(2, ((2, 0), (1, 1), (0, 3))), 2, 2),
+        ],
+        ids=["generic", "maximal-power", "bracket-of-maximal-power", "bracket"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [(1, 2, 3), (1,), (3, -1), (-2, 5), [1, 2, 3], [4]],
+        ids=["long", "short", "negative", "negative-first", "long-list", "short-list"],
+    )
+    def test_invalid_exponent_rejected(self, ideal, bad):
+        with pytest.raises(ValueError):
+            bad in ideal
+
+    def test_non_numeric_entry_rejected(self):
+        for ideal in (MonomialIdeal(2, ((1, 1),)), maximal_ideal(2)):
+            with pytest.raises(ValueError):
+                ("x", 1) in ideal
+            assert [1, 1] in ideal
 
 
 class TestRendering:
