@@ -9,12 +9,18 @@ The monomial formula is hard-coded; its correctness is pinned down by the
 verification suite in this module (explicit surjectivity preimages, the
 ideal-image identity, semilinearity over p^e-th powers, and the iteration
 law), not derived from duality theory.
+
+The ideal-image check decides bracket-power membership once per q-block:
+x^a is in I^[q] iff x^(q*(a//q)) is (Miller-Sturmfels, Combinatorial
+Commutative Algebra, ch. 1-5), so one test at each block corner covers the
+q^n points of the block. Every member of the box is still traced.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime
@@ -41,7 +47,9 @@ class MonomialForm:
         return f"{self.coeff}*{render_monomial(self.exponent)}*{wedge}"
 
 
+@lru_cache(maxsize=64)
 def zero_form(n: int) -> MonomialForm:
+    # shared safely: MonomialForm is frozen
     return MonomialForm(0, (0,) * n)
 
 
@@ -82,10 +90,15 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
     if e == 0:
         return MonomialForm(c, w.exponent)
     q = p**e
-    shifted = [a + 1 for a in w.exponent]
-    if any(s % q for s in shifted):
-        return zero_form(len(w.exponent))
-    return MonomialForm(pe_th_root(c, p, e), tuple(s // q - 1 for s in shifted))
+    top = q - 1
+    out = []
+    # a + 1 must be divisible by q, i.e. a % q == q - 1, in every coordinate
+    for a in w.exponent:
+        s, r = divmod(a, q)
+        if r != top:
+            return zero_form(len(w.exponent))
+        out.append(s)
+    return MonomialForm(pe_th_root(c, p, e), tuple(out))
 
 
 def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:
@@ -123,14 +136,22 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     Compares, within the box, the set of exponents hit by tracing forms with
     exponent in the bracket power against the set of exponents in the ideal;
     also rejects any traced form that escapes the ideal.
+
+    Bracket membership is decided once per q-block: x^a is in the bracket
+    power iff the block corner x^(q*(a//q)) is, so the bracket is asked only
+    at the (box+1)^n corners. Every member of the box is still traced, in
+    lexicographic order, and the first traced form to escape the ideal is
+    the one returned.
     """
     ensure_prime(p)
     n = ideal.n
     q = p**e
     bracket = bracket_power(ideal, p, e)
+    member_blocks = {b for b in _box(n, box) if tuple([q * x for x in b]) in bracket}
+    block_of = [x // q for x in range(q * (box + 1))]
     image = set()
     for a in _box(n, q * (box + 1) - 1):
-        if a not in bracket:
+        if tuple(map(block_of.__getitem__, a)) not in member_blocks:
             continue
         traced = trace(MonomialForm(1, a), p, e)
         if traced.is_zero:

@@ -44,7 +44,7 @@ class SectionModel:
                 weights, slope = constraint
                 weights = tuple(int(w) for w in weights)
                 slope = int(slope)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(
                     f"malformed constraint {constraint!r}: expected [weights, slope]"
                 ) from exc
@@ -134,7 +134,11 @@ def product_projective(n1: int, n2: int, c: int, d: int) -> SectionModel:
 
 def custom_staircase(n: int, constraints) -> SectionModel:
     """Model cut out by arbitrary non-negative linear constraints."""
-    return SectionModel(n=n, constraints=tuple(constraints), label="custom staircase")
+    try:
+        constraints = tuple(constraints)
+    except TypeError:
+        raise ValueError(f"constraints must be a sequence, got {constraints!r}") from None
+    return SectionModel(n=n, constraints=constraints, label="custom staircase")
 
 
 def scaled_model(model: SectionModel, r: int) -> SectionModel:
@@ -151,17 +155,23 @@ def scaled_model(model: SectionModel, r: int) -> SectionModel:
     )
 
 
+def _int_field(config: dict, key: str) -> int:
+    value = config[key]
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model field {key!r} must be an integer, got {value!r}") from None
+
+
 def model_from_config(config: dict) -> SectionModel:
     """Rebuild a model from its JSON description."""
     kind = config.get("kind")
     if kind == "pn":
-        return projective_space(int(config["n"]))
+        return projective_space(_int_field(config, "n"))
     if kind == "product":
-        return product_projective(
-            int(config["n1"]), int(config["n2"]), int(config["c"]), int(config["d"])
-        )
+        return product_projective(*(_int_field(config, k) for k in ("n1", "n2", "c", "d")))
     if kind == "custom":
-        return custom_staircase(int(config["n"]), config["constraints"])
+        return custom_staircase(_int_field(config, "n"), config["constraints"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -322,10 +322,14 @@ def staircase_max_degree(ideal: MonomialIdeal) -> int:
     """Largest total degree of a monomial outside the ideal; -1 if none.
 
     Requires a finite complement. Searches staircase corners only, which
-    keeps powers with huge exponents tractable.
+    keeps powers with huge exponents tractable. For m^k (k >= 1) the answer
+    is k - 1 without a search; every other shape, brackets included, is
+    searched.
     """
     if ideal.is_unit():
         return -1
+    if type(ideal._rule) is int:
+        return ideal._rule - 1
     best = -1
     for a in staircase_corners(ideal):
         d = sum(a)

@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frobjets.cartier as cartier
 from frobjets.cartier import (
     MonomialForm,
     cartier_report,
     form,
+    ideal_identity_counterexample,
     iteration_counterexample,
     monomial_times,
     pe_th_root,
     random_forms,
     random_primary_ideal,
     random_semilinearity_samples,
+    surjectivity_counterexample,
     trace,
     verify_semilinearity,
     verify_trace_ideal_identity,
     verify_trace_surjective,
     zero_form,
 )
-from frobjets.monomials import MonomialIdeal, maximal_ideal, power, unit_ideal
+from frobjets.monomials import MonomialIdeal, is_prime, maximal_ideal, power, unit_ideal
 
 
 def brute_trace_one_var(a: int, p: int) -> int | None:
@@ -80,6 +83,39 @@ class TestTraceFormula:
         assert form(6, (1, 1), 3).is_zero
         assert trace(MonomialForm(3, (5, 5)), 3, 1).is_zero
 
+    @given(
+        p=st.sampled_from([2, 3, 5]),
+        e=st.integers(0, 3),
+        coeff=st.integers(0, 12),
+        exponent=st.lists(st.integers(0, 60), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_iterated_one_variable_oracle(self, p, e, coeff, exponent):
+        expected = list(exponent)
+        for _ in range(e):
+            expected = [None if x is None else brute_trace_one_var(x, p) for x in expected]
+        got = trace(MonomialForm(coeff, tuple(exponent)), p, e)
+        if coeff % p == 0 or None in expected:
+            assert got == zero_form(len(exponent))
+        else:
+            assert got == MonomialForm(pe_th_root(coeff, p, e), tuple(expected))
+
+    def test_validates_p_and_e_on_every_call(self):
+        w = MonomialForm(1, (5, 2))
+        for _ in range(2):
+            assert trace(w, 3, 1) == MonomialForm(1, (1, 0))
+            for p in (0, 1, 4, 9):
+                assert not is_prime(p)
+                with pytest.raises(ValueError):
+                    trace(w, p, 1)
+            with pytest.raises(ValueError):
+                trace(w, 3, -1)
+
+    def test_zero_form(self):
+        for n in (1, 2, 3, 4):
+            assert zero_form(n) == MonomialForm(0, (0,) * n)
+            assert zero_form(n).is_zero
+
 
 class TestSurjectivity:
     def test_one_var_box(self):
@@ -117,6 +153,89 @@ class TestIdealIdentity:
             box = max(2, 30 // (p**e * n))
             ideal = random_primary_ideal(n, rng)
             assert verify_trace_ideal_identity(ideal, p, e, box)
+
+
+_TRUE_TRACE = trace
+
+
+def _lowered_trace(w, p, e):
+    # wrong on purpose: lowers the last nonzero entry of every image
+    t = _TRUE_TRACE(w, p, e)
+    if t.is_zero or not any(t.exponent):
+        return t
+    i = max(i for i, x in enumerate(t.exponent) if x)
+    return MonomialForm(t.coeff, t.exponent[:i] + (t.exponent[i] - 1,) + t.exponent[i + 1 :])
+
+
+def _lossy_trace(w, p, e):
+    # wrong on purpose: drops every image of total degree 2 mod 3
+    t = _TRUE_TRACE(w, p, e)
+    if not t.is_zero and sum(t.exponent) % 3 == 2:
+        return MonomialForm(0, t.exponent)
+    return t
+
+
+def _reversed_trace(w, p, e):
+    # wrong on purpose: reverses every image exponent
+    t = _TRUE_TRACE(w, p, e)
+    return MonomialForm(t.coeff, t.exponent[::-1])
+
+
+_PRINCIPAL = (1, ((0,),))
+_AXES = (3, ((0, 0, 2), (0, 8, 0), (8, 0, 0)))
+_MIXED = (3, ((0, 0, 8), (0, 8, 0), (1, 1, 0), (8, 0, 0)))
+_PURE = (1, ((2,),))
+_STAIRS = (2, ((0, 8), (3, 6), (5, 3), (7, 0)))
+_CUBE = (2, ((0, 3), (1, 2), (2, 1), (3, 0)))
+
+
+class TestCounterexampleOrder:
+    """With a deliberately wrong trace, the verifiers report fixed counterexamples.
+
+    The expected values were recorded before bracket membership was decided
+    per q-block. They pin the lexicographic scan order, the rule that the
+    first traced form to escape the ideal is returned, and the minimum of
+    the image/ideal symmetric difference otherwise.
+    """
+
+    @pytest.mark.parametrize(
+        "wrong, ideal, p, e, box, expected",
+        [
+            (_lowered_trace, _PRINCIPAL, 3, 1, 8, (8,)),
+            (_lowered_trace, _AXES, 2, 1, 4, (0, 0, 1)),
+            (_lowered_trace, _MIXED, 3, 1, 2, (1, 0, 0)),
+            (_lowered_trace, _PURE, 2, 1, 12, (1,)),
+            (_lowered_trace, _STAIRS, 2, 1, 6, (3, 5)),
+            (_lowered_trace, _CUBE, 3, 1, 6, (0, 2)),
+            (_lossy_trace, _PRINCIPAL, 3, 1, 8, (2,)),
+            (_lossy_trace, _AXES, 2, 1, 4, (0, 0, 2)),
+            (_lossy_trace, _MIXED, 3, 1, 2, (1, 1, 0)),
+            (_lossy_trace, _PURE, 2, 1, 12, (2,)),
+            (_lossy_trace, _STAIRS, 2, 1, 6, (5, 3)),
+            (_lossy_trace, _CUBE, 3, 1, 6, (0, 5)),
+            (_reversed_trace, _AXES, 2, 1, 4, (2, 0, 0)),
+            (_reversed_trace, _MIXED, 3, 1, 2, (0, 1, 1)),
+            (_reversed_trace, _STAIRS, 2, 1, 6, (3, 5)),
+        ],
+    )
+    def test_ideal_identity(self, monkeypatch, wrong, ideal, p, e, box, expected):
+        monkeypatch.setattr(cartier, "trace", wrong)
+        assert ideal_identity_counterexample(MonomialIdeal(*ideal), p, e, box) == expected
+
+    @pytest.mark.parametrize(
+        "wrong, n, p, e, box, expected",
+        [
+            (_lowered_trace, 1, 2, 1, 6, (1,)),
+            (_lowered_trace, 2, 3, 1, 5, (0, 1)),
+            (_lowered_trace, 3, 2, 2, 4, (0, 0, 1)),
+            (_lossy_trace, 1, 2, 1, 6, (2,)),
+            (_lossy_trace, 2, 3, 1, 5, (0, 2)),
+            (_lossy_trace, 3, 2, 2, 4, (0, 0, 2)),
+        ],
+    )
+    def test_surjectivity(self, monkeypatch, wrong, n, p, e, box, expected):
+        monkeypatch.setattr(cartier, "trace", wrong)
+        assert surjectivity_counterexample(n, p, e, box) == expected
 
 
 class TestSemilinearity:

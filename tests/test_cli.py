@@ -213,8 +213,31 @@ class TestMalformedInput:
                 "jets", "--model", '{"kind":"custom","n":2,"constraints":[[1,2]]}',
                 "--m", "3", "--l", "1",
             ],
+            ["jets", "--model", '{"kind":"pn","n":null}', "--m", "3", "--l", "1"],
+            [
+                "jets", "--model", '{"kind":"custom","n":2,"constraints":5}',
+                "--m", "3", "--l", "1",
+            ],
+            [
+                "jets", "--model", '{"kind":"product","n1":[1],"n2":1,"c":1,"d":1}',
+                "--m", "3", "--l", "1",
+            ],
+            ["jets", "--model", '{"kind":"pn","n":1e400}', "--m", "3", "--l", "1"],
+            [
+                "jets", "--model", '{"kind":"custom","n":2,"constraints":[[[1,1e400],1]]}',
+                "--m", "3", "--l", "1",
+            ],
         ],
-        ids=["zero-denominator", "non-integer-n", "malformed-constraint"],
+        ids=[
+            "zero-denominator",
+            "non-integer-n",
+            "malformed-constraint",
+            "null-model-n",
+            "non-list-constraints",
+            "list-model-field",
+            "infinite-model-n",
+            "infinite-constraint-weight",
+        ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):
         code, out, err = run_cli(capsys, argv)

@@ -183,6 +183,22 @@ class TestConfigRoundTrip:
                 assert rebuilt.attains(a, m) == model.attains(a, m)
         assert rebuilt.to_config() == config
 
+    def test_tuple_constraints_round_trip(self):
+        config = {"kind": "custom", "n": 2, "constraints": (((2, 1), 1), ((0, 1), 1))}
+        model = model_from_config(config)
+        assert model.to_config() == {
+            "kind": "custom",
+            "n": 2,
+            "constraints": [[[2, 1], 1], [[0, 1], 1]],
+        }
+        assert model_from_config(model.to_config()).to_config() == model.to_config()
+
+    def test_non_iterable_constraints_rejected(self):
+        with pytest.raises(ValueError):
+            model_from_config({"kind": "custom", "n": 2, "constraints": 5})
+        with pytest.raises(ValueError):
+            custom_staircase(2, 5)
+
     def test_spec_shorthands(self):
         assert model_from_spec("pn:2").to_config() == {"kind": "pn", "n": 2}
         assert model_from_spec("product:1,1,2,3").to_config() == {

@@ -274,6 +274,14 @@ class TestStaircaseMaxDegree:
     def test_unit_ideal(self):
         assert staircase_max_degree(unit_ideal(2)) == -1
 
+    @given(n=st.integers(1, 3), k=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_maximal_power_shortcut_matches_corner_scan(self, n, k):
+        ideal = power(maximal_ideal(n), k)
+        # the generic ideal has no rule, so this runs the corner scan
+        scanned = staircase_max_degree(MonomialIdeal(n, ideal.gens))
+        assert staircase_max_degree(ideal) == scanned == k - 1
+
     @given(d=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
     def test_maximal_power_containment_matches_definition(self, d):
