@@ -61,7 +61,6 @@ from .models import (
 from .monomials import (
     Exponent,
     MonomialIdeal,
-    PrimeChar,
     bracket_power,
     cobasis,
     contains,

@@ -7,7 +7,6 @@ certificates without leaving the certified world. No floating point anywhere.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -94,70 +93,45 @@ def seshadri_lower(
     return best
 
 
-def _sweep_cells(model, p, ell, m_max, e_max):
-    for e in range(e_max + 1):
-        for m in range(1, m_max + 1):
-            yield e, m
-
-
-def _evaluate_cell(model, p, ell, cell):
-    e, m = cell
-    separating = separates_frobenius_jets(model, m, ell, e, p)
-    value = Fraction((p**e - 1) * (ell + 1), m) if separating else None
-    return e, m, separating, value
-
-
-def _better(a, b):
-    # Associative, order-independent reduction: larger value wins, then
-    # smaller e, then smaller m.
-    if a is None:
-        return b
-    if b is None:
-        return a
-    ka = (a.value, -a.witness[1], -a.witness[0])
-    kb = (b.value, -b.witness[1], -b.witness[0])
-    return a if ka >= kb else b
-
-
-def frobenius_sweep_table(
-    model: SectionModel, p: int, ell: int, m_max: int, e_max: int, parallelism: int = 0
-):
-    """All (e, m, separates, value) cells of the certificate grid."""
+def frobenius_sweep_table(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
+    """All (e, m, separates, value) cells of the certificate grid, e-major."""
+    if m_max < 1 or e_max < 1:
+        raise ValueError("m_max and e_max must be >= 1")
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
     ensure_prime(p)
-    cells = list(_sweep_cells(model, p, ell, m_max, e_max))
-    if parallelism and parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = list(pool.map(lambda c: _evaluate_cell(model, p, ell, c), cells))
-    else:
-        rows = [_evaluate_cell(model, p, ell, c) for c in cells]
+    rows = []
+    for e in range(e_max + 1):
+        numerator = (p**e - 1) * (ell + 1)
+        for m in range(1, m_max + 1):
+            separating = separates_frobenius_jets(model, m, ell, e, p)
+            rows.append((e, m, separating, Fraction(numerator, m) if separating else None))
     return rows
 
 
+def best_frobenius_certificate(table, p: int, ell: int) -> BoundCertificate | None:
+    """Certificate for the largest value in a sweep table, None if no cell separates.
+
+    The first maximum in the table's e-major order wins, so ties go to the
+    smallest e, then the smallest m.
+    """
+    best = max((row for row in table if row[2]), key=lambda row: row[3], default=None)
+    if best is None:
+        return None
+    e, m, _, value = best
+    return BoundCertificate(FROBENIUS, value, (m, e), ell=ell, p=p)
+
+
 def frobenius_seshadri_lower(
-    model: SectionModel,
-    p: int,
-    ell: int,
-    m_max: int,
-    e_max: int,
-    parallelism: int = 0,
+    model: SectionModel, p: int, ell: int, m_max: int, e_max: int
 ) -> BoundCertificate | None:
     """Best Frobenius bound over the (m, e) grid; ties go to smallest (e, m).
 
     Returns None when no grid cell separates ("no certificate").
     """
-    if m_max < 1 or e_max < 1:
-        raise ValueError("m_max and e_max must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    best = None
-    for e, m, separating, value in frobenius_sweep_table(
-        model, p, ell, m_max, e_max, parallelism
-    ):
-        if not separating:
-            continue
-        cand = BoundCertificate(FROBENIUS, value, (m, e), ell=ell, p=p)
-        best = _better(best, cand)
-    return best
+    return best_frobenius_certificate(
+        frobenius_sweep_table(model, p, ell, m_max, e_max), p, ell
+    )
 
 
 def certificate_at(

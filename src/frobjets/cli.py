@@ -1,8 +1,12 @@
 """Batch command-line front end: sweeps, verifiers, machine-readable reports.
 
 Exit codes: 0 success, 1 property or acceptance failure, 2 invalid input,
-3 data contradiction. Reports go to stdout, diagnostics to stderr. Output is
-deterministic for a fixed configuration regardless of parallelism.
+3 data contradiction. Reports go to stdout, diagnostics to stderr. Every
+command runs serially, so its output depends on its configuration alone.
+
+A --config document is checked at the boundary: it must be a JSON object
+whose "command" is a string and whose "parameters" is an object; integer
+parameters go through one helper, and keys the CLI does not read are ignored.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from fractions import Fraction
 
 from . import acceptance
 from .bounds import (
+    best_frobenius_certificate,
     closed_form_pn,
-    frobenius_seshadri_lower,
     frobenius_sweep_table,
     seshadri_lower,
 )
@@ -48,7 +52,6 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_format: str = "json"
-    parallelism: int = 0
 
 
 def _require(params: dict, allowed: set[str], required: set[str]):
@@ -60,11 +63,24 @@ def _require(params: dict, allowed: set[str], required: set[str]):
         raise ValueError(f"missing parameters: {sorted(missing)}")
 
 
-def _cmd_inclusion_check(params, parallelism):
+def _int_param(params: dict, key: str, default: int | None = None) -> int:
+    value = params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}") from None
+
+
+def _text_param(params: dict, key: str) -> str:
+    value = params[key]
+    if not isinstance(value, str):
+        raise ValueError(f"parameter {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _cmd_inclusion_check(params):
     _require(params, {"n", "l", "e", "p"}, {"n", "l", "e", "p"})
-    report = verify_lemma_monomials(
-        int(params["n"]), int(params["l"]), int(params["e"]), int(params["p"])
-    )
+    report = verify_lemma_monomials(*(_int_param(params, k) for k in ("n", "l", "e", "p")))
     payload = {
         "left_inclusion": report.left_inclusion,
         "right_inclusion": report.right_inclusion,
@@ -75,13 +91,13 @@ def _cmd_inclusion_check(params, parallelism):
     return payload, EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
-def _cmd_jets(params, parallelism):
+def _cmd_jets(params):
     _require(params, {"model", "m", "l", "e", "p", "oracle"}, {"model", "m", "l"})
     model = model_from_spec(str(params["model"]))
-    m = int(params["m"])
-    ell = int(params["l"])
-    e = int(params.get("e", 0))
-    p = int(params.get("p", 2))
+    m = _int_param(params, "m")
+    ell = _int_param(params, "l")
+    e = _int_param(params, "e", 0)
+    p = _int_param(params, "p", 2)
     separates = separates_frobenius_jets(model, m, ell, e, p)
     payload = {"separates": separates, "m": m, "l": ell, "e": e, "p": p}
     if model.kind == "pn":
@@ -91,15 +107,8 @@ def _cmd_jets(params, parallelism):
     if params.get("oracle"):
         oracle = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
         payload["oracle"] = oracle
-        try:
-            payload["rank_check"] = separates_frobenius_jets(
-                model, m, ell, e, p, method="rank"
-            )
-        except ValueError:
-            payload["rank_check"] = None
-        agree = oracle == separates and payload["rank_check"] in (None, separates)
-        payload["methods_agree"] = agree
-        if not agree:
+        payload["methods_agree"] = oracle == separates
+        if oracle != separates:
             return payload, EXIT_CHECK_FAILED
     return payload, EXIT_OK
 
@@ -114,12 +123,12 @@ def _certificate_payload(cert, closed_form=None):
     return payload
 
 
-def _cmd_seshadri(params, parallelism):
+def _cmd_seshadri(params):
     allowed = {"model", "p", "l", "m_max", "e_max", "kind", "sweep_csv"}
     _require(params, allowed, {"model", "m_max"})
     model = model_from_spec(str(params["model"]))
     kind = str(params.get("kind", "frobenius"))
-    m_max = int(params["m_max"])
+    m_max = _int_param(params, "m_max")
     closed = None
     if kind == "ordinary":
         cert = seshadri_lower(model, m_max)
@@ -131,16 +140,15 @@ def _cmd_seshadri(params, parallelism):
         raise ValueError(f"unknown kind {kind!r}; expected ordinary or frobenius")
     if "p" not in params:
         raise ValueError("missing parameters: ['p']")
-    p = int(params["p"])
-    ell = int(params.get("l", 0))
-    e_max = int(params.get("e_max", 4))
-    cert = frobenius_seshadri_lower(model, p, ell, m_max, e_max, parallelism=parallelism)
+    p = _int_param(params, "p")
+    ell = _int_param(params, "l", 0)
+    e_max = _int_param(params, "e_max", 4)
+    table = frobenius_sweep_table(model, p, ell, m_max, e_max)
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
-    payload = _certificate_payload(cert, closed)
+    payload = _certificate_payload(best_frobenius_certificate(table, p, ell), closed)
     if params.get("sweep_csv"):
-        table = frobenius_sweep_table(model, p, ell, m_max, e_max, parallelism)
-        with open(params["sweep_csv"], "w", newline="") as handle:
+        with open(_text_param(params, "sweep_csv"), "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["m", "e", "separates", "value"])
             for e, m, separating, value in table:
@@ -151,45 +159,50 @@ def _cmd_seshadri(params, parallelism):
     return payload, EXIT_OK
 
 
-def _cmd_cartier(params, parallelism):
+def _cmd_cartier(params):
     _require(params, {"n", "p", "e", "box", "ideal", "seed"}, {"n", "p", "e", "box"})
+    n = _int_param(params, "n")
     ideal = None
     if params.get("ideal"):
-        gens = json.loads(params["ideal"])
-        ideal = MonomialIdeal(int(params["n"]), tuple(tuple(g) for g in gens))
+        gens = json.loads(_text_param(params, "ideal"))
+        if not isinstance(gens, list) or not all(
+            isinstance(g, list) and all(type(x) is int for x in g) for g in gens
+        ):
+            raise ValueError(f"ideal must be a JSON array of integer arrays, got {gens!r}")
+        ideal = MonomialIdeal(n, tuple(map(tuple, gens)))
     payload = cartier_report(
-        int(params["n"]),
-        int(params["p"]),
-        int(params["e"]),
-        int(params["box"]),
+        n,
+        _int_param(params, "p"),
+        _int_param(params, "e"),
+        _int_param(params, "box"),
         ideal=ideal,
-        seed=int(params.get("seed", 0)),
+        seed=_int_param(params, "seed", 0),
     )
     ok = all(v for k, v in payload.items() if k != "counterexample")
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_pp(params, parallelism):
+def _cmd_pp(params):
     _require(params, {"n", "l"}, {"n", "l"})
-    n, ell = int(params["n"]), int(params["l"])
+    n, ell = _int_param(params, "n"), _int_param(params, "l")
     det = det_pp_recursive(n, ell)
     payload = {"rank": rank_pp(n, ell), "det": det.to_json()}
     return payload, EXIT_OK
 
 
-def _cmd_mori_endgame(params, parallelism):
+def _cmd_mori_endgame(params):
     _require(params, {"a"}, {"a"})
     degrees = [int(x) for x in str(params["a"]).split(",") if x.strip() != ""]
     report = mori_endgame(degrees)
     return report.to_json(), EXIT_OK
 
 
-def _cmd_fano(params, parallelism):
+def _cmd_fano(params):
     _require(params, {"input", "json"}, set())
     if "json" in params:
-        doc = json.loads(params["json"])
+        doc = json.loads(_text_param(params, "json"))
     elif "input" in params:
-        with open(params["input"]) as handle:
+        with open(_text_param(params, "input")) as handle:
             doc = json.load(handle)
     else:
         raise ValueError("fano needs --input FILE or --json TEXT")
@@ -197,7 +210,7 @@ def _cmd_fano(params, parallelism):
     return verdict.to_json(), EXIT_OK
 
 
-def _cmd_verify_all(params, parallelism):
+def _cmd_verify_all(params):
     _require(params, set(), set())
     results = acceptance.run_all()
     payload = {
@@ -262,7 +275,7 @@ def run(config: RunConfig) -> tuple[int, str, str]:
     if handler is None:
         return EXIT_BAD_INPUT, "", f"unknown command {config.command!r}\n"
     try:
-        payload, code = handler(config.parameters, config.parallelism)
+        payload, code = handler(config.parameters)
     except DataContradictionError as exc:
         return EXIT_CONTRADICTION, "", f"data contradiction: {exc}\n"
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
@@ -272,7 +285,6 @@ def run(config: RunConfig) -> tuple[int, str, str]:
 
 def _add_common(parser):
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
-    parser.add_argument("--parallelism", type=int, default=0, help="0 = auto/serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--e", type=int, default=0)
     p.add_argument("--p", type=int, default=2)
-    p.add_argument("--oracle", action="store_true", help="cross-check all methods")
+    p.add_argument("--oracle", action="store_true", help="cross-check against the cobasis oracle")
     _add_common(p)
 
     p = sub.add_parser("seshadri", help="certified lower bounds from a grid sweep")
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    skip = {"command", "config", "format", "parallelism"}
+    skip = {"command", "config", "format"}
     parameters = {
         key: value
         for key, value in vars(args).items()
@@ -346,8 +358,19 @@ def config_from_args(args) -> RunConfig:
         command=args.command,
         parameters=parameters,
         output_format=args.format,
-        parallelism=args.parallelism,
     )
+
+
+def config_from_document(doc) -> RunConfig:
+    """The RunConfig of a parsed --config document, with its types checked."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"the document must be a JSON object, got {doc!r}")
+    command, parameters = doc["command"], doc.get("parameters", {})
+    if not isinstance(command, str):
+        raise ValueError(f"command must be a string, got {command!r}")
+    if not isinstance(parameters, dict):
+        raise ValueError(f"parameters must be a JSON object, got {parameters!r}")
+    return RunConfig(command, parameters, doc.get("output_format", "json"))
 
 
 def main(argv=None) -> int:
@@ -356,14 +379,8 @@ def main(argv=None) -> int:
     if args.config:
         try:
             with open(args.config) as handle:
-                doc = json.load(handle)
-            config = RunConfig(
-                command=doc["command"],
-                parameters=doc.get("parameters", {}),
-                output_format=doc.get("output_format", "json"),
-                parallelism=int(doc.get("parallelism", 0)),
-            )
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+                config = config_from_document(json.load(handle))
+        except (OSError, ValueError, KeyError) as exc:
             print(f"invalid config: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT
     elif args.command is None:
@@ -372,7 +389,7 @@ def main(argv=None) -> int:
     else:
         config = config_from_args(args)
 
-    if config.command == "verify-all" and config.output_format != "json":
+    if config.command == "verify-all" and config.output_format in ("csv", "table"):
         # stream one line per criterion for human runs
         results = acceptance.run_all(echo=print)
         print(

@@ -5,7 +5,7 @@ is attainable at m: on a monomial model the restriction map is diagonal on the
 monomial basis (attainable monomials map to their own residue classes, ideal
 monomials to zero), so surjectivity is staircase coverage.
 
-Three interchangeable checkers are provided:
+Two interchangeable checkers are provided, the fast path and its oracle:
 
 * "fast": per-constraint maximization of <w, a> over the complement of the
   jet ideal, in closed form.  A monomial x^a lies outside the bracket power
@@ -13,8 +13,10 @@ Three interchangeable checkers are provided:
   sum_i floor(a_i / p^e) <= ell, so the maximum splits into a quotient part
   ell * p^e * max(w) and a remainder part (p^e - 1) * sum(w).
 * "cobasis": materialize the cobasis and check coverage point by point.
-* "rank": build the restriction matrix over F_p and compare its rank to the
-  quotient dimension (tiny inputs only).
+
+A rank check of the restriction matrix would add nothing: the matrix has at
+most one 1 per row, so its rank counts the attained cobasis monomials, which
+is the "cobasis" check again.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .monomials import (
 
 NEG_INF = float("-inf")
 
-METHODS = ("fast", "cobasis", "rank")
+METHODS = ("fast", "cobasis")
 
 
 @lru_cache(maxsize=512)
@@ -66,47 +68,9 @@ def _separates_cobasis(model: SectionModel, m: int, ell: int, e: int, p: int) ->
     return all(model.attains(a, m) for a in quotient)
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    rows = [row[:] for row in rows]
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % p:
-                factor = rows[r][col]
-                rows[r] = [(x - factor * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _separates_rank(model: SectionModel, m: int, ell: int, e: int, p: int) -> bool:
-    """Defense-in-depth checker: rank of the literal restriction matrix over F_p."""
-    ideal = jet_ideal(model.n, ell, e, p)
-    quotient = sorted(cobasis(ideal))
-    index = {a: i for i, a in enumerate(quotient)}
-    rows = []
-    for a in model.attainable_exponents(m, limit=200_000):
-        row = [0] * len(quotient)
-        if a in index:
-            row[index[a]] = 1
-        rows.append(row)
-    if not quotient:
-        return True
-    if not rows:
-        return False
-    return _rank_mod_p(rows, p) == len(quotient)
-
-
 _CHECKERS = {
     "fast": _separates_fast,
     "cobasis": _separates_cobasis,
-    "rank": _separates_rank,
 }
 
 

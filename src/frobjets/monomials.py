@@ -48,17 +48,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class PrimeChar(int):
-    """A prime characteristic p >= 2, validated at construction."""
-
-    def __new__(cls, p):
-        p = int(p)
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
-        return super().__new__(cls, p)
-
-
 def ensure_prime(p: int) -> int:
+    """Return p if it is a prime characteristic; raise ValueError otherwise."""
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     return p

@@ -99,11 +99,31 @@ class TestFrobeniusSeshadriLower:
         # m_max=1 cannot separate 2-jets at all, so nothing in the grid fires.
         assert frobenius_seshadri_lower(model, 2, 2, 1, 2) is None
 
-    def test_parallel_matches_serial(self):
-        model = product_projective(1, 1, 1, 2)
-        serial = frobenius_seshadri_lower(model, 2, 1, 12, 3)
-        parallel = frobenius_seshadri_lower(model, 2, 1, 12, 3, parallelism=4)
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "p, ell, m_max, e_max, message",
+        [
+            (4, -1, 0, 3, "m_max and e_max must be >= 1"),
+            (4, -1, 5, 0, "m_max and e_max must be >= 1"),
+            (4, -1, 5, 3, "ell must be >= 0"),
+            (4, 0, 5, 3, "characteristic must be prime"),
+        ],
+    )
+    def test_grid_validated_in_order(self, p, ell, m_max, e_max, message):
+        for sweep in (frobenius_sweep_table, frobenius_seshadri_lower):
+            with pytest.raises(ValueError, match=message):
+                sweep(projective_space(2), p, ell, m_max, e_max)
+
+    @pytest.mark.parametrize(
+        "model",
+        [projective_space(2), product_projective(1, 1, 1, 2), custom_staircase(2, [((2, 1), 3)])],
+    )
+    def test_matches_keyed_reduction(self, model):
+        # oracle: the largest (value, -e, -m) over the separating cells
+        for p, ell in ((2, 0), (2, 1), (3, 1)):
+            cells = [c for c in frobenius_sweep_table(model, p, ell, 20, 3) if c[2]]
+            e, m, _, value = max(cells, key=lambda c: (c[3], -c[0], -c[1]))
+            cert = frobenius_seshadri_lower(model, p, ell, 20, 3)
+            assert (cert.value, cert.witness) == (value, (m, e))
 
     def test_soundness_and_conservativity(self):
         for n in (1, 2, 3):

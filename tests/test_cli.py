@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from frobjets import bounds
 from frobjets.cli import (
     EXIT_BAD_INPUT,
     EXIT_CONTRADICTION,
@@ -10,6 +11,7 @@ from frobjets.cli import (
     main,
     run,
 )
+from frobjets.jets import separates_frobenius_jets
 
 
 def run_cli(capsys, argv):
@@ -48,6 +50,8 @@ class TestJetsCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["methods_agree"] is True
+        assert doc["oracle"] == doc["separates"]
+        assert "rank_check" not in doc
 
 
 class TestSeshadriCommand:
@@ -83,6 +87,26 @@ class TestSeshadriCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "m,e,separates,value"
         assert len(lines) == 1 + 4 * 3
+
+    def test_sweep_csv_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return separates_frobenius_jets(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "separates_frobenius_jets", counting)
+        m_max, e_max = 7, 3
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "seshadri", "--model", "product:1,1,1,2", "--p", "3", "--l", "1",
+                "--m-max", str(m_max), "--e-max", str(e_max),
+                "--sweep-csv", str(tmp_path / "sweep.csv"),
+            ],
+        )
+        assert code == EXIT_OK
+        assert len(calls) == m_max * (e_max + 1)
 
     def test_missing_p_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["seshadri", "--model", "pn:2", "--m-max", "5"])
@@ -191,12 +215,6 @@ class TestConfigAndFormats:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "key,value"
 
-    def test_parallel_sweep_deterministic(self, capsys):
-        argv = ["seshadri", "--model", "product:1,1,1,2", "--p", "2", "--l", "1", "--m-max", "12"]
-        _, serial, _ = run_cli(capsys, argv)
-        _, parallel, _ = run_cli(capsys, argv + ["--parallelism", "4"])
-        assert serial == parallel
-
     def test_no_command_prints_usage(self, capsys):
         code, out, err = run_cli(capsys, [])
         assert code == EXIT_BAD_INPUT
@@ -227,6 +245,9 @@ class TestMalformedInput:
                 "jets", "--model", '{"kind":"custom","n":2,"constraints":[[[1,1e400],1]]}',
                 "--m", "3", "--l", "1",
             ],
+            ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "5"],
+            ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "[5]"],
+            ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "[[null]]"],
         ],
         ids=[
             "zero-denominator",
@@ -237,6 +258,9 @@ class TestMalformedInput:
             "list-model-field",
             "infinite-model-n",
             "infinite-constraint-weight",
+            "scalar-ideal",
+            "scalar-generator",
+            "null-exponent",
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):
@@ -246,6 +270,55 @@ class TestMalformedInput:
         assert err.startswith("invalid input: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ('[]', "invalid config: "),
+            ('{"command": ["pp"]}', "invalid config: "),
+            ('{"command": "pp", "parameters": 5}', "invalid config: "),
+            ('{"command": "pp", "parameters": {"n": [1], "l": 2}}', "invalid input: "),
+            ('{"command": "jets", "parameters": {"model": "pn:2", "m": null, "l": 1}}',
+             "invalid input: "),
+            ('{"command": "seshadri", "parameters": {"model": "pn:2", "p": 2, "m_max": 1e400}}',
+             "invalid input: "),
+            ('{"command": "fano", "parameters": {"json": 5}}', "invalid input: "),
+            # open(0) would read stdin: the type check must come first
+            ('{"command": "fano", "parameters": {"input": 0}}',
+             "invalid input: parameter 'input' must be a string"),
+            ('{"command": "seshadri", '
+             '"parameters": {"model": "pn:1", "p": 2, "m_max": 2, "sweep_csv": 1}}',
+             "invalid input: "),
+            ('{"command": "verify-all", "output_format": "xml"}', "unknown output format"),
+        ],
+        ids=[
+            "list-document",
+            "list-command",
+            "scalar-parameters",
+            "list-integer-parameter",
+            "null-integer-parameter",
+            "infinite-integer-parameter",
+            "non-string-fano-json",
+            "non-string-fano-input",
+            "non-string-sweep-csv",
+            "verify-all-unknown-format",
+        ],
+    )
+    def test_config_rejected_with_one_line_diagnostic(self, capsys, tmp_path, text, prefix):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code, out, err = run_cli(capsys, ["--config", str(config)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+    def test_parallelism_flag_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["seshadri", "--model", "pn:2", "--p", "2", "--m-max", "5", "--parallelism", "2"])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "--parallelism" in capsys.readouterr().err
 
 
 class TestVerifyAll:

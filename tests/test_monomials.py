@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from frobjets.monomials import (
     MonomialIdeal,
-    PrimeChar,
     bracket_power,
     cobasis,
     contains,
     contains_maximal_power,
     divides,
+    ensure_prime,
     is_prime,
     maximal_ideal,
     minimalize,
@@ -53,8 +53,8 @@ class TestPrimes:
 
     def test_prime_char_rejects_composite(self):
         with pytest.raises(ValueError):
-            PrimeChar(6)
-        assert PrimeChar(5) == 5
+            ensure_prime(6)
+        assert ensure_prime(5) == 5
 
 
 class TestMinimalize:
