@@ -134,11 +134,9 @@ def frobenius_seshadri_lower(
     )
 
 
-def certificate_at(
-    model: SectionModel, p: int, ell: int, m: int, e: int, method: str = "fast"
-) -> BoundCertificate:
+def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> BoundCertificate:
     """Certificate for one verified (m, e) witness."""
-    if not separates_frobenius_jets(model, m, ell, e, p, method=method):
+    if not separates_frobenius_jets(model, m, ell, e, p):
         raise ValueError(f"degree {m} does not separate p^{e}-Frobenius {ell}-jets")
     value = Fraction((p**e - 1) * (ell + 1), m)
     return BoundCertificate(FROBENIUS, value, (m, e), ell=ell, p=p)

@@ -4,9 +4,11 @@ Exit codes: 0 success, 1 property or acceptance failure, 2 invalid input,
 3 data contradiction. Reports go to stdout, diagnostics to stderr. Every
 command runs serially, so its output depends on its configuration alone.
 
-A --config document is checked at the boundary: it must be a JSON object
-whose "command" is a string and whose "parameters" is an object; integer
-parameters go through one helper, and keys the CLI does not read are ignored.
+`COMMANDS` declares each subcommand once: handler, help, and parameters with
+type, default and flag help. `build_parser` makes the flags from it; `run`
+checks each request against it before a handler runs. A --config document
+holds "command", "parameters" and "output_format" (other keys are ignored);
+its parameters are the flags, as JSON integers, strings and booleans.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from fractions import Fraction
 
@@ -29,15 +32,11 @@ from .bounds import (
 )
 from .cartier import cartier_report
 from .fano import DataContradictionError, FanoInput, charpn_verdict
-from .jets import (
-    missing_exponent,
-    pn_threshold,
-    separates_frobenius_jets,
-)
+from .jets import missing_exponent, pn_threshold, separates_frobenius_jets
 from .models import model_from_spec
 from .monomials import MonomialIdeal, verify_lemma_monomials
 from .principal_parts import det_pp_recursive, mori_endgame, rank_pp
-from .serialize import dumps_report, format_fraction, to_jsonable
+from .serialize import dumps_report, format_fraction, parse_int, to_jsonable
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 
@@ -54,33 +53,8 @@ class RunConfig:
     output_format: str = "json"
 
 
-def _require(params: dict, allowed: set[str], required: set[str]):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameters: {sorted(unknown)}")
-    missing = required - set(params)
-    if missing:
-        raise ValueError(f"missing parameters: {sorted(missing)}")
-
-
-def _int_param(params: dict, key: str, default: int | None = None) -> int:
-    value = params.get(key, default)
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}") from None
-
-
-def _text_param(params: dict, key: str) -> str:
-    value = params[key]
-    if not isinstance(value, str):
-        raise ValueError(f"parameter {key!r} must be a string, got {value!r}")
-    return value
-
-
 def _cmd_inclusion_check(params):
-    _require(params, {"n", "l", "e", "p"}, {"n", "l", "e", "p"})
-    report = verify_lemma_monomials(*(_int_param(params, k) for k in ("n", "l", "e", "p")))
+    report = verify_lemma_monomials(params["n"], params["l"], params["e"], params["p"])
     payload = {
         "left_inclusion": report.left_inclusion,
         "right_inclusion": report.right_inclusion,
@@ -92,19 +66,15 @@ def _cmd_inclusion_check(params):
 
 
 def _cmd_jets(params):
-    _require(params, {"model", "m", "l", "e", "p", "oracle"}, {"model", "m", "l"})
-    model = model_from_spec(str(params["model"]))
-    m = _int_param(params, "m")
-    ell = _int_param(params, "l")
-    e = _int_param(params, "e", 0)
-    p = _int_param(params, "p", 2)
+    model = model_from_spec(params["model"])
+    m, ell, e, p = params["m"], params["l"], params["e"], params["p"]
     separates = separates_frobenius_jets(model, m, ell, e, p)
     payload = {"separates": separates, "m": m, "l": ell, "e": e, "p": p}
     if model.kind == "pn":
         payload["pn_threshold"] = pn_threshold(model.n, ell, e, p)
     if not separates:
         payload["witness_missing_exponent"] = list(missing_exponent(model, m, ell, e, p))
-    if params.get("oracle"):
+    if params["oracle"]:
         oracle = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
         payload["oracle"] = oracle
         payload["methods_agree"] = oracle == separates
@@ -124,31 +94,24 @@ def _certificate_payload(cert, closed_form=None):
 
 
 def _cmd_seshadri(params):
-    allowed = {"model", "p", "l", "m_max", "e_max", "kind", "sweep_csv"}
-    _require(params, allowed, {"model", "m_max"})
-    model = model_from_spec(str(params["model"]))
-    kind = str(params.get("kind", "frobenius"))
-    m_max = _int_param(params, "m_max")
+    model = model_from_spec(params["model"])
+    m_max = params["m_max"]
     closed = None
-    if kind == "ordinary":
+    if params["kind"] == "ordinary":
         cert = seshadri_lower(model, m_max)
         if model.kind == "pn":
             closed = Fraction(1)
         payload = _certificate_payload(cert, closed)
         return payload, EXIT_OK
-    if kind != "frobenius":
-        raise ValueError(f"unknown kind {kind!r}; expected ordinary or frobenius")
-    if "p" not in params:
+    p, ell = params["p"], params["l"]
+    if p is None:
         raise ValueError("missing parameters: ['p']")
-    p = _int_param(params, "p")
-    ell = _int_param(params, "l", 0)
-    e_max = _int_param(params, "e_max", 4)
-    table = frobenius_sweep_table(model, p, ell, m_max, e_max)
+    table = frobenius_sweep_table(model, p, ell, m_max, params["e_max"])
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
     payload = _certificate_payload(best_frobenius_certificate(table, p, ell), closed)
-    if params.get("sweep_csv"):
-        with open(_text_param(params, "sweep_csv"), "w", newline="") as handle:
+    if params["sweep_csv"]:
+        with open(params["sweep_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["m", "e", "separates", "value"])
             for e, m, separating, value in table:
@@ -160,49 +123,38 @@ def _cmd_seshadri(params):
 
 
 def _cmd_cartier(params):
-    _require(params, {"n", "p", "e", "box", "ideal", "seed"}, {"n", "p", "e", "box"})
-    n = _int_param(params, "n")
-    ideal = None
-    if params.get("ideal"):
-        gens = json.loads(_text_param(params, "ideal"))
-        if not isinstance(gens, list) or not all(
-            isinstance(g, list) and all(type(x) is int for x in g) for g in gens
-        ):
+    n, ideal = params["n"], None
+    if params["ideal"]:
+        gens = json.loads(params["ideal"])
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise ValueError(f"ideal must be a JSON array of integer arrays, got {gens!r}")
-        ideal = MonomialIdeal(n, tuple(map(tuple, gens)))
+        exponents = (tuple(parse_int(x, "ideal exponent") for x in g) for g in gens)
+        ideal = MonomialIdeal(n, tuple(exponents))
     payload = cartier_report(
-        n,
-        _int_param(params, "p"),
-        _int_param(params, "e"),
-        _int_param(params, "box"),
-        ideal=ideal,
-        seed=_int_param(params, "seed", 0),
+        n, params["p"], params["e"], params["box"], ideal=ideal, seed=params["seed"]
     )
     ok = all(v for k, v in payload.items() if k != "counterexample")
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_pp(params):
-    _require(params, {"n", "l"}, {"n", "l"})
-    n, ell = _int_param(params, "n"), _int_param(params, "l")
+    n, ell = params["n"], params["l"]
     det = det_pp_recursive(n, ell)
     payload = {"rank": rank_pp(n, ell), "det": det.to_json()}
     return payload, EXIT_OK
 
 
 def _cmd_mori_endgame(params):
-    _require(params, {"a"}, {"a"})
-    degrees = [int(x) for x in str(params["a"]).split(",") if x.strip() != ""]
+    degrees = [int(x) for x in params["a"].split(",") if x.strip() != ""]
     report = mori_endgame(degrees)
     return report.to_json(), EXIT_OK
 
 
 def _cmd_fano(params):
-    _require(params, {"input", "json"}, set())
-    if "json" in params:
-        doc = json.loads(_text_param(params, "json"))
-    elif "input" in params:
-        with open(_text_param(params, "input")) as handle:
+    if params["json"] is not None:
+        doc = json.loads(params["json"])
+    elif params["input"] is not None:
+        with open(params["input"]) as handle:
             doc = json.load(handle)
     else:
         raise ValueError("fano needs --input FILE or --json TEXT")
@@ -211,7 +163,6 @@ def _cmd_fano(params):
 
 
 def _cmd_verify_all(params):
-    _require(params, set(), set())
     results = acceptance.run_all()
     payload = {
         "criteria": [
@@ -228,16 +179,103 @@ def _cmd_verify_all(params):
     return payload, EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
 
 
-_HANDLERS = {
-    "inclusion-check": _cmd_inclusion_check,
-    "jets": _cmd_jets,
-    "seshadri": _cmd_seshadri,
-    "cartier": _cmd_cartier,
-    "pp": _cmd_pp,
-    "mori-endgame": _cmd_mori_endgame,
-    "fano": _cmd_fano,
-    "verify-all": _cmd_verify_all,
+REQUIRED = object()
+
+
+class Param(NamedTuple):
+    # kind is int, str, bool (a flag without a value) or a tuple of choices;
+    # default is REQUIRED, a value, or None for a parameter that may be left out
+    kind: object
+    default: object = REQUIRED
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable[[dict], tuple[dict, int]]
+    help: str
+    params: dict[str, Param]
+
+
+COMMANDS = {
+    "inclusion-check": Command(
+        _cmd_inclusion_check,
+        "verify the power/bracket-power chain",
+        {"n": Param(int), "l": Param(int), "e": Param(int), "p": Param(int)},
+    ),
+    "jets": Command(
+        _cmd_jets,
+        "decide separation of (Frobenius) jets",
+        {
+            "model": Param(str, help="e.g. pn:2 or product:1,1,2,3"),
+            "m": Param(int),
+            "l": Param(int),
+            "e": Param(int, 0),
+            "p": Param(int, 2),
+            "oracle": Param(bool, False, "cross-check against the cobasis oracle"),
+        },
+    ),
+    "seshadri": Command(
+        _cmd_seshadri,
+        "certified lower bounds from a grid sweep",
+        {
+            "model": Param(str),
+            "p": Param(int, None),
+            "l": Param(int, 0),
+            "m_max": Param(int),
+            "e_max": Param(int, 4),
+            "kind": Param(("ordinary", "frobenius"), "frobenius"),
+            "sweep_csv": Param(str, None, "write the full sweep table"),
+        },
+    ),
+    "cartier": Command(
+        _cmd_cartier,
+        "trace-map verification battery",
+        {
+            "n": Param(int), "p": Param(int), "e": Param(int), "box": Param(int),
+            "ideal": Param(str, None, "JSON array of generator exponent arrays"),
+            "seed": Param(int, 0),
+        },
+    ),
+    "pp": Command(
+        _cmd_pp, "principal-parts rank and determinant", {"n": Param(int), "l": Param(int)}
+    ),
+    "mori-endgame": Command(
+        _cmd_mori_endgame,
+        "split-bundle positivity arithmetic",
+        {"a": Param(str, help='summand degrees, e.g. "2,1,1"')},
+    ),
+    "fano": Command(
+        _cmd_fano,
+        "characterization verdict from a JSON input",
+        {
+            "input": Param(str, None, "path to a JSON input document"),
+            "json": Param(str, None, "inline JSON input document"),
+        },
+    ),
+    "verify-all": Command(_cmd_verify_all, "run the full acceptance suite", {}),
 }
+
+_TYPE_NAMES = {str: "a string", bool: "a boolean"}
+
+
+def _typed_parameters(params: dict[str, Param], given: dict) -> dict:
+    """Every parameter of a command, defaults filled in, once `given` checks out."""
+    unknown = set(given) - set(params)
+    if unknown:
+        raise ValueError(f"unknown parameters: {sorted(unknown)}")
+    missing = {name for name, param in params.items() if param.default is REQUIRED} - set(given)
+    if missing:
+        raise ValueError(f"missing parameters: {sorted(missing)}")
+    for name, value in given.items():
+        kind = params[name].kind
+        if kind is int:
+            parse_int(value, f"parameter {name!r}")
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(f"unknown {name} {value!r}; expected {' or '.join(kind)}")
+        elif not isinstance(value, kind):
+            raise ValueError(f"parameter {name!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return {name: given.get(name, param.default) for name, param in params.items()}
 
 
 def _flatten(payload, prefix=""):
@@ -271,20 +309,16 @@ def run(config: RunConfig) -> tuple[int, str, str]:
     """Execute one configured command; returns (exit code, report, diagnostics)."""
     if config.output_format not in OUTPUT_FORMATS:
         return EXIT_BAD_INPUT, "", f"unknown output format {config.output_format!r}\n"
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
+    command = COMMANDS.get(config.command)
+    if command is None:
         return EXIT_BAD_INPUT, "", f"unknown command {config.command!r}\n"
     try:
-        payload, code = handler(config.parameters)
+        payload, code = command.handler(_typed_parameters(command.params, config.parameters))
     except DataContradictionError as exc:
         return EXIT_CONTRADICTION, "", f"data contradiction: {exc}\n"
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         return EXIT_BAD_INPUT, "", f"invalid input: {exc}\n"
     return code, render(payload, config.output_format), ""
-
-
-def _add_common(parser):
-    parser.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,70 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON file with {command, parameters, ...}")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("inclusion-check", help="verify the power/bracket-power chain")
-    for flag in ("--n", "--l", "--e", "--p"):
-        p.add_argument(flag, type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("jets", help="decide separation of (Frobenius) jets")
-    p.add_argument("--model", required=True, help='e.g. pn:2 or product:1,1,2,3')
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--e", type=int, default=0)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--oracle", action="store_true", help="cross-check against the cobasis oracle")
-    _add_common(p)
-
-    p = sub.add_parser("seshadri", help="certified lower bounds from a grid sweep")
-    p.add_argument("--model", required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    p.add_argument("--e-max", dest="e_max", type=int, default=4)
-    p.add_argument("--kind", choices=("ordinary", "frobenius"), default="frobenius")
-    p.add_argument("--sweep-csv", dest="sweep_csv", help="write the full sweep table")
-    _add_common(p)
-
-    p = sub.add_parser("cartier", help="trace-map verification battery")
-    for flag in ("--n", "--p", "--e", "--box"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--ideal", help="JSON array of generator exponent arrays")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-
-    p = sub.add_parser("pp", help="principal-parts rank and determinant")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("mori-endgame", help="split-bundle positivity arithmetic")
-    p.add_argument("--a", required=True, help='summand degrees, e.g. "2,1,1"')
-    _add_common(p)
-
-    p = sub.add_parser("fano", help="characterization verdict from a JSON input")
-    p.add_argument("--input", help="path to a JSON input document")
-    p.add_argument("--json", help="inline JSON input document")
-    _add_common(p)
-
-    p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        # a flag left out is absent from the namespace; run() fills its default
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for key, param in command.params.items():
+            flag = "--" + key.replace("_", "-")
+            if param.kind is bool:
+                p.add_argument(flag, action="store_true", help=param.help)
+                continue
+            p.add_argument(
+                flag,
+                type=int if param.kind is int else None,
+                choices=param.kind if isinstance(param.kind, tuple) else None,
+                required=param.default is REQUIRED,
+                help=param.help,
+            )
+        p.add_argument("--format", choices=OUTPUT_FORMATS, default="json")
     return parser
-
-
-def config_from_args(args) -> RunConfig:
-    skip = {"command", "config", "format"}
-    parameters = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in skip and value is not None and value is not False
-    }
-    return RunConfig(
-        command=args.command,
-        parameters=parameters,
-        output_format=args.format,
-    )
 
 
 def config_from_document(doc) -> RunConfig:
@@ -387,10 +374,14 @@ def main(argv=None) -> int:
         parser.print_usage(file=sys.stderr)
         return EXIT_BAD_INPUT
     else:
-        config = config_from_args(args)
+        # build_parser leaves every flag that was not given out of args
+        skip = ("command", "config", "format")
+        parameters = {key: value for key, value in vars(args).items() if key not in skip}
+        config = RunConfig(args.command, parameters, args.format)
 
-    if config.command == "verify-all" and config.output_format in ("csv", "table"):
-        # stream one line per criterion for human runs
+    human = config.output_format in ("csv", "table")
+    if config.command == "verify-all" and human and not config.parameters:
+        # stream one line per criterion for human runs; run() rejects parameters
         results = acceptance.run_all(echo=print)
         print(
             f"{sum(r.passed for r in results)}/{len(results)} acceptance criteria passed"
@@ -398,10 +389,8 @@ def main(argv=None) -> int:
         return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
     code, report, diagnostics = run(config)
-    if report:
-        sys.stdout.write(report)
-    if diagnostics:
-        sys.stderr.write(diagnostics)
+    sys.stdout.write(report)
+    sys.stderr.write(diagnostics)
     return code
 
 

@@ -9,12 +9,12 @@ characterization threshold is non-strict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import isqrt
 
 from .monomials import ensure_prime
-from .serialize import parse_fraction
+from .serialize import parse_fraction, parse_int
 
 # rule identifiers for the characterization verdict, by what each one needs
 RULE_POINT_CHAR_P = "point_bound_char_p"
@@ -47,10 +47,8 @@ class FanoInput:
     def __post_init__(self):
         for name in ("n", "char", "antican_selfint", "min_rc_degree"):
             value = getattr(self, name)
-            if value is None and name in ("antican_selfint", "min_rc_degree"):
-                continue
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None or name in ("n", "char"):
+                parse_int(value, name)
         if self.n < 1:
             raise ValueError("dimension n must be >= 1")
         if self.char != 0:
@@ -65,29 +63,21 @@ class FanoInput:
         if self.antican_selfint is not None and self.antican_selfint < 1:
             raise ValueError("antican_selfint must be >= 1")
         try:
-            curves = tuple((int(d), int(mult)) for d, mult in self.curves_through_x)
+            curves = tuple((d, mult) for d, mult in self.curves_through_x)
         except (TypeError, ValueError) as exc:
             raise ValueError(
                 "curves_through_x must be a list of (degree, multiplicity) pairs"
             ) from exc
-        if any(d < 1 or mult < 1 for d, mult in curves):
-            raise ValueError("curve degrees and multiplicities must be >= 1")
+        for d, mult in curves:
+            if parse_int(d, "curve degree") < 1 or parse_int(mult, "curve multiplicity") < 1:
+                raise ValueError("curve degrees and multiplicities must be >= 1")
         object.__setattr__(self, "curves_through_x", curves)
 
     @classmethod
     def from_json(cls, doc: dict) -> "FanoInput":
         if not isinstance(doc, dict):
             raise ValueError("FanoInput must be a JSON object")
-        known = {
-            "n",
-            "char",
-            "eps_lower_at_point",
-            "eps_lower_everywhere",
-            "antican_selfint",
-            "min_rc_degree",
-            "curves_through_x",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown FanoInput keys: {sorted(unknown)}")
         if "n" not in doc:

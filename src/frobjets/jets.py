@@ -131,19 +131,17 @@ def _e_search_bound(model: SectionModel, m: int, p: int) -> int:
     return e + 1
 
 
-def s_frobenius(
-    model: SectionModel, m: int, ell: int, p: int, method: str = "fast"
-) -> int | float:
+def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
     """Largest e such that degree-m sections separate p^e-Frobenius ell-jets.
 
     Returns -inf when even e = 0 fails. Finite because bracket staircases
     grow with e while the attainable set at m is fixed.
     """
     ensure_prime(p)
-    if not separates_frobenius_jets(model, m, ell, 0, p, method=method):
+    if not separates_frobenius_jets(model, m, ell, 0, p):
         return NEG_INF
     bound = _e_search_bound(model, m, p)
     e = 0
-    while e < bound and separates_frobenius_jets(model, m, ell, e + 1, p, method=method):
+    while e < bound and separates_frobenius_jets(model, m, ell, e + 1, p):
         e += 1
     return e

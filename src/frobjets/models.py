@@ -15,6 +15,7 @@ from itertools import product
 from math import ceil
 
 from .monomials import Exponent
+from .serialize import parse_int
 
 Constraint = tuple[tuple[int, ...], int]
 
@@ -42,12 +43,13 @@ class SectionModel:
         for constraint in self.constraints:
             try:
                 weights, slope = constraint
-                weights = tuple(int(w) for w in weights)
-                slope = int(slope)
-            except (TypeError, ValueError, OverflowError) as exc:
+                weights = tuple(weights)
+            except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"malformed constraint {constraint!r}: expected [weights, slope]"
                 ) from exc
+            weights = tuple(parse_int(w, "constraint weight") for w in weights)
+            slope = parse_int(slope, "constraint slope")
             if len(weights) != self.n:
                 raise ValueError(f"constraint weights {weights} have wrong length")
             if any(w < 0 for w in weights) or slope < 0:
@@ -155,23 +157,16 @@ def scaled_model(model: SectionModel, r: int) -> SectionModel:
     )
 
 
-def _int_field(config: dict, key: str) -> int:
-    value = config[key]
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"model field {key!r} must be an integer, got {value!r}") from None
-
-
 def model_from_config(config: dict) -> SectionModel:
     """Rebuild a model from its JSON description."""
     kind = config.get("kind")
     if kind == "pn":
-        return projective_space(_int_field(config, "n"))
+        return projective_space(parse_int(config["n"], "model field 'n'"))
     if kind == "product":
-        return product_projective(*(_int_field(config, k) for k in ("n1", "n2", "c", "d")))
+        keys = ("n1", "n2", "c", "d")
+        return product_projective(*(parse_int(config[k], f"model field {k!r}") for k in keys))
     if kind == "custom":
-        return custom_staircase(_int_field(config, "n"), config["constraints"])
+        return custom_staircase(parse_int(config["n"], "model field 'n'"), config["constraints"])
     raise ValueError(f"unknown model kind {kind!r}")
 
 

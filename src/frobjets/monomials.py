@@ -240,9 +240,7 @@ def bracket_power(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
 
 def contains(big: MonomialIdeal, small: MonomialIdeal) -> bool:
     """Whether small is a subset of big, generator by generator."""
-    if big.n != small.n:
-        raise ValueError(f"variable counts differ: {big.n} vs {small.n}")
-    return all(g in big for g in small.gens)
+    return noncontainment_witness(big, small) is None
 
 
 def noncontainment_witness(big: MonomialIdeal, small: MonomialIdeal) -> Exponent | None:
@@ -340,10 +338,6 @@ def contains_maximal_power(ideal: MonomialIdeal, d: int) -> bool:
     if ideal.is_zero():
         return False
     return staircase_max_degree(ideal) < d
-
-
-def min_generator_degree(ideal: MonomialIdeal) -> int | None:
-    return min((sum(g) for g in ideal.gens), default=None)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Lossless JSON-friendly rendering of exact values.
+"""Lossless JSON-friendly rendering of exact values, and the input parsers.
 
 Rationals serialize as "num/den" strings and minus infinity as "-inf", so
 emitted reports parse back without any floating point.
@@ -16,18 +16,31 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_int(value, name: str) -> int:
+    """The integer `value` itself; ValueError naming `name` for anything else.
+
+    The one integer check on values read from a JSON document: a bool, a
+    float (even 2.0 or 1e400), text or null is refused rather than coerced.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def parse_fraction(value) -> Fraction:
     """An exact rational from "num/den" text, an integer, or a Fraction.
 
-    Raises ValueError on a zero denominator or on anything non-numeric.
+    Raises ValueError on anything else, a float included (0.1 is not 1/10).
     """
     try:
         if isinstance(value, str):
             num, _, den = value.partition("/")
             return Fraction(int(num), int(den) if den else 1)
-        return Fraction(value)
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return Fraction(value)
+    except ZeroDivisionError as exc:
         raise ValueError(f"not an exact rational: {value!r}") from exc
+    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def to_jsonable(obj):

@@ -1,12 +1,18 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobjets import bounds
 from frobjets.cli import (
+    COMMANDS,
     EXIT_BAD_INPUT,
     EXIT_CONTRADICTION,
     EXIT_OK,
+    OUTPUT_FORMATS,
     RunConfig,
     main,
     run,
@@ -248,6 +254,22 @@ class TestMalformedInput:
             ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "5"],
             ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "[5]"],
             ["cartier", "--n", "1", "--p", "2", "--e", "1", "--box", "3", "--ideal", "[[null]]"],
+            # wrong JSON types that used to be coerced
+            ["jets", "--model", '{"kind":"pn","n":2.9}', "--m", "3", "--l", "1"],
+            [
+                "seshadri", "--model", '{"kind":"custom","n":1,"constraints":[[[1],2.5]]}',
+                "--m-max", "4", "--kind", "ordinary",
+            ],
+            [
+                "fano", "--json",
+                '{"n":3,"char":5,"eps_lower_at_point":"13/4","curves_through_x":[[3.5,1]]}',
+            ],
+            # 0.1 parsed as a binary fraction exceeds the curve bound 1/10
+            [
+                "fano", "--json",
+                '{"n":2,"char":3,"eps_lower_at_point":0.1,"curves_through_x":[[1,10]]}',
+            ],
+            ["fano", "--json", '{"n":3,"char":2,"eps_lower_at_point":4.0}'],
         ],
         ids=[
             "zero-denominator",
@@ -261,6 +283,11 @@ class TestMalformedInput:
             "scalar-ideal",
             "scalar-generator",
             "null-exponent",
+            "float-model-n",
+            "float-constraint-slope",
+            "float-curve-degree",
+            "float-eps-contradiction",
+            "float-eps",
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):
@@ -290,6 +317,24 @@ class TestMalformedInput:
              '"parameters": {"model": "pn:1", "p": 2, "m_max": 2, "sweep_csv": 1}}',
              "invalid input: "),
             ('{"command": "verify-all", "output_format": "xml"}', "unknown output format"),
+            # wrong JSON types that used to be coerced
+            ('{"command": "jets", "parameters": {"model": "pn:1", "m": 2, "l": 1, "oracle": "no"}}',
+             "invalid input: parameter 'oracle' must be a boolean"),
+            ('{"command": "jets", "parameters": {"model": "pn:1", "m": 2.7, "l": 1}}',
+             "invalid input: parameter 'm' must be an integer"),
+            ('{"command": "jets", "parameters": {"model": "pn:1", "m": 2, "l": "1"}}',
+             "invalid input: parameter 'l' must be an integer"),
+            ('{"command": "jets", "parameters": {"model": "pn:1", "m": 2, "l": true}}',
+             "invalid input: parameter 'l' must be an integer"),
+            ('{"command": "jets", "parameters": {"model": 5, "m": 2, "l": 1}}',
+             "invalid input: parameter 'model' must be a string"),
+            ('{"command": "mori-endgame", "parameters": {"a": 2}}',
+             "invalid input: parameter 'a' must be a string"),
+            ('{"command": "seshadri", "parameters": {"model": "pn:1", "m_max": 2, "kind": "x"}}',
+             "invalid input: unknown kind 'x'; expected ordinary or frobenius"),
+            # the streamed table must not skip the parameter check
+            ('{"command": "verify-all", "parameters": {"n": 1}, "output_format": "table"}',
+             "invalid input: unknown parameters: ['n']"),
         ],
         ids=[
             "list-document",
@@ -302,6 +347,14 @@ class TestMalformedInput:
             "non-string-fano-input",
             "non-string-sweep-csv",
             "verify-all-unknown-format",
+            "string-oracle",
+            "float-integer-parameter",
+            "string-integer-parameter",
+            "boolean-integer-parameter",
+            "integer-model",
+            "integer-mori-degrees",
+            "unknown-choice",
+            "verify-all-table-with-parameter",
         ],
     )
     def test_config_rejected_with_one_line_diagnostic(self, capsys, tmp_path, text, prefix):
@@ -314,11 +367,88 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_config_oracle_is_a_boolean(self, oracle):
+        params = {"model": "pn:1", "m": 2, "l": 1, "oracle": oracle}
+        code, out, err = run(RunConfig("jets", params))
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert ("oracle" in doc, "methods_agree" in doc) == (oracle, oracle)
+        if oracle:
+            assert doc["oracle"] is doc["separates"] is doc["methods_agree"] is True
+
     def test_parallelism_flag_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["seshadri", "--model", "pn:2", "--p", "2", "--m-max", "5", "--parallelism", "2"])
         assert exc.value.code == EXIT_BAD_INPUT
         assert "--parallelism" in capsys.readouterr().err
+
+
+# Small ints keep cartier and seshadri cheap. The sampled texts are models,
+# ideals, degree lists and fano documents, so requests get past the parsers.
+FUZZ_TEXTS = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(
+        [
+            "pn:1", "product:1,1,1,1", '{"kind": "pn", "n": 1}', "[]", "[[1]]",
+            "[[1, 0], [0, 2]]", "1,1", "{}", '{"n": 2}', '{"n": 1, "char": 2}',
+            '{"n": 2, "char": 3, "eps_lower_at_point": "3/1", "curves_through_x": [[2, 1]]}',
+        ]
+    ),
+)
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 2),
+    st.sampled_from([2.5, 1e400]),
+    st.builds(list),
+    st.builds(dict),
+    FUZZ_TEXTS,
+)
+
+
+def fuzz_typed(kind):
+    if kind is int:
+        return st.sampled_from([2, 1, 0, -1])
+    if kind is bool:
+        return st.booleans()
+    return st.sampled_from(kind) if isinstance(kind, tuple) else FUZZ_TEXTS
+
+
+@st.composite
+def fuzz_requests(draw):
+    """A request drawn from a command's own parameters plus one unknown key.
+
+    Each key is usually present and its value usually well typed, so a fair
+    share of requests reach a handler; a wild value is any of FUZZ_VALUES.
+    """
+    name = draw(st.sampled_from([name for name in COMMANDS if name != "verify-all"]))
+    params = {}
+    for key, param in [*COMMANDS[name].params.items(), ("bogus", None)]:
+        # present 9 times in 10 (an unknown key 2 in 10), well typed 4 in 5
+        if draw(st.sampled_from(range(10))) > (7 if param is None else 0):
+            wild = param is None or draw(st.sampled_from(range(5))) == 0
+            params[key] = draw(FUZZ_VALUES if wild else fuzz_typed(param.kind))
+    return RunConfig(name, params, draw(st.sampled_from(OUTPUT_FORMATS)))
+
+
+class TestRunFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(fuzz_requests())
+    def test_exit_code_and_one_line_diagnostic(self, config):
+        # a fresh directory per request: seshadri may write its sweep CSV
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            try:
+                code, report, diagnostics = run(config)
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in report + diagnostics
+        if code == EXIT_BAD_INPUT:
+            assert report == ""
+            assert diagnostics.count("\n") == 1 and diagnostics.endswith("\n")
 
 
 class TestVerifyAll:

@@ -203,6 +203,26 @@ class TestCharPnVerdict:
         with pytest.raises(ValueError, match="unknown"):
             FanoInput.from_json({"n": 2, "bogus": 1})
 
+    def test_unknown_keys_message_lists_them_sorted(self):
+        with pytest.raises(ValueError, match=r"^unknown FanoInput keys: \['a', 'b'\]$"):
+            FanoInput.from_json({"n": 2, "b": 1, "a": 2, "char": 2})
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "char": 5, "curves_through_x": [[3.5, 1]]},
+            {"n": 3, "char": 5, "curves_through_x": [["3", 1]]},
+            {"n": 3, "char": 5, "curves_through_x": [[3, True]]},
+            {"n": 3.0},
+            {"n": 3, "char": 2.0},
+            {"n": 3, "antican_selfint": "8"},
+            {"n": 3, "min_rc_degree": 4.5},
+        ],
+    )
+    def test_non_integer_fields_rejected(self, doc):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FanoInput.from_json(doc)
+
 
 class TestBauerBound:
     def test_perfect_square_negative_sigma(self):

@@ -163,12 +163,20 @@ class TestSFrobenius:
                 assert s_frobenius(model, m, ell, p) == expected
 
     def test_oracle_agreement(self):
+        # the largest e at which the cobasis oracle separates, counted upward
         model = product_projective(1, 1, 1, 2)
         for m in range(1, 10):
             for ell in range(3):
-                assert s_frobenius(model, m, ell, 2) == s_frobenius(
-                    model, m, ell, 2, method="cobasis"
-                )
+
+                def oracle(e):
+                    return separates_frobenius_jets(model, m, ell, e, 2, method="cobasis")
+
+                expected = NEG_INF
+                if oracle(0):
+                    expected = 0
+                    while oracle(expected + 1):
+                        expected += 1
+                assert s_frobenius(model, m, ell, 2) == expected
 
     def test_huge_frobenius_exponent_stays_exact(self):
         # arbitrary-precision exponents: e = 40 must not overflow anything

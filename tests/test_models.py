@@ -193,6 +193,21 @@ class TestConfigRoundTrip:
         }
         assert model_from_config(model.to_config()).to_config() == model.to_config()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "pn", "n": 2.9},
+            {"kind": "pn", "n": True},
+            {"kind": "product", "n1": 1, "n2": "1", "c": 1, "d": 1},
+            {"kind": "custom", "n": 1, "constraints": [[[1], 2.5]]},
+            {"kind": "custom", "n": 1, "constraints": [[[1.0], 2]]},
+            {"kind": "custom", "n": 2, "constraints": [[[1, False], 2], [[0, 1], 1]]},
+        ],
+    )
+    def test_non_integer_fields_rejected(self, config):
+        with pytest.raises(ValueError, match="must be an integer"):
+            model_from_config(config)
+
     def test_non_iterable_constraints_rejected(self):
         with pytest.raises(ValueError):
             model_from_config({"kind": "custom", "n": 2, "constraints": 5})
