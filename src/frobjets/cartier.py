@@ -13,21 +13,24 @@ law), not derived from duality theory.
 The ideal-image check decides bracket-power membership once per q-block:
 x^a is in I^[q] iff x^(q*(a//q)) is (Miller-Sturmfels, Combinatorial
 Commutative Algebra, ch. 1-5), so one test at each block corner covers the
-q^n points of the block. Every member of the box is still traced.
+q^n points of the block. The box is then walked by rows: for each prefix
+a[:-1] the member blocks of its row are looked up once, and only their
+runs of the last coordinate are visited, in the same lexicographic order as
+a plain scan. Non-member runs are skipped whole; every member of the box is
+still traced.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime
 
 
-@dataclass(frozen=True)
-class MonomialForm:
+class MonomialForm(NamedTuple):
     """coeff * x^exponent * dx1^...^dxn; the zero form has coeff 0."""
 
     coeff: int
@@ -49,7 +52,7 @@ class MonomialForm:
 
 @lru_cache(maxsize=64)
 def zero_form(n: int) -> MonomialForm:
-    # shared safely: MonomialForm is frozen
+    # shared safely: MonomialForm is immutable
     return MonomialForm(0, (0,) * n)
 
 
@@ -73,7 +76,8 @@ def pe_th_root(c: int, p: int, e: int) -> int:
     exponent to keep the inversion step explicit.
     """
     c %= p
-    if c == 0 or e == 0 or p == 2:
+    # 0 and 1 are their own roots, and so is everything when e == 0 or p == 2
+    if c <= 1 or e == 0 or p == 2:
         return c
     inverse_exponent = pow(pow(p, e, p - 1), -1, p - 1)
     return pow(c, inverse_exponent, p)
@@ -91,14 +95,13 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
         return MonomialForm(c, w.exponent)
     q = p**e
     top = q - 1
-    out = []
-    # a + 1 must be divisible by q, i.e. a % q == q - 1, in every coordinate
-    for a in w.exponent:
-        s, r = divmod(a, q)
-        if r != top:
-            return zero_form(len(w.exponent))
-        out.append(s)
-    return MonomialForm(pe_th_root(c, p, e), tuple(out))
+    exponent = w.exponent
+    # a + 1 must be divisible by q, i.e. a % q == q - 1, in every coordinate;
+    # then (a + 1)/q - 1 == a // q
+    for a in exponent:
+        if a % q != top:
+            return zero_form(len(exponent))
+    return MonomialForm(pe_th_root(c, p, e), tuple([a // q for a in exponent]))
 
 
 def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:
@@ -119,9 +122,10 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     """
     ensure_prime(p)
     q = p**e
+    top = q - 1
     for b in _box(n, box):
-        preimage = MonomialForm(1, tuple(q * (x + 1) - 1 for x in b))
-        if trace(preimage, p, e) != MonomialForm(1, b):
+        traced = trace(MonomialForm(1, tuple([q * x + top for x in b])), p, e)
+        if traced.coeff != 1 or traced.exponent != b:
             return b
     return None
 
@@ -139,27 +143,37 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
 
     Bracket membership is decided once per q-block: x^a is in the bracket
     power iff the block corner x^(q*(a//q)) is, so the bracket is asked only
-    at the (box+1)^n corners. Every member of the box is still traced, in
-    lexicographic order, and the first traced form to escape the ideal is
-    the one returned.
+    at the (box+1)^n corners. The (q*(box+1))^n box is walked by rows: for
+    each prefix a[:-1], in lexicographic order, the row of its block head
+    a[:-1]//q lists the last coordinates of its member blocks, and only
+    those points are visited. Every member of the box is still traced, in
+    the lexicographic order of a plain scan, and the first traced form to
+    escape the ideal is the one returned.
     """
     ensure_prime(p)
     n = ideal.n
     q = p**e
     bracket = bracket_power(ideal, p, e)
-    member_blocks = {b for b in _box(n, box) if tuple([q * x for x in b]) in bracket}
-    block_of = [x // q for x in range(q * (box + 1))]
+    # per block head of a prefix, the tails (last,) of its member blocks, in order
+    rows = {}
+    for head in _box(n - 1, box):
+        start = tuple([q * x for x in head])
+        rows[head] = [
+            (last,)
+            for corner in range(0, q * (box + 1), q)
+            if start + (corner,) in bracket
+            for last in range(corner, corner + q)
+        ]
     image = set()
-    for a in _box(n, q * (box + 1) - 1):
-        if tuple(map(block_of.__getitem__, a)) not in member_blocks:
-            continue
-        traced = trace(MonomialForm(1, a), p, e)
-        if traced.is_zero:
-            continue
-        if traced.exponent not in ideal:
-            return traced.exponent
-        if all(x <= box for x in traced.exponent):
-            image.add(traced.exponent)
+    for prefix in _box(n - 1, q * (box + 1) - 1):
+        for tail in rows[tuple([x // q for x in prefix])]:
+            traced = trace(MonomialForm(1, prefix + tail), p, e)
+            if traced.is_zero:
+                continue
+            if traced.exponent not in ideal:
+                return traced.exponent
+            if max(traced.exponent) <= box:
+                image.add(traced.exponent)
     target = {b for b in _box(n, box) if b in ideal}
     difference = image.symmetric_difference(target)
     return min(difference) if difference else None

@@ -19,11 +19,11 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from fractions import Fraction
 
-from . import acceptance
 from .bounds import (
     best_frobenius_certificate,
     closed_form_pn,
@@ -36,7 +36,13 @@ from .jets import missing_exponent, pn_threshold, separates_frobenius_jets
 from .models import model_from_spec
 from .monomials import MonomialIdeal, verify_lemma_monomials
 from .principal_parts import det_pp_recursive, mori_endgame, rank_pp
-from .serialize import dumps_report, format_fraction, parse_int, to_jsonable
+from .serialize import (
+    dumps_report,
+    format_fraction,
+    parse_int,
+    parse_text_int,
+    to_jsonable,
+)
 
 OUTPUT_FORMATS = ("json", "csv", "table")
 
@@ -145,7 +151,9 @@ def _cmd_pp(params):
 
 
 def _cmd_mori_endgame(params):
-    degrees = [int(x) for x in params["a"].split(",") if x.strip() != ""]
+    degrees = [
+        parse_text_int(x, "summand degree") for x in params["a"].split(",") if x.strip() != ""
+    ]
     report = mori_endgame(degrees)
     return report.to_json(), EXIT_OK
 
@@ -163,6 +171,9 @@ def _cmd_fano(params):
 
 
 def _cmd_verify_all(params):
+    # imported here, as in main: only verify-all loads the battery
+    from . import acceptance
+
     results = acceptance.run_all()
     payload = {
         "criteria": [
@@ -321,7 +332,9 @@ def run(config: RunConfig) -> tuple[int, str, str]:
     return code, render(payload, config.output_format), ""
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of `COMMANDS`, built once per process."""
     parser = argparse.ArgumentParser(
         prog="frobjets",
         description="Exact jet-separation and Seshadri-bound computations "
@@ -363,6 +376,12 @@ def config_from_document(doc) -> RunConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.config and args.command is not None:
+        print(
+            f"invalid config: --config cannot be combined with the subcommand {args.command!r}",
+            file=sys.stderr,
+        )
+        return EXIT_BAD_INPUT
     if args.config:
         try:
             with open(args.config) as handle:
@@ -382,6 +401,8 @@ def main(argv=None) -> int:
     human = config.output_format in ("csv", "table")
     if config.command == "verify-all" and human and not config.parameters:
         # stream one line per criterion for human runs; run() rejects parameters
+        from . import acceptance
+
         results = acceptance.run_all(echo=print)
         print(
             f"{sum(r.passed for r in results)}/{len(results)} acceptance criteria passed"

@@ -15,7 +15,7 @@ from itertools import product
 from math import ceil
 
 from .monomials import Exponent
-from .serialize import parse_int
+from .serialize import parse_int, parse_text_int
 
 Constraint = tuple[tuple[int, ...], int]
 
@@ -181,9 +181,9 @@ def model_from_spec(spec: str) -> SectionModel:
         return model_from_config(json.loads(spec))
     kind, _, rest = spec.partition(":")
     if kind == "pn":
-        return projective_space(int(rest))
+        return projective_space(parse_text_int(rest, "pn dimension"))
     if kind == "product":
-        parts = [int(x) for x in rest.split(",")]
+        parts = [parse_text_int(x, "product parameter") for x in rest.split(",")]
         if len(parts) != 4:
             raise ValueError("product model needs four integers: n1,n2,c,d")
         return product_projective(*parts)

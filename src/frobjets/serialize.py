@@ -27,6 +27,20 @@ def parse_int(value, name: str) -> int:
     return value
 
 
+def parse_text_int(text: str, name: str) -> int:
+    """The integer written in `text`; ValueError naming `name` for anything else.
+
+    The one integer check on text: an optional sign and ASCII digits, with
+    surrounding whitespace ignored. Unlike int(), it refuses underscores
+    ("1_0") and non-ASCII digits ("٢").
+    """
+    digits = text.strip()
+    unsigned = digits[1:] if digits[:1] in ("+", "-") else digits
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        raise ValueError(f"{name} must be an integer, got {text!r}")
+    return int(digits)
+
+
 def parse_fraction(value) -> Fraction:
     """An exact rational from "num/den" text, an integer, or a Fraction.
 
@@ -35,7 +49,8 @@ def parse_fraction(value) -> Fraction:
     try:
         if isinstance(value, str):
             num, _, den = value.partition("/")
-            return Fraction(int(num), int(den) if den else 1)
+            den = parse_text_int(den, "denominator") if den else 1
+            return Fraction(parse_text_int(num, "numerator"), den)
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
     except ZeroDivisionError as exc:

@@ -24,7 +24,14 @@ from frobjets.cartier import (
     verify_trace_surjective,
     zero_form,
 )
-from frobjets.monomials import MonomialIdeal, is_prime, maximal_ideal, power, unit_ideal
+from frobjets.monomials import (
+    MonomialIdeal,
+    bracket_power,
+    is_prime,
+    maximal_ideal,
+    power,
+    unit_ideal,
+)
 
 
 def brute_trace_one_var(a: int, p: int) -> int | None:
@@ -115,6 +122,27 @@ class TestTraceFormula:
         for n in (1, 2, 3, 4):
             assert zero_form(n) == MonomialForm(0, (0,) * n)
             assert zero_form(n).is_zero
+
+
+class TestMonomialForm:
+    def test_repr_and_str(self):
+        w = MonomialForm(2, (1, 0))
+        assert repr(w) == "MonomialForm(coeff=2, exponent=(1, 0))"
+        assert str(w) == "2*x1*dx1^dx2"
+        assert str(MonomialForm(1, (0, 3, 2))) == "1*x2^3*x3^2*dx1^dx2^dx3"
+        assert repr(zero_form(1)) == "MonomialForm(coeff=0, exponent=(0,))"
+
+    def test_is_zero_reads_the_coefficient(self):
+        assert MonomialForm(0, (4, 1)).is_zero
+        assert not MonomialForm(1, (0, 0)).is_zero
+
+    def test_immutable(self):
+        w = MonomialForm(2, (1, 0))
+        with pytest.raises(AttributeError):
+            w.coeff = 3
+        with pytest.raises(AttributeError):
+            w.exponent = (0, 0)
+        assert w == MonomialForm(2, (1, 0))
 
 
 class TestSurjectivity:
@@ -305,3 +333,56 @@ class TestReport:
     def test_zero_form_str(self):
         assert str(zero_form(2)) == "0"
         assert "dx1^dx2" in str(MonomialForm(2, (1, 0)))
+
+
+def _plain_ideal_identity_counterexample(ideal, p, e, box):
+    """Oracle: the plain lexicographic scan, asking the bracket at every point."""
+    q = p**e
+    bracket = bracket_power(ideal, p, e)
+    image = set()
+    for a in itertools.product(range(q * (box + 1)), repeat=ideal.n):
+        if a not in bracket:
+            continue
+        traced = cartier.trace(MonomialForm(1, a), p, e)
+        if traced.is_zero:
+            continue
+        if traced.exponent not in ideal:
+            return traced.exponent
+        if all(x <= box for x in traced.exponent):
+            image.add(traced.exponent)
+    target = {b for b in itertools.product(range(box + 1), repeat=ideal.n) if b in ideal}
+    difference = image.symmetric_difference(target)
+    return min(difference) if difference else None
+
+
+def _recorded(scan, wrapped, ideal, p, e, box):
+    """The scan's result and every (form, p, e) it passed to the trace."""
+    calls = []
+
+    def recording(w, p, e):
+        calls.append((w, p, e))
+        return wrapped(w, p, e)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cartier, "trace", recording)
+        result = scan(ideal, p, e, box)
+    return result, calls
+
+
+class TestRowWalk:
+    """The row walk traces exactly what the plain scan traces, in its order."""
+
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2, 3]),
+        e=st.integers(1, 2),
+        box=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_trace_calls_as_plain_scan(self, n, p, e, box, seed):
+        ideal = random_primary_ideal(n, random.Random(seed))
+        for wrapped in (_TRUE_TRACE, _lowered_trace):
+            walked = _recorded(ideal_identity_counterexample, wrapped, ideal, p, e, box)
+            plain = _recorded(_plain_ideal_identity_counterexample, wrapped, ideal, p, e, box)
+            assert walked == plain

@@ -14,6 +14,7 @@ from frobjets.cli import (
     EXIT_OK,
     OUTPUT_FORMATS,
     RunConfig,
+    build_parser,
     main,
     run,
 )
@@ -221,6 +222,21 @@ class TestConfigAndFormats:
         assert code == EXIT_OK
         assert out.splitlines()[0] == "key,value"
 
+    def test_parser_built_once_and_reused_cleanly(self, capsys):
+        assert build_parser() is build_parser()
+        base = ["jets", "--model", "pn:1", "--m", "2", "--l", "1"]
+        code, out, _ = run_cli(capsys, base + ["--oracle", "--format", "csv"])
+        assert code == EXIT_OK and "oracle," in out
+        # flags of the earlier call must not leak into this one
+        code, out, _ = run_cli(capsys, base)
+        assert code == EXIT_OK
+        assert "oracle" not in json.loads(out)
+
+    def test_shorthand_signs_and_spaces(self, capsys):
+        code, out, _ = run_cli(capsys, ["mori-endgame", "--a= -3, 5,+2"])
+        assert code == EXIT_OK
+        assert json.loads(out)["b"] == 4
+
     def test_no_command_prints_usage(self, capsys):
         code, out, err = run_cli(capsys, [])
         assert code == EXIT_BAD_INPUT
@@ -270,6 +286,10 @@ class TestMalformedInput:
                 '{"n":2,"char":3,"eps_lower_at_point":0.1,"curves_through_x":[[1,10]]}',
             ],
             ["fano", "--json", '{"n":3,"char":2,"eps_lower_at_point":4.0}'],
+            # shorthands take ASCII digits only
+            ["jets", "--model", "pn:1_0", "--m", "3", "--l", "1"],
+            ["jets", "--model", "product:1,1,1,\u0662", "--m", "3", "--l", "1"],
+            ["mori-endgame", "--a", "1_0,\u0662"],
         ],
         ids=[
             "zero-denominator",
@@ -288,6 +308,9 @@ class TestMalformedInput:
             "float-curve-degree",
             "float-eps-contradiction",
             "float-eps",
+            "underscore-pn-dimension",
+            "non-ascii-product-parameter",
+            "non-ascii-mori-degrees",
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):
@@ -366,6 +389,15 @@ class TestMalformedInput:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    def test_config_with_subcommand_rejected(self, capsys, tmp_path):
+        config = tmp_path / "pp.json"
+        config.write_text(json.dumps({"command": "pp", "parameters": {"n": 2, "l": 2}}))
+        argv = ["--config", str(config), "jets", "--model", "pn:2", "--m", "4", "--l", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "invalid config: --config cannot be combined with the subcommand 'jets'\n"
 
     @pytest.mark.parametrize("oracle", [False, True])
     def test_config_oracle_is_a_boolean(self, oracle):

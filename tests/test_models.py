@@ -226,6 +226,13 @@ class TestConfigRoundTrip:
         inline = model_from_spec('{"kind": "custom", "n": 1, "constraints": [[[2], 1]]}')
         assert inline.attains((3,), 6) and not inline.attains((4,), 6)
 
+    @pytest.mark.parametrize(
+        "spec", ["pn:1_0", "pn:\u0662", "pn:", "pn:2.0", "product:1,1,2,3_0", "product:1,1,\u00b2,3"]
+    )
+    def test_shorthands_take_ascii_digits_only(self, spec):
+        with pytest.raises(ValueError, match="must be an integer"):
+            model_from_spec(spec)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model_from_config({"kind": "mystery"})

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from frobjets.serialize import parse_fraction, parse_int
+from frobjets.serialize import parse_fraction, parse_int, parse_text_int
 
 
 class TestParseInt:
@@ -18,13 +18,30 @@ class TestParseInt:
             parse_int(value, "model field 'n'")
 
 
+class TestParseTextInt:
+    @pytest.mark.parametrize(
+        "text, value", [("0", 0), ("12", 12), ("-3", -3), ("+2", 2), (" 7 ", 7), ("007", 7)]
+    )
+    def test_ascii_digits(self, text, value):
+        assert parse_text_int(text, "n") == value
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "1_0", "\u0662", "\u00b2", "1.0", "1e3", "0x10", "--1", "1 2", "x"]
+    )
+    def test_everything_else_rejected_naming_the_field(self, text):
+        with pytest.raises(ValueError, match=r"^pn dimension must be an integer, got "):
+            parse_text_int(text, "pn dimension")
+
+
 class TestParseFraction:
     def test_text_and_integers(self):
         assert parse_fraction("13/4") == Fraction(13, 4)
         assert parse_fraction("3") == Fraction(3)
         assert parse_fraction(5) == Fraction(5)
 
-    @pytest.mark.parametrize("value", ["1/0", "x", None, [1], 0.1, 4.0, float("inf"), True])
+    @pytest.mark.parametrize(
+        "value", ["1/0", "x", None, [1], 0.1, 4.0, float("inf"), True, "1_0/3", "3/\u0662"]
+    )
     def test_malformed_rejected(self, value):
         with pytest.raises(ValueError):
             parse_fraction(value)
