@@ -161,7 +161,7 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
         rows[head] = [
             (last,)
             for corner in range(0, q * (box + 1), q)
-            if start + (corner,) in bracket
+            if bracket._has(start + (corner,))
             for last in range(corner, corner + q)
         ]
     image = set()
@@ -174,7 +174,7 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
                 return traced.exponent
             if max(traced.exponent) <= box:
                 image.add(traced.exponent)
-    target = {b for b in _box(n, box) if b in ideal}
+    target = {b for b in _box(n, box) if ideal._has(b)}
     difference = image.symmetric_difference(target)
     return min(difference) if difference else None
 

@@ -332,6 +332,14 @@ def run(config: RunConfig) -> tuple[int, str, str]:
     return code, render(payload, config.output_format), ""
 
 
+def _int_flag(text: str) -> int:
+    # argparse's own int() would take "1_0" and non-ASCII digits
+    try:
+        return parse_text_int(text, "flag")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of `COMMANDS`, built once per process."""
@@ -352,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                 continue
             p.add_argument(
                 flag,
-                type=int if param.kind is int else None,
+                type=_int_flag if param.kind is int else None,
                 choices=param.kind if isinstance(param.kind, tuple) else None,
                 required=param.default is REQUIRED,
                 help=param.help,

@@ -90,6 +90,12 @@ class MonomialIdeal:
     int k means the ideal is m^k, and a pair (base, q) means it is base^[q].
     Only the constructors below that know the ideal's shape set it; it is
     not part of equality, hashing or repr.
+
+    ``a in ideal`` takes any exponent a caller supplies: it checks the
+    length and the entries (a list is accepted) and then asks ``_has``.
+    ``_has(a)`` skips that check, so it is only for exponents that are
+    already a tuple of n non-negative ints, such as the points this
+    package enumerates itself with ``product``.
     """
 
     n: int
@@ -127,6 +133,10 @@ class MonomialIdeal:
             valid = False
         if not valid:
             a = _check_exponent(a, self.n)
+        return self._has(a)
+
+    def _has(self, a: Exponent) -> bool:
+        # a must already be a tuple of n non-negative ints
         ideal, rule = self, self._rule
         if type(rule) is tuple:
             # x^a is in base^[q] iff x^(a // q) is in base
@@ -284,7 +294,7 @@ def cobasis(ideal: MonomialIdeal) -> frozenset[Exponent]:
         raise ValueError("not zero-dimensional: zero ideal has infinite complement")
     bounds = _pure_power_bounds(ideal)
     return frozenset(
-        a for a in product(*(range(b) for b in bounds)) if a not in ideal
+        a for a in product(*(range(b) for b in bounds)) if not ideal._has(a)
     )
 
 
@@ -303,7 +313,7 @@ def staircase_corners(ideal: MonomialIdeal):
         values = {g[i] - 1 for g in ideal.gens if g[i] >= 1}
         candidate_coords.append(sorted(values))
     for a in product(*candidate_coords):
-        if a not in ideal:
+        if not ideal._has(a):
             yield a
 
 

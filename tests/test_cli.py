@@ -415,6 +415,27 @@ class TestMalformedInput:
         assert exc.value.code == EXIT_BAD_INPUT
         assert "--parallelism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1_0", "٢"], ids=["underscore", "non-ascii"])
+    def test_integer_flags_take_ascii_digits_only(self, capsys, value):
+        # int() reads these as 10 and 2
+        for name, command in COMMANDS.items():
+            for key, param in command.params.items():
+                if param.kind is not int:
+                    continue
+                flag = "--" + key.replace("_", "-")
+                with pytest.raises(SystemExit) as exc:
+                    main([name, flag, value])
+                assert exc.value.code == EXIT_BAD_INPUT
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.endswith(f"argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("value, n", [("2", 2), (" 2 ", 2), ("+2", 2)])
+    def test_integer_flag_keeps_sign_and_spaces(self, capsys, value, n):
+        code, out, _ = run_cli(capsys, ["pp", "--n", value, "--l", "1"])
+        assert code == EXIT_OK
+        assert json.loads(out)["rank"] == n + 1
+
 
 # Small ints keep cartier and seshadri cheap. The sampled texts are models,
 # ideals, degree lists and fano documents, so requests get past the parsers.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from frobjets.jets import (
     NEG_INF,
+    _cobasis_corners,
     jet_ideal,
     missing_exponent,
     pn_threshold,
@@ -14,8 +15,13 @@ from frobjets.jets import (
     separates_frobenius_jets,
     separates_jets,
 )
-from frobjets.models import product_projective, projective_space, scaled_model
-from frobjets.monomials import cobasis
+from frobjets.models import (
+    custom_staircase,
+    product_projective,
+    projective_space,
+    scaled_model,
+)
+from frobjets.monomials import cobasis, divides
 
 
 class TestSeparatesJets:
@@ -90,6 +96,73 @@ class TestSeparatesFrobeniusJets:
             separates_frobenius_jets(projective_space(1), 0, 0, 0, 2)
         with pytest.raises(ValueError):
             separates_frobenius_jets(projective_space(1), 1, 0, 1, 4)
+
+
+def full_scan(model, m, ell, e, p):
+    """Reference oracle: ask the model at every point of the cobasis."""
+    return all(model.attains(a, m) for a in cobasis(jet_ideal(model.n, ell, e, p)))
+
+
+@st.composite
+def models_up_to_three_variables(draw):
+    """Random P^n, product and custom models with n <= 3."""
+    kind = draw(st.sampled_from(["pn", "product", "custom"]))
+    if kind == "pn":
+        return projective_space(draw(st.integers(1, 3)))
+    if kind == "product":
+        n1 = draw(st.integers(1, 2))
+        n2 = draw(st.integers(1, 3 - n1))
+        return product_projective(n1, n2, draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    n = draw(st.integers(1, 3))
+    rows = draw(
+        st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(0, 3)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # a row with every weight positive bounds every variable
+    rows.append((tuple(draw(st.integers(1, 3)) for _ in range(n)), draw(st.integers(0, 3))))
+    return custom_staircase(n, rows)
+
+
+class TestCornerOracle:
+    """The cobasis checker asks only the corners; the full scan is the reference."""
+
+    @given(
+        model=models_up_to_three_variables(),
+        m=st.integers(1, 30),
+        ell=st.integers(0, 3),
+        e=st.integers(0, 2),
+        p=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_corners_match_full_scan(self, model, m, ell, e, p):
+        corners = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+        assert corners == full_scan(model, m, ell, e, p)
+        assert corners == separates_frobenius_jets(model, m, ell, e, p)
+
+    @given(
+        n=st.integers(1, 3),
+        ell=st.integers(0, 3),
+        e=st.integers(0, 2),
+        p=st.sampled_from([2, 3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_corners_are_the_maximal_points(self, n, ell, e, p):
+        ideal = jet_ideal(n, ell, e, p)
+        quotient = cobasis(ideal)
+        corners = _cobasis_corners(ideal)
+        assert corners <= quotient
+        assert all(any(divides(a, c) for c in corners) for a in quotient)
+        assert not any(divides(c, d) for c in corners for d in corners if c != d)
+
+    def test_pn_corners(self):
+        # the cobasis of m^(ell+1) is the degree <= ell simplex, whose
+        # maximal points are the degree-ell monomials
+        for n, ell in itertools.product(range(1, 4), range(4)):
+            corners = _cobasis_corners(jet_ideal(n, ell, 0, 2))
+            assert corners == {a for a in cobasis(jet_ideal(n, ell, 0, 2)) if sum(a) == ell}
 
 
 class TestMissingExponent:

@@ -464,3 +464,30 @@ class TestRendering:
     def test_json(self):
         doc = MonomialIdeal(2, ((1, 1),)).to_json()
         assert doc == {"n": 2, "generators": [[1, 1]]}
+
+
+@st.composite
+def ideals_of_every_shape(draw):
+    """A plain (scanned), an m^k or a bracket ideal, with its variable count."""
+    shape = draw(st.sampled_from(["plain", "maximal-power", "bracket"]))
+    if shape == "maximal-power":
+        return power(maximal_ideal(draw(st.integers(1, 4))), draw(st.integers(0, 6)))
+    ideal = draw(zero_dimensional_ideals())
+    if shape == "bracket":
+        base = draw(st.sampled_from([ideal, power(maximal_ideal(ideal.n), 2)]))
+        ideal = bracket_power(base, draw(st.sampled_from([2, 3])), draw(st.integers(0, 2)))
+    return ideal
+
+
+class TestTrustedMembership:
+    """`_has` skips validation but answers exactly like `in`."""
+
+    @given(ideal=ideals_of_every_shape(), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_has_matches_contains(self, ideal, data):
+        points = data.draw(
+            st.lists(st.tuples(*[st.integers(0, 40)] * ideal.n), min_size=1, max_size=20)
+        )
+        for a in points:
+            assert ideal._has(a) == (a in ideal) == scan_member(ideal.gens, a)
+            assert (list(a) in ideal) == (a in ideal)
