@@ -39,7 +39,7 @@ from .fano import (
     degree_bound_check,
     seshineq_check,
 )
-from .jets import pn_threshold, s_jets, separates_frobenius_jets
+from .jets import pn_threshold, s_jets, separates_frobenius_jets, separates_jets
 from .models import product_projective, projective_space, scaled_model
 from .monomials import verify_lemma_monomials
 from .principal_parts import det_pp_closed, det_pp_recursive, mori_endgame
@@ -86,7 +86,7 @@ def criterion_2_ordinary_seshadri_pn() -> CriterionResult:
     for n in range(1, 6):
         model = projective_space(n)
         cert = seshadri_lower(model, 20)
-        if cert is None or cert.value != 1 or cert.witness != (1, 1):
+        if cert.value != 1 or cert.witness != (1, 1):
             failures.append((n, "certificate", cert))
         for m in range(1, 21):
             if s_jets(model, m) != m:
@@ -319,7 +319,7 @@ def criterion_12_product_model() -> CriterionResult:
         for d in range(1, 4):
             model = product_projective(1, 1, c, d)
             cert = seshadri_lower(model, 15)
-            if cert is None or cert.value != min(c, d):
+            if cert.value != min(c, d):
                 failures.append((c, d, "ordinary", cert))
             for ell in range(3):
                 for p in (2, 3):
@@ -332,7 +332,9 @@ def criterion_12_product_model() -> CriterionResult:
     for c, d in ((1, 2), (3, 3)):
         model = product_projective(1, 1, c, d)
         for m in range(1, 9):
-            if s_jets(model, m) != s_jets(model, m, method="cobasis"):
+            s = s_jets(model, m)
+            separates = separates_jets(model, m, s, method="cobasis")
+            if not separates or separates_jets(model, m, s + 1, method="cobasis"):
                 failures.append((c, d, m, "s_jets-oracle"))
     detail = "ordinary value min(c,d); Frobenius certificates never exceed it"
     if failures:

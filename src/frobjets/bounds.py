@@ -3,6 +3,9 @@
 Every bound comes as a certificate whose witness re-verifies against the jets
 engine; derivation rules (tensor powers, globally generated twists) transform
 certificates without leaving the certified world. No floating point anywhere.
+
+Every model separates 0-jets, so the ordinary bound always has a certificate;
+a Frobenius sweep has none when no (m, e) cell separates.
 """
 
 from __future__ import annotations
@@ -73,20 +76,13 @@ class BoundCertificate:
         return doc
 
 
-def seshadri_lower(
-    model: SectionModel, m_max: int, method: str = "fast"
-) -> BoundCertificate | None:
-    """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m.
-
-    Returns None when no degree separates even 0-jets ("no certificate").
-    """
+def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
+    """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     best = None
     for m in range(1, m_max + 1):
-        s = s_jets(model, m, method=method)
-        if s == NEG_INF:
-            continue
+        s = s_jets(model, m)
         value = Fraction(s, m)
         if best is None or value > best.value:
             best = BoundCertificate(SESHADRI, value, (m, s))

@@ -28,6 +28,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime
+from .serialize import parse_int
 
 
 class MonomialForm(NamedTuple):
@@ -59,28 +60,13 @@ def zero_form(n: int) -> MonomialForm:
 def form(coeff: int, exponent, p: int) -> MonomialForm:
     """Normalized form with coefficient reduced mod p."""
     ensure_prime(p)
-    exponent = tuple(int(x) for x in exponent)
+    exponent = tuple(parse_int(x, "form exponent") for x in exponent)
     if any(x < 0 for x in exponent):
         raise ValueError("form exponents must be >= 0")
     coeff %= p
     if coeff == 0:
         return zero_form(len(exponent))
     return MonomialForm(coeff, exponent)
-
-
-def pe_th_root(c: int, p: int, e: int) -> int:
-    """The unique p^e-th root of c in F_p.
-
-    The e-fold Frobenius x -> x^(p^e) is the identity on the prime field
-    (p^e is 1 mod p-1), so the root is c itself; computed via the inverse
-    exponent to keep the inversion step explicit.
-    """
-    c %= p
-    # 0 and 1 are their own roots, and so is everything when e == 0 or p == 2
-    if c <= 1 or e == 0 or p == 2:
-        return c
-    inverse_exponent = pow(pow(p, e, p - 1), -1, p - 1)
-    return pow(c, inverse_exponent, p)
 
 
 def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
@@ -101,7 +87,8 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
     for a in exponent:
         if a % q != top:
             return zero_form(len(exponent))
-    return MonomialForm(pe_th_root(c, p, e), tuple([a // q for a in exponent]))
+    # c^(p^e) == c on F_p, so c is its own p^e-th root
+    return MonomialForm(c, tuple([a // q for a in exponent]))
 
 
 def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:

@@ -104,6 +104,10 @@ def _cmd_seshadri(params):
     m_max = params["m_max"]
     closed = None
     if params["kind"] == "ordinary":
+        # both default to None, so a value here was given and would be dropped
+        given = [name for name in ("p", "sweep_csv") if params[name] is not None]
+        if given:
+            raise ValueError(f"parameters {given} apply only to kind 'frobenius'")
         cert = seshadri_lower(model, m_max)
         if model.kind == "pn":
             closed = Fraction(1)

@@ -149,11 +149,6 @@ def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
     return True
 
 
-def seshadri_at_most_dim_plus_one(n: int, eps: Fraction) -> bool:
-    """The bound derived from the degree-1 link of the chain."""
-    return parse_fraction(eps) <= n + 1
-
-
 def seshadri_upper_from_curves(curves) -> Fraction:
     """min over curves of degree/multiplicity, an upper bound at the point."""
     curves = list(curves)

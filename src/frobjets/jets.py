@@ -5,7 +5,7 @@ is attainable at m: on a monomial model the restriction map is diagonal on the
 monomial basis (attainable monomials map to their own residue classes, ideal
 monomials to zero), so surjectivity is staircase coverage.
 
-Two interchangeable checkers are provided, the fast path and its oracle:
+Separation has two interchangeable checkers, the fast path and its oracle:
 
 * "fast": per-constraint maximization of <w, a> over the complement of the
   jet ideal, in closed form.  A monomial x^a lies outside the bracket power
@@ -21,6 +21,9 @@ Two interchangeable checkers are provided, the fast path and its oracle:
 A rank check of the restriction matrix would add nothing: the matrix has at
 most one 1 per row, so its rank counts the attained cobasis monomials, which
 is the "cobasis" check again.
+
+The ordinary index s(m) needs no checker: it is the closed form min over the
+constraints of floor(s * m / max(w)). s_frobenius counts e on the fast path.
 """
 
 from __future__ import annotations
@@ -128,37 +131,28 @@ def missing_exponent(model: SectionModel, m: int, ell: int, e: int, p: int):
     return None
 
 
-def s_jets(model: SectionModel, m: int, method: str = "fast") -> int | float:
-    """Largest ell such that degree-m sections separate ell-jets; -inf if none."""
-    if not separates_jets(model, m, 0, method=method):
-        return NEG_INF
-    ell = 0
-    while separates_jets(model, m, ell + 1, method=method):
-        ell += 1
-    return ell
+def s_jets(model: SectionModel, m: int) -> int:
+    """Largest ell such that degree-m sections separate ell-jets.
 
-
-def _e_search_bound(model: SectionModel, m: int, p: int) -> int:
-    # Some constraint has a positive weight, so its load grows at least like
-    # p^e - 1; separation must fail once p^e - 1 exceeds every slope * m.
-    cap = max(s * m for _, s in model.constraints)
-    e = 1
-    while p**e - 1 <= cap:
-        e += 1
-    return e + 1
+    A constraint (w, s) admits ell-jets at m iff ell * max(w) <= s * m (the
+    fast path's load at e = 0); a row of zero weights admits every ell.
+    """
+    if m < 1:
+        raise ValueError("degree m must be >= 1")
+    return min(s * m // max(w) for w, s in model.constraints if max(w) > 0)
 
 
 def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
     """Largest e such that degree-m sections separate p^e-Frobenius ell-jets.
 
-    Returns -inf when even e = 0 fails. Finite because bracket staircases
-    grow with e while the attainable set at m is fixed.
+    Returns -inf when even e = 0 fails. The count ends: a constraint with a
+    positive weight has a load ell * p^e * max(w) + (p^e - 1) * sum(w) that
+    outgrows its s * m as e grows.
     """
     ensure_prime(p)
     if not separates_frobenius_jets(model, m, ell, 0, p):
         return NEG_INF
-    bound = _e_search_bound(model, m, p)
     e = 0
-    while e < bound and separates_frobenius_jets(model, m, ell, e + 1, p):
+    while separates_frobenius_jets(model, m, ell, e + 1, p):
         e += 1
     return e

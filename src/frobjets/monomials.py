@@ -61,7 +61,11 @@ def divides(a: Exponent, b: Exponent) -> bool:
 
 
 def _check_exponent(a, n: int) -> Exponent:
-    a = tuple(int(x) for x in a)
+    a = tuple(a)
+    for x in a:
+        # a float or numeric text is refused, not truncated; so is a bool
+        if type(x) is not int:
+            raise ValueError(f"exponent entries must be integers, got {a!r}")
     if len(a) != n:
         raise ValueError(f"exponent {a} has length {len(a)}, expected {n}")
     if any(x < 0 for x in a):
@@ -179,10 +183,6 @@ def render_monomial(a: Exponent) -> str:
 def minimalize(gens, n: int) -> MonomialIdeal:
     """Ideal generated by `gens`, reduced to its minimal antichain."""
     return MonomialIdeal(n, tuple(gens))
-
-
-def zero_ideal(n: int) -> MonomialIdeal:
-    return MonomialIdeal(n, ())
 
 
 def _compositions(k: int, n: int) -> list[Exponent]:

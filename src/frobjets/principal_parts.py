@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from .serialize import parse_int
+
 
 @dataclass(frozen=True)
 class PicClass:
@@ -83,7 +85,8 @@ class SplitBundle:
     def __post_init__(self):
         if not self.degrees:
             raise ValueError("a split bundle needs rank >= 1")
-        object.__setattr__(self, "degrees", tuple(sorted(int(d) for d in self.degrees)))
+        degrees = (parse_int(d, "summand degree") for d in self.degrees)
+        object.__setattr__(self, "degrees", tuple(sorted(degrees)))
 
     @property
     def rank(self) -> int:
@@ -142,7 +145,7 @@ class MoriEndgameReport:
 
 
 def mori_endgame(a) -> MoriEndgameReport:
-    a = tuple(int(x) for x in a)
+    a = tuple(parse_int(x, "summand degree") for x in a)
     if not a:
         raise ValueError("need at least one summand degree")
     n = len(a)

@@ -45,15 +45,13 @@ class TestSeshadriLower:
         for m in range(1, 11):
             assert s_jets(scaled_model(projective_space(2), 3), m) == 3 * m
 
-    def test_no_certificate_is_none(self):
-        class NothingModel:
-            n = 1
-            constraints = (((1,), 0),)
-
-            def attains(self, a, m):
-                return False
-
-        assert seshadri_lower(NothingModel(), 3, method="cobasis") is None
+    def test_slope_zero_certifies_zero(self):
+        # only the origin is attainable, and it separates 0-jets at every degree
+        model = custom_staircase(1, [((1,), 0)])
+        cert = seshadri_lower(model, 3)
+        assert cert.value == 0
+        assert cert.witness == (1, 0)
+        assert cert.reverify(model, method="cobasis")
 
     def test_soundness(self):
         for model in (projective_space(3), product_projective(1, 2, 1, 2)):

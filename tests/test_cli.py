@@ -290,6 +290,8 @@ class TestMalformedInput:
             ["jets", "--model", "pn:1_0", "--m", "3", "--l", "1"],
             ["jets", "--model", "product:1,1,1,\u0662", "--m", "3", "--l", "1"],
             ["mori-endgame", "--a", "1_0,\u0662"],
+            # the ordinary kind has no characteristic, which would go unchecked
+            ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary", "--p", "4"],
         ],
         ids=[
             "zero-denominator",
@@ -311,6 +313,7 @@ class TestMalformedInput:
             "underscore-pn-dimension",
             "non-ascii-product-parameter",
             "non-ascii-mori-degrees",
+            "ordinary-with-p",
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):
@@ -389,6 +392,18 @@ class TestMalformedInput:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    def test_ordinary_rejects_sweep_csv(self, capsys, tmp_path):
+        # the ordinary kind has no sweep table; the file used to be silently not written
+        out_csv = tmp_path / "out.csv"
+        argv = ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary"]
+        code, out, err = run_cli(capsys, argv + ["--sweep-csv", str(out_csv)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "invalid input: parameters ['sweep_csv'] apply only to kind 'frobenius'\n"
+        assert not out_csv.exists()
+        params = {"model": "pn:2", "m_max": 5, "kind": "ordinary", "p": 2}
+        assert run(RunConfig("seshadri", params))[0] == EXIT_BAD_INPUT
 
     def test_config_with_subcommand_rejected(self, capsys, tmp_path):
         config = tmp_path / "pp.json"

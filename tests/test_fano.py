@@ -14,7 +14,6 @@ from frobjets.fano import (
     degree_bound_check,
     meets_bauer_bound,
     mori_mukai_inputs,
-    seshadri_at_most_dim_plus_one,
     seshadri_upper_from_curves,
     seshineq_check,
     very_ample_report,
@@ -87,10 +86,6 @@ class TestSeshineq:
     def test_violation_detected(self):
         n = 3
         assert not seshineq_check(n, Fraction(n + 1), {1: n})
-
-    def test_derived_upper_bound(self):
-        assert seshadri_at_most_dim_plus_one(3, Fraction(4))
-        assert not seshadri_at_most_dim_plus_one(3, Fraction(9, 2))
 
 
 class TestCurveUpperBounds:

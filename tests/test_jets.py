@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobjets.jets import (
@@ -126,6 +126,16 @@ def models_up_to_three_variables(draw):
     return custom_staircase(n, rows)
 
 
+def counted_s_jets(model, m):
+    """Reference: count ell upward while the cobasis oracle separates ell-jets."""
+    if not separates_jets(model, m, 0, method="cobasis"):
+        return NEG_INF
+    ell = 0
+    while separates_jets(model, m, ell + 1, method="cobasis"):
+        ell += 1
+    return ell
+
+
 class TestCornerOracle:
     """The cobasis checker asks only the corners; the full scan is the reference."""
 
@@ -192,15 +202,21 @@ class TestSJets:
     def test_product(self):
         assert s_jets(product_projective(1, 1, 2, 3), 1) == 2
 
-    def test_unattainable_origin_gives_neg_inf(self):
-        class NothingModel:
-            n = 1
-            constraints = (((1,), 1),)
+    def test_huge_degree(self):
+        # a count of ell upward one test at a time could never reach this
+        assert s_jets(custom_staircase(2, [((3, 1), 2)]), 10**30) == 2 * 10**30 // 3
 
-            def attains(self, a, m):
-                return False
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError):
+            s_jets(projective_space(2), 0)
 
-        assert s_jets(NothingModel(), 5, method="cobasis") == NEG_INF
+    @given(model=models_up_to_three_variables(), m=st.integers(1, 8))
+    @example(model=custom_staircase(2, [((0, 0), 3), ((1, 2), 0)]), m=5)
+    @example(model=custom_staircase(2, [((0, 0), 0), ((2, 1), 1)]), m=7)
+    @example(model=custom_staircase(3, [((0, 0, 0), 2), ((1, 1, 1), 2), ((0, 3, 0), 1)]), m=4)
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_matches_counted_oracle(self, model, m):
+        assert s_jets(model, m) == counted_s_jets(model, m)
 
     @given(m1=st.integers(1, 8), m2=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)

@@ -21,7 +21,6 @@ from frobjets.monomials import (
     staircase_max_degree,
     unit_ideal,
     verify_lemma_monomials,
-    zero_ideal,
 )
 
 
@@ -78,6 +77,19 @@ class TestMinimalize:
         with pytest.raises(ValueError):
             minimalize([(1, -1)], 2)
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1", True])
+    def test_non_integer_entry_rejected(self, bad):
+        # refused, not truncated: int(1.5) would build (1, 1)
+        with pytest.raises(ValueError, match="integers"):
+            MonomialIdeal(2, ((bad, 1),))
+        assert MonomialIdeal(2, ([1, 1], [2, 0])).gens == ((1, 1), (2, 0))
+
+    @pytest.mark.parametrize("bad", [1.9, "1"])
+    def test_non_integer_member_rejected(self, bad):
+        for ideal in (MonomialIdeal(2, ((1, 0),)), power(maximal_ideal(2), 2)):
+            with pytest.raises(ValueError, match="integers"):
+                (bad, 0) in ideal
+
 
 class TestMaximalIdeal:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -97,7 +109,7 @@ class TestPower:
 
     def test_zeroth_power_is_unit(self):
         assert power(maximal_ideal(3), 0) == unit_ideal(3)
-        assert power(zero_ideal(2), 0) == unit_ideal(2)
+        assert power(MonomialIdeal(2, ()), 0) == unit_ideal(2)
 
     def test_fifth_power_generator_count(self):
         # Oracle: degree-5 monomials in two variables form the minimal basis.
@@ -240,7 +252,7 @@ class TestCobasis:
         with pytest.raises(ValueError, match="zero-dimensional"):
             cobasis(MonomialIdeal(2, ((1, 1),)))
         with pytest.raises(ValueError, match="zero-dimensional"):
-            cobasis(zero_ideal(2))
+            cobasis(MonomialIdeal(2, ()))
 
     @given(
         st.lists(

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,14 @@ class TestMoriEndgame:
         assert report.b == 0
         assert report.gg
         assert not report.all_ai_positive
+
+    def test_non_integer_degrees_rejected(self):
+        for bad in ([2.7, 1], ["2", 1], [2.0, 1]):
+            with pytest.raises(ValueError, match="integer"):
+                mori_endgame(bad)
+            with pytest.raises(ValueError, match="integer"):
+                SplitBundle(tuple(bad))
+        assert mori_endgame([2, 1, 1]) == mori_endgame((2, 1, 1))
 
     def test_json(self):
         doc = mori_endgame((2, 1, 1)).to_json()
