@@ -43,6 +43,7 @@ from .fano import (
 )
 from .jets import (
     NEG_INF,
+    frobenius_threshold,
     pn_threshold,
     s_frobenius,
     s_jets,

@@ -187,11 +187,9 @@ def criterion_7_derived_certificates() -> CriterionResult:
     count = 0
     failures = []
     for model, p, ell in itertools.product(models, (2, 3), (0, 1, 2)):
+        # the threshold of P^n, n = model.n, separates on all three models
         base_m = pn_threshold(model.n, ell, 1, p)
-        try:
-            base = certificate_at(model, p, ell, base_m, 1)
-        except ValueError:
-            base = certificate_at(model, p, ell, 2 * base_m, 1)
+        base = certificate_at(model, p, ell, base_m, 1)
         for r in (1, 2, 3):
             for j in (0, 1, 2):
                 derived = gg_twist_extend(tensor_power_scale(base, r, p), j, model)

@@ -5,7 +5,8 @@ engine; derivation rules (tensor powers, globally generated twists) transform
 certificates without leaving the certified world. No floating point anywhere.
 
 Every model separates 0-jets, so the ordinary bound always has a certificate;
-a Frobenius sweep has none when no (m, e) cell separates.
+a Frobenius sweep has none when no (m, e) cell separates. Separation is
+monotone in m, so a sweep row (m, e) separates iff m >= m_e, its threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .jets import (
-    NEG_INF,
+    frobenius_threshold,
     pn_threshold,
     s_frobenius,
     s_jets,
@@ -99,8 +100,9 @@ def frobenius_sweep_table(model: SectionModel, p: int, ell: int, m_max: int, e_m
     rows = []
     for e in range(e_max + 1):
         numerator = (p**e - 1) * (ell + 1)
+        m_e = frobenius_threshold(model, ell, e, p)
         for m in range(1, m_max + 1):
-            separating = separates_frobenius_jets(model, m, ell, e, p)
+            separating = m_e is not None and m >= m_e
             rows.append((e, m, separating, Fraction(numerator, m) if separating else None))
     return rows
 
@@ -177,11 +179,9 @@ def subsequence_demo(n: int, ell: int, p: int, e_max: int) -> SubsequenceDemo:
         if m_low < 1:
             lower.append(None)
             continue
+        # m_low >= ell, the e = 0 threshold, so s_frobenius is an integer here
         s = s_frobenius(model, m_low, ell, p)
-        if s == NEG_INF:
-            lower.append(None)
-        else:
-            lower.append(Fraction((ell + 1) * (p**s - 1), m_low))
+        lower.append(Fraction((ell + 1) * (p**s - 1), m_low))
     return SubsequenceDemo(tuple(upper), tuple(lower))
 
 
@@ -264,22 +264,15 @@ def check_homogeneity(
 ) -> bool:
     """Every separating pair on the base model lifts to the r-scaled model.
 
-    A witness (m, e) lifts to (ceil(m/r), e); when r divides m the lifted
-    certificate value is exactly r times the base value.
+    A witness (m, e) lifts to (ceil(m/r), e), with a value at least r times
+    the base value. Separation is monotone in m, so lifting the threshold m_e
+    of each e covers every separating m <= m_max.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     scaled = scaled_model(model, r)
     for e in range(e_max + 1):
-        for m in range(1, m_max + 1):
-            if not separates_frobenius_jets(model, m, ell, e, p):
-                continue
-            m_lift = -(-m // r)
-            if not separates_frobenius_jets(scaled, m_lift, ell, e, p):
-                return False
-            if m % r == 0:
-                base_value = Fraction((p**e - 1) * (ell + 1), m)
-                lifted_value = Fraction((p**e - 1) * (ell + 1), m // r)
-                if lifted_value != r * base_value:
-                    return False
+        m_e = frobenius_threshold(model, ell, e, p)
+        if m_e is None or m_e > m_max:
+            continue
+        if not separates_frobenius_jets(scaled, -(-m_e // r), ell, e, p):
+            return False
     return True

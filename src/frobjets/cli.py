@@ -104,8 +104,8 @@ def _cmd_seshadri(params):
     m_max = params["m_max"]
     closed = None
     if params["kind"] == "ordinary":
-        # both default to None, so a value here was given and would be dropped
-        given = [name for name in ("p", "sweep_csv") if params[name] is not None]
+        # these default to None, so a value here was given and would be dropped
+        given = [name for name in ("p", "l", "e_max", "sweep_csv") if params[name] is not None]
         if given:
             raise ValueError(f"parameters {given} apply only to kind 'frobenius'")
         cert = seshadri_lower(model, m_max)
@@ -113,10 +113,12 @@ def _cmd_seshadri(params):
             closed = Fraction(1)
         payload = _certificate_payload(cert, closed)
         return payload, EXIT_OK
-    p, ell = params["p"], params["l"]
+    p = params["p"]
+    ell = 0 if params["l"] is None else params["l"]
+    e_max = 4 if params["e_max"] is None else params["e_max"]
     if p is None:
         raise ValueError("missing parameters: ['p']")
-    table = frobenius_sweep_table(model, p, ell, m_max, params["e_max"])
+    table = frobenius_sweep_table(model, p, ell, m_max, e_max)
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
     payload = _certificate_payload(best_frobenius_certificate(table, p, ell), closed)
@@ -235,9 +237,9 @@ COMMANDS = {
         {
             "model": Param(str),
             "p": Param(int, None),
-            "l": Param(int, 0),
+            "l": Param(int, None),
             "m_max": Param(int),
-            "e_max": Param(int, 4),
+            "e_max": Param(int, None),
             "kind": Param(("ordinary", "frobenius"), "frobenius"),
             "sweep_csv": Param(str, None, "write the full sweep table"),
         },

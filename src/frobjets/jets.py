@@ -11,7 +11,8 @@ Separation has two interchangeable checkers, the fast path and its oracle:
   jet ideal, in closed form.  A monomial x^a lies outside the bracket power
   by p^e of the (ell+1)-st maximal-ideal power iff
   sum_i floor(a_i / p^e) <= ell, so the maximum splits into a quotient part
-  ell * p^e * max(w) and a remainder part (p^e - 1) * sum(w).
+  ell * p^e * max(w) and a remainder part (p^e - 1) * sum(w).  Degree m
+  separates iff m >= frobenius_threshold, the least m with every load <= s * m.
 * "cobasis": materialize the cobasis, keep its maximal points (its
   corners, found by brute force), and ask the model at each corner. An
   attainable set is downward closed (a model's weights are non-negative),
@@ -22,8 +23,8 @@ A rank check of the restriction matrix would add nothing: the matrix has at
 most one 1 per row, so its rank counts the attained cobasis monomials, which
 is the "cobasis" check again.
 
-The ordinary index s(m) needs no checker: it is the closed form min over the
-constraints of floor(s * m / max(w)). s_frobenius counts e on the fast path.
+The indices need no checker: s(m) is the closed form min over the constraints
+of floor(s * m / max(w)), and s_F(m) solves the load inequality for p^e.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .monomials import (
 )
 
 NEG_INF = float("-inf")
-
-METHODS = ("fast", "cobasis")
 
 
 @lru_cache(maxsize=512)
@@ -65,10 +64,23 @@ def _constraint_load(weights, ell: int, e: int, p: int) -> int:
     return ell * q * max(weights) + (q - 1) * sum(weights)
 
 
-def _separates_fast(model: SectionModel, m: int, ell: int, e: int, p: int) -> bool:
-    return all(
-        _constraint_load(w, ell, e, p) <= s * m for w, s in model.constraints
-    )
+def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | None:
+    """Smallest degree m >= 1 that separates p^e-Frobenius ell-jets, or None.
+
+    Each constraint (w, s) asks for s * m >= its load; None means that a row
+    of slope 0 has a positive load, so that no degree separates.
+    """
+    if ell < 0 or e < 0:
+        raise ValueError("ell and e must be >= 0")
+    ensure_prime(p)
+    m_e = 1
+    for w, s in model.constraints:
+        load = _constraint_load(w, ell, e, p)
+        if load > s * m_e:
+            if s == 0:
+                return None
+            m_e = -(-load // s)
+    return m_e
 
 
 @lru_cache(maxsize=256)
@@ -82,32 +94,21 @@ def _cobasis_corners(ideal: MonomialIdeal) -> frozenset[Exponent]:
     )
 
 
-def _separates_cobasis(model: SectionModel, m: int, ell: int, e: int, p: int) -> bool:
-    # the attainable set is downward closed, so covering the corners covers all
-    corners = _cobasis_corners(jet_ideal(model.n, ell, e, p))
-    return all(model.attains(a, m) for a in corners)
-
-
-_CHECKERS = {
-    "fast": _separates_fast,
-    "cobasis": _separates_cobasis,
-}
-
-
 def separates_frobenius_jets(
     model: SectionModel, m: int, ell: int, e: int, p: int, method: str = "fast"
 ) -> bool:
     """Whether degree-m sections separate p^e-Frobenius ell-jets at the point."""
     if m < 1:
         raise ValueError("degree m must be >= 1")
-    if ell < 0 or e < 0:
-        raise ValueError("ell and e must be >= 0")
-    ensure_prime(p)
-    try:
-        checker = _CHECKERS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return checker(model, m, ell, e, p)
+    # the threshold checks ell, e and p; the cobasis oracle does not use it
+    m_e = frobenius_threshold(model, ell, e, p)
+    if method == "fast":
+        return m_e is not None and m >= m_e
+    if method != "cobasis":
+        raise ValueError(f"unknown method {method!r}; expected one of ('fast', 'cobasis')")
+    # the attainable set is downward closed, so covering the corners covers all
+    corners = _cobasis_corners(jet_ideal(model.n, ell, e, p))
+    return all(model.attains(a, m) for a in corners)
 
 
 def separates_jets(model: SectionModel, m: int, ell: int, method: str = "fast") -> bool:
@@ -145,14 +146,17 @@ def s_jets(model: SectionModel, m: int) -> int:
 def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
     """Largest e such that degree-m sections separate p^e-Frobenius ell-jets.
 
-    Returns -inf when even e = 0 fails. The count ends: a constraint with a
-    positive weight has a load ell * p^e * max(w) + (p^e - 1) * sum(w) that
-    outgrows its s * m as e grows.
+    Returns -inf when even e = 0 fails. With q = p^e, W = max(w), S = sum(w),
+    a constraint (w, s) admits the jets iff ell*q*W + (q-1)*S <= s*m, that is
+    iff q <= (s*m + S) // (ell*W + S); a row of zero weights admits every e.
     """
     ensure_prime(p)
     if not separates_frobenius_jets(model, m, ell, 0, p):
         return NEG_INF
-    e = 0
-    while separates_frobenius_jets(model, m, ell, e + 1, p):
-        e += 1
+    bound = min(
+        (s * m + sum(w)) // (ell * max(w) + sum(w)) for w, s in model.constraints if max(w) > 0
+    )
+    e, q = 0, p
+    while q <= bound:
+        e, q = e + 1, q * p
     return e

@@ -124,13 +124,14 @@ class MonomialIdeal:
         return ideal
 
     def __contains__(self, a) -> bool:
-        # Full validation only when the cheap test fails; a TypeError from
-        # sum/min means non-numeric entries, which _check_exponent reports.
+        # Full validation by _check_exponent only when the cheap test fails:
+        # non-numeric entries raise TypeError in sum/min, bools sum to an int.
         try:
             valid = (
                 type(a) is tuple
                 and len(a) == self.n
                 and type(sum(a)) is int
+                and bool not in map(type, a)
                 and min(a) >= 0
             )
         except TypeError:

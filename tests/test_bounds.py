@@ -1,7 +1,18 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_jets import (
+    SLOPE_ZERO,
+    SLOPE_ZERO_ONE_VARIABLE,
+    ZERO_ROW_SLOPE_ZERO,
+    ZERO_ROW_THREE,
+    models_up_to_three_variables,
+)
 
+from frobjets import bounds
 from frobjets.bounds import (
     FROBENIUS,
     BoundCertificate,
@@ -18,13 +29,51 @@ from frobjets.bounds import (
     subsequence_demo,
     tensor_power_scale,
 )
-from frobjets.jets import pn_threshold, s_jets
+from frobjets.jets import pn_threshold, s_jets, separates_frobenius_jets
 from frobjets.models import (
     custom_staircase,
     product_projective,
     projective_space,
     scaled_model,
 )
+
+
+def oracle_sweep_table(model, p, ell, m_max, e_max):
+    """Reference: ask the cobasis oracle at every cell of the grid, e-major."""
+    rows = []
+    for e in range(e_max + 1):
+        for m in range(1, m_max + 1):
+            separating = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+            value = Fraction((p**e - 1) * (ell + 1), m) if separating else None
+            rows.append((e, m, separating, value))
+    return rows
+
+
+def double_loop_homogeneity(model, r, p, ell, m_max, e_max, scale=scaled_model):
+    """Reference: lift every separating base cell, and compare values when r | m."""
+    scaled = scale(model, r)
+    for e in range(e_max + 1):
+        for m in range(1, m_max + 1):
+            if not separates_frobenius_jets(model, m, ell, e, p):
+                continue
+            if not separates_frobenius_jets(scaled, -(-m // r), ell, e, p):
+                return False
+            if m % r == 0:
+                base_value = Fraction((p**e - 1) * (ell + 1), m)
+                if Fraction((p**e - 1) * (ell + 1), m // r) != r * base_value:
+                    return False
+    return True
+
+
+def limit_constants(model, ell):
+    """eps = min s/W and eps_F = (ell+1) * min s/(ell*W + S) over rows with W > 0.
+
+    W = max(w) and S = sum(w) of a constraint (w, s); a zero row bounds nothing.
+    """
+    rows = [(s, max(w), sum(w)) for w, s in model.constraints if max(w) > 0]
+    eps = min(Fraction(s, big) for s, big, _ in rows)
+    eps_f = (ell + 1) * min(Fraction(s, ell * big + total) for s, big, total in rows)
+    return eps, eps_f
 
 
 class TestSeshadriLower:
@@ -132,6 +181,24 @@ class TestFrobeniusSeshadriLower:
                 assert cert.value <= closed_form_pn(n, ell)
 
 
+class TestSweepTableOracle:
+    @given(
+        model=models_up_to_three_variables(),
+        p=st.sampled_from([2, 3]),
+        ell=st.integers(0, 2),
+        m_max=st.integers(1, 8),
+        e_max=st.integers(1, 2),
+    )
+    @example(model=SLOPE_ZERO, p=2, ell=0, m_max=4, e_max=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, p=3, ell=1, m_max=8, e_max=1)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, p=2, ell=0, m_max=3, e_max=2)
+    @example(model=ZERO_ROW_THREE, p=2, ell=1, m_max=8, e_max=2)
+    @settings(max_examples=80, deadline=None)
+    def test_table_matches_per_cell_oracle(self, model, p, ell, m_max, e_max):
+        table = frobenius_sweep_table(model, p, ell, m_max, e_max)
+        assert table == oracle_sweep_table(model, p, ell, m_max, e_max)
+
+
 class TestClosedForm:
     def test_values(self):
         assert closed_form_pn(2, 0) == Fraction(1, 2)
@@ -237,6 +304,30 @@ class TestComparisons:
         eps = Fraction(5, 7)
         assert check_comparison(1, 0, eps, eps)
 
+    def test_limit_constants_of_pn(self):
+        for n, ell in ((1, 0), (2, 1), (3, 2), (4, 0)):
+            assert limit_constants(projective_space(n), ell) == (1, closed_form_pn(n, ell))
+
+    @given(
+        model=models_up_to_three_variables(),
+        ell=st.integers(0, 3),
+        p=st.sampled_from([2, 3]),
+        m_max=st.integers(1, 60),
+        e_max=st.integers(1, 4),
+    )
+    @example(model=SLOPE_ZERO, ell=0, p=2, m_max=10, e_max=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, ell=1, p=3, m_max=40, e_max=3)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, ell=0, p=2, m_max=5, e_max=1)
+    @example(model=ZERO_ROW_THREE, ell=2, p=2, m_max=60, e_max=4)
+    @settings(max_examples=100, deadline=None)
+    def test_paper_comparison_on_linear_models(self, model, ell, p, m_max, e_max):
+        # the sandwich (ell+1)/(ell+n) * eps <= eps_F <= eps of the limit constants
+        eps, eps_f = limit_constants(model, ell)
+        assert check_comparison(model.n, ell, eps, eps_f)
+        assert seshadri_lower(model, m_max).value <= eps
+        cert = frobenius_seshadri_lower(model, p, ell, m_max, e_max)
+        assert cert is None or cert.value <= eps_f
+
     def test_level_comparison_on_closed_forms(self):
         for n in range(1, 5):
             for low in range(0, 4):
@@ -267,6 +358,31 @@ class TestHomogeneity:
 
     def test_product_grid(self):
         assert check_homogeneity(product_projective(1, 1, 1, 2), 2, 3, 1, 10, 2)
+
+    @given(
+        model=models_up_to_three_variables(),
+        r=st.integers(1, 3),
+        p=st.sampled_from([2, 3]),
+        ell=st.integers(0, 2),
+        m_max=st.integers(0, 12),
+        e_max=st.integers(0, 3),
+        broken=st.booleans(),
+    )
+    @example(model=SLOPE_ZERO, r=2, p=2, ell=0, m_max=6, e_max=2, broken=False)
+    @example(model=ZERO_ROW_SLOPE_ZERO, r=3, p=3, ell=1, m_max=12, e_max=2, broken=True)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, r=2, p=2, ell=0, m_max=4, e_max=1, broken=True)
+    @example(model=ZERO_ROW_THREE, r=2, p=2, ell=1, m_max=12, e_max=3, broken=False)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_double_loop(self, model, r, p, ell, m_max, e_max, broken):
+        # a broken scale that leaves the model unscaled makes lifts fail
+        scale = (lambda base, r: base) if broken else scaled_model
+        expected = double_loop_homogeneity(model, r, p, ell, m_max, e_max, scale)
+        with mock.patch.object(bounds, "scaled_model", scale):
+            assert check_homogeneity(model, r, p, ell, m_max, e_max) == expected
+
+    def test_broken_scale_is_caught(self):
+        with mock.patch.object(bounds, "scaled_model", lambda base, r: base):
+            assert not check_homogeneity(projective_space(2), 2, 2, 0, 6, 2)
 
 
 class TestCertificateJson:

@@ -18,7 +18,7 @@ from frobjets.cli import (
     main,
     run,
 )
-from frobjets.jets import separates_frobenius_jets
+from frobjets.jets import frobenius_threshold, separates_frobenius_jets
 
 
 def run_cli(capsys, argv):
@@ -96,13 +96,22 @@ class TestSeshadriCommand:
         assert len(lines) == 1 + 4 * 3
 
     def test_sweep_csv_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
+        # one threshold per e decides every cell of its row; no cell asks separation
+        calls = {"threshold": 0, "separates": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return separates_frobenius_jets(*args, **kwargs)
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(bounds, "separates_frobenius_jets", counting)
+            return counted
+
+        monkeypatch.setattr(
+            bounds, "frobenius_threshold", counting("threshold", frobenius_threshold)
+        )
+        monkeypatch.setattr(
+            bounds, "separates_frobenius_jets", counting("separates", separates_frobenius_jets)
+        )
         m_max, e_max = 7, 3
         code, _, _ = run_cli(
             capsys,
@@ -113,7 +122,9 @@ class TestSeshadriCommand:
             ],
         )
         assert code == EXIT_OK
-        assert len(calls) == m_max * (e_max + 1)
+        assert calls == {"threshold": e_max + 1, "separates": 0}
+        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert len(lines) == 1 + m_max * (e_max + 1)
 
     def test_missing_p_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["seshadri", "--model", "pn:2", "--m-max", "5"])
@@ -292,6 +303,9 @@ class TestMalformedInput:
             ["mori-endgame", "--a", "1_0,\u0662"],
             # the ordinary kind has no characteristic, which would go unchecked
             ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary", "--p", "4"],
+            # nor a jet level or a Frobenius range, which would be dropped
+            ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary", "--l", "3"],
+            ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary", "--e-max", "9"],
         ],
         ids=[
             "zero-denominator",
@@ -314,6 +328,8 @@ class TestMalformedInput:
             "non-ascii-product-parameter",
             "non-ascii-mori-degrees",
             "ordinary-with-p",
+            "ordinary-with-l",
+            "ordinary-with-e-max",
         ],
     )
     def test_rejected_with_one_line_diagnostic(self, capsys, argv):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from frobjets.jets import (
     NEG_INF,
     _cobasis_corners,
+    frobenius_threshold,
     jet_ideal,
     missing_exponent,
     pn_threshold,
@@ -134,6 +135,23 @@ def counted_s_jets(model, m):
     while separates_jets(model, m, ell + 1, method="cobasis"):
         ell += 1
     return ell
+
+
+def counted_s_frobenius(model, m, ell, p):
+    """Reference: count e upward while the cobasis oracle separates Frobenius ell-jets."""
+    if not separates_frobenius_jets(model, m, ell, 0, p, method="cobasis"):
+        return NEG_INF
+    e = 0
+    while separates_frobenius_jets(model, m, ell, e + 1, p, method="cobasis"):
+        e += 1
+    return e
+
+
+# slope-0 rows and all-zero rows, the edge cases of the load formula
+SLOPE_ZERO = custom_staircase(2, [((0, 0), 3), ((1, 2), 0)])
+ZERO_ROW_SLOPE_ZERO = custom_staircase(2, [((0, 0), 0), ((2, 1), 1)])
+SLOPE_ZERO_ONE_VARIABLE = custom_staircase(2, [((1, 0), 0), ((1, 1), 2)])
+ZERO_ROW_THREE = custom_staircase(3, [((0, 0, 0), 2), ((1, 1, 1), 2), ((0, 3, 0), 1)])
 
 
 class TestCornerOracle:
@@ -267,6 +285,28 @@ class TestSFrobenius:
                         expected += 1
                 assert s_frobenius(model, m, ell, 2) == expected
 
+    @given(
+        model=models_up_to_three_variables(),
+        m=st.integers(1, 8),
+        ell=st.integers(0, 2),
+        p=st.sampled_from([2, 3]),
+    )
+    @example(model=SLOPE_ZERO, m=5, ell=0, p=2)
+    @example(model=SLOPE_ZERO, m=5, ell=1, p=3)
+    @example(model=ZERO_ROW_SLOPE_ZERO, m=7, ell=0, p=2)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, m=4, ell=0, p=3)
+    @example(model=ZERO_ROW_THREE, m=8, ell=1, p=2)
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_matches_counted_oracle(self, model, m, ell, p):
+        assert s_frobenius(model, m, ell, p) == counted_s_frobenius(model, m, ell, p)
+
+    def test_huge_degree(self):
+        # a count of e upward one test at a time takes e steps; this is one min
+        model = projective_space(2)
+        assert s_frobenius(model, 2**200, 0, 2) == 199
+        assert s_frobenius(model, 2**200 - 2, 0, 2) == 199
+        assert s_frobenius(model, 2**200 - 3, 0, 2) == 198
+
     def test_huge_frobenius_exponent_stays_exact(self):
         # arbitrary-precision exponents: e = 40 must not overflow anything
         model = projective_space(3)
@@ -274,6 +314,63 @@ class TestSFrobenius:
         assert threshold == 2 * 2**40 + 3 * (2**40 - 1)
         assert separates_frobenius_jets(model, threshold, 2, 40, 2)
         assert not separates_frobenius_jets(model, threshold - 1, 2, 40, 2)
+
+
+class TestFrobeniusThreshold:
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pn_is_pn_threshold(self, n, p):
+        for ell, e in itertools.product(range(4), range(4)):
+            expected = max(1, pn_threshold(n, ell, e, p))
+            assert frobenius_threshold(projective_space(n), ell, e, p) == expected
+
+    def test_slope_zero_row_with_load_separates_nowhere(self):
+        assert frobenius_threshold(SLOPE_ZERO, 0, 0, 2) == 1
+        assert frobenius_threshold(SLOPE_ZERO, 1, 0, 2) is None
+        assert frobenius_threshold(SLOPE_ZERO, 0, 1, 2) is None
+        assert not separates_frobenius_jets(SLOPE_ZERO, 10**9, 0, 1, 2)
+
+    def test_zero_row_asks_nothing(self):
+        # the zero row has load 0 even at slope 0; the row ((2, 1), 1) decides
+        for ell, e in itertools.product(range(3), range(3)):
+            load = 2 * ell * 3**e + 3 * (3**e - 1)
+            assert frobenius_threshold(ZERO_ROW_SLOPE_ZERO, ell, e, 3) == max(1, load)
+
+    @pytest.mark.parametrize(
+        "ell, e, p, message",
+        [
+            (-1, 0, 2, "ell and e must be >= 0"),
+            (0, -1, 2, "ell and e must be >= 0"),
+            (0, 1, 4, "characteristic must be prime"),
+        ],
+    )
+    def test_invalid_inputs_rejected(self, ell, e, p, message):
+        with pytest.raises(ValueError, match=message):
+            frobenius_threshold(projective_space(2), ell, e, p)
+
+    @given(
+        model=models_up_to_three_variables(),
+        ell=st.integers(0, 2),
+        e=st.integers(0, 2),
+        p=st.sampled_from([2, 3]),
+    )
+    @example(model=SLOPE_ZERO, ell=0, e=0, p=2)
+    @example(model=SLOPE_ZERO, ell=1, e=1, p=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, ell=2, e=1, p=3)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, ell=0, e=1, p=2)
+    @example(model=ZERO_ROW_THREE, ell=1, e=2, p=2)
+    @settings(max_examples=100, deadline=None)
+    def test_smallest_degree_the_oracle_separates(self, model, ell, e, p):
+        def oracle(m):
+            return separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+
+        m_e = frobenius_threshold(model, ell, e, p)
+        if m_e is None:
+            # separation is monotone in m, so failing at a huge degree fails everywhere
+            assert not oracle(10**12)
+        else:
+            assert oracle(m_e)
+            assert m_e == 1 or not oracle(m_e - 1)
 
 
 class TestScaledModelThreshold:

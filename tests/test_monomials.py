@@ -90,6 +90,20 @@ class TestMinimalize:
             with pytest.raises(ValueError, match="integers"):
                 (bad, 0) in ideal
 
+    @pytest.mark.parametrize("a", [(True, 0), (0, False), (1, True)])
+    def test_bool_member_rejected_like_bool_generator(self, a):
+        # bools sum to an int, so the cheap test alone would let them through
+        with pytest.raises(ValueError, match="integers"):
+            MonomialIdeal(2, (a,))
+        shapes = (
+            MonomialIdeal(2, ((1, 0),)),
+            maximal_ideal(2),
+            bracket_power(MonomialIdeal(2, ((1, 1),)), 2, 1),
+        )
+        for ideal in shapes:
+            with pytest.raises(ValueError, match="integers"):
+                a in ideal
+
 
 class TestMaximalIdeal:
     @pytest.mark.parametrize("n", [1, 2, 3])
