@@ -212,19 +212,16 @@ def tensor_power_scale(cert: BoundCertificate, r: int, p: int) -> BoundCertifica
 def gg_twist_extend(
     cert: BoundCertificate, j: int, model: SectionModel
 ) -> BoundCertificate:
-    """Twist a Frobenius witness by j extra degrees of a globally generated model.
+    """Twist a Frobenius witness by j extra degrees of the model.
 
-    The witness moves from (m, e) to (m + j, e) and the value shrinks
+    Every model is globally generated at the point (see SectionModel), so
+    the witness moves from (m, e) to (m + j, e) and the value shrinks
     accordingly; the new witness is re-verified against the jets engine.
     """
     if cert.kind != FROBENIUS:
         raise RuleInapplicableError("gg twisting applies to Frobenius certificates")
     if j < 0:
         raise ValueError("j must be >= 0")
-    if model.gg_from > j:
-        raise RuleInapplicableError(
-            f"model is only globally generated from degree {model.gg_from} > {j}"
-        )
     if j == 0:
         return cert
     m, e = cert.witness

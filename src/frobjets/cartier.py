@@ -99,6 +99,8 @@ def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:
 
 
 def _box(n: int, top: int):
+    if top < 0:
+        raise ValueError("box must be >= 0")
     return product(range(top + 1), repeat=n)
 
 
@@ -239,25 +241,20 @@ def cartier_report(
         from .monomials import maximal_ideal, power
 
         ideal = power(maximal_ideal(n), 2)
-    surj_cex = surjectivity_counterexample(n, p, e, box)
-    ideal_cex = ideal_identity_counterexample(ideal, p, e, min(box, 8))
-    semi_cex = semilinearity_counterexample(
-        p, e, random_semilinearity_samples(n, p, 200, seed=seed)
-    )
-    iter_cex = iteration_counterexample(p, 1, max(e - 1, 0), random_forms(n, p, 200, seed=seed))
-    report = {
-        "surjective": surj_cex is None,
-        "ideal_identity": ideal_cex is None,
-        "semilinear": semi_cex is None,
-        "iteration": iter_cex is None,
+    # each check's counterexample or None, in the order the checks run
+    found = {
+        "surjective": surjectivity_counterexample(n, p, e, box),
+        "ideal_identity": ideal_identity_counterexample(ideal, p, e, min(box, 8)),
+        "semilinear": semilinearity_counterexample(
+            p, e, random_semilinearity_samples(n, p, 200, seed=seed)
+        ),
+        "iteration": iteration_counterexample(
+            p, 1, max(e - 1, 0), random_forms(n, p, 200, seed=seed)
+        ),
     }
-    for key, cex in (
-        ("surjective", surj_cex),
-        ("ideal_identity", ideal_cex),
-        ("semilinear", semi_cex),
-        ("iteration", iter_cex),
-    ):
+    report = {check: cex is None for check, cex in found.items()}
+    for check, cex in found.items():
         if cex is not None:
-            report["counterexample"] = {"check": key, "data": repr(cex)}
+            report["counterexample"] = {"check": check, "data": repr(cex)}
             break
     return report

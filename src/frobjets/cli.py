@@ -61,14 +61,7 @@ class RunConfig:
 
 def _cmd_inclusion_check(params):
     report = verify_lemma_monomials(params["n"], params["l"], params["e"], params["p"])
-    payload = {
-        "left_inclusion": report.left_inclusion,
-        "right_inclusion": report.right_inclusion,
-        "sharpness": report.sharpness,
-        "witness": list(report.witness),
-        "all_ok": report.all_ok,
-    }
-    return payload, EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
+    return report, EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_jets(params):
@@ -151,17 +144,14 @@ def _cmd_cartier(params):
 
 def _cmd_pp(params):
     n, ell = params["n"], params["l"]
-    det = det_pp_recursive(n, ell)
-    payload = {"rank": rank_pp(n, ell), "det": det.to_json()}
-    return payload, EXIT_OK
+    return {"rank": rank_pp(n, ell), "det": det_pp_recursive(n, ell)}, EXIT_OK
 
 
 def _cmd_mori_endgame(params):
     degrees = [
         parse_text_int(x, "summand degree") for x in params["a"].split(",") if x.strip() != ""
     ]
-    report = mori_endgame(degrees)
-    return report.to_json(), EXIT_OK
+    return mori_endgame(degrees), EXIT_OK
 
 
 def _cmd_fano(params):
@@ -172,8 +162,7 @@ def _cmd_fano(params):
             doc = json.load(handle)
     else:
         raise ValueError("fano needs --input FILE or --json TEXT")
-    verdict = charpn_verdict(FanoInput.from_json(doc))
-    return verdict.to_json(), EXIT_OK
+    return charpn_verdict(FanoInput.from_json(doc)), EXIT_OK
 
 
 def _cmd_verify_all(params):
@@ -181,19 +170,9 @@ def _cmd_verify_all(params):
     from . import acceptance
 
     results = acceptance.run_all()
-    payload = {
-        "criteria": [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
-        "all_passed": all(r.passed for r in results),
-    }
-    return payload, EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+    all_passed = all(r.passed for r in results)
+    payload = {"criteria": results, "all_passed": all_passed}
+    return payload, EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
 REQUIRED = object()
@@ -208,7 +187,8 @@ class Param(NamedTuple):
 
 
 class Command(NamedTuple):
-    handler: Callable[[dict], tuple[dict, int]]
+    # a handler returns its report (anything to_jsonable renders) and an exit code
+    handler: Callable[[dict], tuple[object, int]]
     help: str
     params: dict[str, Param]
 
@@ -379,6 +359,8 @@ def config_from_document(doc) -> RunConfig:
     """The RunConfig of a parsed --config document, with its types checked."""
     if not isinstance(doc, dict):
         raise ValueError(f"the document must be a JSON object, got {doc!r}")
+    if "command" not in doc:
+        raise ValueError("missing config key 'command'")
     command, parameters = doc["command"], doc.get("parameters", {})
     if not isinstance(command, str):
         raise ValueError(f"command must be a string, got {command!r}")

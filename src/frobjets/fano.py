@@ -98,15 +98,6 @@ class AdjointJetReport:
     separates: bool
     conclusion: str
 
-    def to_json(self) -> dict:
-        return {
-            "seshadri_criterion": self.seshadri_criterion,
-            "frobenius_criterion": self.frobenius_criterion,
-            "frobenius_threshold_implied": self.frobenius_threshold_implied,
-            "separates": self.separates,
-            "conclusion": self.conclusion,
-        }
-
 
 def adjoint_jet_report(
     n: int, ell: int, eps: Fraction | None = None, eps_frob: Fraction | None = None
@@ -176,15 +167,6 @@ class CharPnVerdict:
     fired: tuple[str, ...]
     checks: dict
     warnings: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "fired": list(self.fired),
-            "checks": self.checks,
-            "warnings": list(self.warnings),
-        }
 
 
 def charpn_verdict(inp: FanoInput) -> CharPnVerdict:

@@ -86,7 +86,8 @@ def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | 
 @lru_cache(maxsize=256)
 def _cobasis_corners(ideal: MonomialIdeal) -> frozenset[Exponent]:
     """The maximal points of the cobasis: those a with no a + e_i in it."""
-    quotient = cobasis(ideal)
+    # uncached: this result is cached, so cobasis' cache would never be read
+    quotient = cobasis.__wrapped__(ideal)
     return frozenset(
         a
         for a in quotient

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from math import ceil
 
 from .monomials import Exponent
 from .serialize import parse_int, parse_text_int
@@ -24,14 +23,12 @@ Constraint = tuple[tuple[int, ...], int]
 class SectionModel:
     """Attainable exponents at degree m: all a with <w, a> <= s*m per constraint.
 
-    gg_from is the degree from which the model is globally generated at the
-    point (the zero exponent is attainable); linear-constraint models with
-    non-negative slopes have gg_from = 0.
+    Weights and slopes are non-negative, so the zero exponent is attainable
+    at every degree: every model is globally generated at the point.
     """
 
     n: int
     constraints: tuple[Constraint, ...]
-    gg_from: int = 0
     label: str = ""
     kind: str = "custom"
     params: tuple = field(default=(), compare=False)
@@ -152,7 +149,6 @@ def scaled_model(model: SectionModel, r: int) -> SectionModel:
     return SectionModel(
         n=model.n,
         constraints=tuple((w, r * s) for w, s in model.constraints),
-        gg_from=ceil(model.gg_from / r),
         label=f"{model.label} scaled by {r}" if model.label else f"scaled by {r}",
     )
 
@@ -160,13 +156,18 @@ def scaled_model(model: SectionModel, r: int) -> SectionModel:
 def model_from_config(config: dict) -> SectionModel:
     """Rebuild a model from its JSON description."""
     kind = config.get("kind")
-    if kind == "pn":
-        return projective_space(parse_int(config["n"], "model field 'n'"))
-    if kind == "product":
-        keys = ("n1", "n2", "c", "d")
-        return product_projective(*(parse_int(config[k], f"model field {k!r}") for k in keys))
-    if kind == "custom":
-        return custom_staircase(parse_int(config["n"], "model field 'n'"), config["constraints"])
+    try:
+        if kind == "pn":
+            return projective_space(parse_int(config["n"], "model field 'n'"))
+        if kind == "product":
+            keys = ("n1", "n2", "c", "d")
+            return product_projective(*(parse_int(config[k], f"model field {k!r}") for k in keys))
+        if kind == "custom":
+            n = parse_int(config["n"], "model field 'n'")
+            return custom_staircase(n, config["constraints"])
+    except KeyError as exc:
+        # only the config[...] lookups above raise KeyError
+        raise ValueError(f"missing model key {exc}") from None
     raise ValueError(f"unknown model kind {kind!r}")
 
 

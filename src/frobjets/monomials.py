@@ -359,10 +359,11 @@ class InclusionReport:
     right_inclusion: bool
     sharpness: bool
     witness: Exponent
+    all_ok: bool = field(init=False)
 
-    @property
-    def all_ok(self) -> bool:
-        return self.left_inclusion and self.right_inclusion and self.sharpness
+    def __post_init__(self):
+        ok = self.left_inclusion and self.right_inclusion and self.sharpness
+        object.__setattr__(self, "all_ok", ok)
 
 
 def verify_lemma_monomials(n: int, ell: int, e: int, p: int) -> InclusionReport:

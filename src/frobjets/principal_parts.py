@@ -135,14 +135,6 @@ class MoriEndgameReport:
     gg: bool
     all_ai_positive: bool
 
-    def to_json(self) -> dict:
-        return {
-            "b": self.b,
-            "quotient_degrees": list(self.quotient_degrees),
-            "gg": self.gg,
-            "all_ai_positive": self.all_ai_positive,
-        }
-
 
 def mori_endgame(a) -> MoriEndgameReport:
     a = tuple(parse_int(x, "summand degree") for x in a)

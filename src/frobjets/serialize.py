@@ -7,7 +7,7 @@ emitted reports parse back without any floating point.
 from __future__ import annotations
 
 import json
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 
@@ -59,7 +59,11 @@ def parse_fraction(value) -> Fraction:
 
 
 def to_jsonable(obj):
-    """Recursively convert exact values into JSON-safe primitives."""
+    """Recursively convert exact values into JSON-safe primitives.
+
+    A dataclass renders as the dict of its fields, unless it defines
+    `to_json` for a wire format that differs from them.
+    """
     if isinstance(obj, Fraction):
         return format_fraction(obj)
     if isinstance(obj, float):
@@ -75,8 +79,10 @@ def to_jsonable(obj):
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [to_jsonable(x) for x in items]
-    if is_dataclass(obj) and hasattr(obj, "to_json"):
-        return to_jsonable(obj.to_json())
+    if is_dataclass(obj) and not isinstance(obj, type):
+        if hasattr(obj, "to_json"):
+            return to_jsonable(obj.to_json())
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -270,13 +270,6 @@ class TestDerivationRules:
         cert = certificate_at(model, 2, 0, 2, 1)
         assert gg_twist_extend(cert, 0, model) == cert
 
-    def test_gg_twist_requires_gg(self):
-        model = custom_staircase(1, [((1,), 1)])
-        shifted = type(model)(n=1, constraints=model.constraints, gg_from=3)
-        cert = certificate_at(shifted, 2, 0, 2, 1)
-        with pytest.raises(RuleInapplicableError):
-            gg_twist_extend(cert, 2, shifted)
-
     def test_chained_rules_reproduce_geometric_witnesses(self):
         # Witnesses m0 * (p^(re) - 1) / (p^(e0) - 1) from scaling then twisting.
         model = projective_space(2)

@@ -165,6 +165,19 @@ class TestSurjectivity:
         for e in (1, 2):
             assert verify_trace_surjective(n, p, e, 6)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("box", [-1, -5])
+    def test_negative_box_rejected(self, n, box):
+        # an empty box would verify vacuously
+        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
+            surjectivity_counterexample(n, 2, 1, box)
+        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
+            ideal_identity_counterexample(power(maximal_ideal(n), 2), 2, 1, box)
+
+    def test_box_zero_checks_the_origin(self):
+        assert surjectivity_counterexample(2, 3, 1, 0) is None
+        assert ideal_identity_counterexample(maximal_ideal(2), 3, 1, 0) is None
+
 
 class TestIdealIdentity:
     def test_principal_one_var(self):
@@ -329,6 +342,22 @@ class TestReport:
             "semilinear": True,
             "iteration": True,
         }
+
+    def test_first_failed_check_gives_the_counterexample(self, monkeypatch):
+        monkeypatch.setattr(cartier, "semilinearity_counterexample", lambda *a: ((1,), "w"))
+        monkeypatch.setattr(cartier, "iteration_counterexample", lambda *a: "v")
+        report = cartier_report(1, 2, 1, 3)
+        assert report == {
+            "surjective": True,
+            "ideal_identity": True,
+            "semilinear": False,
+            "iteration": False,
+            "counterexample": {"check": "semilinear", "data": "((1,), 'w')"},
+        }
+
+    def test_negative_box_rejected(self):
+        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
+            cartier_report(2, 2, 1, -1)
 
     def test_report_with_explicit_ideal(self):
         report = cartier_report(1, 2, 2, 8, ideal=MonomialIdeal(1, ((2,),)))

@@ -18,7 +18,10 @@ from frobjets.cli import (
     main,
     run,
 )
+from frobjets.fano import CharPnVerdict
 from frobjets.jets import frobenius_threshold, separates_frobenius_jets
+from frobjets.monomials import verify_lemma_monomials
+from frobjets.principal_parts import mori_endgame
 
 
 def run_cli(capsys, argv):
@@ -152,6 +155,15 @@ class TestOtherCommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["b"] == 4 and doc["gg"] is True
+
+    def test_handlers_return_the_library_reports(self):
+        # render() serializes them; no handler copies a report into a dict
+        report, code = COMMANDS["inclusion-check"].handler({"n": 2, "l": 1, "e": 1, "p": 2})
+        assert (report, code) == (verify_lemma_monomials(2, 1, 1, 2), EXIT_OK)
+        report, _ = COMMANDS["mori-endgame"].handler({"a": "2,1,1"})
+        assert report == mori_endgame((2, 1, 1))
+        report, _ = COMMANDS["fano"].handler({"json": '{"n": 3, "char": 2}', "input": None})
+        assert isinstance(report, CharPnVerdict) and report.verdict == "no_conclusion"
 
     def test_cartier(self, capsys):
         code, out, _ = run_cli(
@@ -408,6 +420,41 @@ class TestMalformedInput:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["cartier", "--n", "2", "--p", "2", "--e", "1", "--box", "-1"],
+                "invalid input: box must be >= 0\n",
+            ),
+            (
+                ["jets", "--model", '{"kind":"pn"}', "--m", "2", "--l", "1"],
+                "invalid input: missing model key 'n'\n",
+            ),
+            (
+                [
+                    "jets", "--model", '{"kind":"product","n1":1,"c":1,"d":1}',
+                    "--m", "2", "--l", "1",
+                ],
+                "invalid input: missing model key 'n2'\n",
+            ),
+            (
+                ["seshadri", "--model", '{"kind":"custom","n":1}', "--m-max", "2"],
+                "invalid input: missing model key 'constraints'\n",
+            ),
+        ],
+        ids=["negative-box", "pn-without-n", "product-without-n2", "custom-without-constraints"],
+    )
+    def test_exact_diagnostic(self, capsys, argv, err):
+        assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+
+    def test_config_without_command_names_the_key(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"parameters": {"n": 2, "l": 2}}))
+        assert run_cli(capsys, ["--config", str(config)]) == (
+            EXIT_BAD_INPUT, "", "invalid config: missing config key 'command'\n"
+        )
 
     def test_ordinary_rejects_sweep_csv(self, capsys, tmp_path):
         # the ordinary kind has no sweep table; the file used to be silently not written

@@ -93,13 +93,6 @@ class TestScaledModel:
         model = projective_space(3)
         assert scaled_model(model, 1) is model
 
-    def test_gg_from_rounds_up(self):
-        base = custom_staircase(1, [((1,), 2)])
-        shifted = scaled_model(
-            type(base)(n=1, constraints=base.constraints, gg_from=5), 3
-        )
-        assert shifted.gg_from == 2
-
 
 @st.composite
 def small_models(draw):
@@ -232,6 +225,19 @@ class TestConfigRoundTrip:
     def test_shorthands_take_ascii_digits_only(self, spec):
         with pytest.raises(ValueError, match="must be an integer"):
             model_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"kind": "pn"}, "n"),
+            ({"kind": "product", "n1": 1, "c": 1, "d": 1}, "n2"),
+            ({"kind": "custom", "constraints": [[[1], 1]]}, "n"),
+            ({"kind": "custom", "n": 1}, "constraints"),
+        ],
+    )
+    def test_missing_key_named(self, config, key):
+        with pytest.raises(ValueError, match=rf"^missing model key '{key}'$"):
+            model_from_config(config)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobjets.monomials import (
+    InclusionReport,
     MonomialIdeal,
     bracket_power,
     cobasis,
@@ -331,6 +333,15 @@ class TestVerifyLemmaMonomials:
             right = power(maximal_ideal(1), (ell + 1) * q)
             assert left == bracket == right
             assert verify_lemma_monomials(1, ell, e, p).all_ok
+
+    def test_all_ok_is_derived_not_passed(self):
+        assert "all_ok" not in inspect.signature(InclusionReport).parameters
+        with pytest.raises(TypeError):
+            InclusionReport(True, True, True, (1,), all_ok=True)
+        assert InclusionReport(True, True, True, (1,)).all_ok is True
+        for parts in itertools.product((True, False), repeat=3):
+            if not all(parts):
+                assert InclusionReport(*parts, (1,)).all_ok is False
 
     def test_e_zero_collapse(self):
         for n, ell in [(1, 0), (2, 3), (3, 1)]:

@@ -20,6 +20,7 @@ from frobjets.principal_parts import (
     sym_power,
     tensor_line,
 )
+from frobjets.serialize import to_jsonable
 
 
 class TestRank:
@@ -168,5 +169,5 @@ class TestMoriEndgame:
         assert mori_endgame([2, 1, 1]) == mori_endgame((2, 1, 1))
 
     def test_json(self):
-        doc = mori_endgame((2, 1, 1)).to_json()
+        doc = to_jsonable(mori_endgame((2, 1, 1)))
         assert doc["b"] == 4 and doc["gg"] is True

@@ -1,8 +1,66 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
 
-from frobjets.serialize import parse_fraction, parse_int, parse_text_int
+from frobjets.monomials import maximal_ideal
+from frobjets.principal_parts import PicClass
+from frobjets.serialize import dumps_report, parse_fraction, parse_int, parse_text_int, to_jsonable
+
+
+@dataclass(frozen=True)
+class _Inner:
+    ratio: Fraction
+    degrees: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Report:
+    name: str
+    value: Fraction
+    pair: tuple[int, int]
+    checks: dict
+    inner: _Inner
+    missing: int | None = None
+    tags: frozenset = field(default=frozenset())
+
+
+class TestToJsonable:
+    def test_dataclass_renders_by_its_fields(self):
+        report = _Report(
+            name="r",
+            value=Fraction(3, 4),
+            pair=(1, 2),
+            checks={"bound": Fraction(5, 2), "ok": True, 3: (Fraction(1), -1)},
+            inner=_Inner(Fraction(-1, 3), (4, 0)),
+            tags=frozenset({"b", "a"}),
+        )
+        assert to_jsonable(report) == {
+            "name": "r",
+            "value": "3/4",
+            "pair": [1, 2],
+            "checks": {"bound": "5/2", "ok": True, "3": ["1/1", -1]},
+            "inner": {"ratio": "-1/3", "degrees": [4, 0]},
+            "missing": None,
+            "tags": ["a", "b"],
+        }
+
+    def test_to_json_overrides_the_fields(self):
+        # a wire format that differs from the fields: no _rule, "generators" for gens
+        assert to_jsonable(PicClass(4, 6)) == {"omega": 4, "l": 6}
+        assert to_jsonable({"ideal": maximal_ideal(2)}) == {
+            "ideal": {"n": 2, "generators": [[0, 1], [1, 0]]}
+        }
+
+    def test_canonical_text(self):
+        assert dumps_report(_Inner(Fraction(1, 2), ())) == (
+            '{\n  "degrees": [],\n  "ratio": "1/2"\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [0.5, _Report, object()])
+    def test_refuses_what_it_cannot_render_exactly(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            to_jsonable({"x": value})
 
 
 class TestParseInt:
