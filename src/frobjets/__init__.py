@@ -20,26 +20,17 @@ from .bounds import (
     subsequence_demo,
     tensor_power_scale,
 )
-from .cartier import (
-    MonomialForm,
-    trace,
-    verify_semilinearity,
-    verify_trace_ideal_identity,
-    verify_trace_surjective,
-)
+from .cartier import MonomialForm, trace
 from .fano import (
     CharPnVerdict,
     DataContradictionError,
     FanoInput,
     adjoint_jet_report,
-    bauer_surface_lower,
     charpn_verdict,
     degree_bound_check,
     meets_bauer_bound,
-    mori_mukai_inputs,
     seshadri_upper_from_curves,
     seshineq_check,
-    very_ample_report,
 )
 from .jets import (
     NEG_INF,
@@ -73,12 +64,9 @@ from .monomials import (
 from .principal_parts import (
     PicClass,
     SplitBundle,
-    check_binomial_identities,
     det_pp_closed,
     det_pp_recursive,
     dual,
-    is_ample,
-    is_globally_generated,
     mori_endgame,
     rank_pp,
     sym_power,

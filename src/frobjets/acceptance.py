@@ -26,11 +26,11 @@ from .bounds import (
     tensor_power_scale,
 )
 from .cartier import (
+    ideal_identity_counterexample,
     iteration_counterexample,
     random_forms,
     random_primary_ideal,
-    verify_trace_ideal_identity,
-    verify_trace_surjective,
+    surjectivity_counterexample,
 )
 from .fano import (
     DataContradictionError,
@@ -206,7 +206,7 @@ def criterion_8_cartier_suite() -> CriterionResult:
     for n in (1, 2, 3):
         for p in (2, 3):
             for e in (0, 1, 2):
-                if not verify_trace_surjective(n, p, e, 30):
+                if surjectivity_counterexample(n, p, e, 30) is not None:
                     failures.append(("surjectivity", n, p, e))
     rng = random.Random(2024)
     ideals = 0
@@ -218,7 +218,7 @@ def criterion_8_cartier_suite() -> CriterionResult:
         box = max(2, min(10, int(round(40000 ** (1 / n))) // q - 1))
         ideal = random_primary_ideal(n, rng)
         ideals += 1
-        if not verify_trace_ideal_identity(ideal, p, e, box):
+        if ideal_identity_counterexample(ideal, p, e, box) is not None:
             failures.append(("ideal-identity", ideal, p, e, box))
     for p in (2, 3):
         forms = random_forms(2, p, 200, seed=5)

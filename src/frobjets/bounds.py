@@ -6,7 +6,8 @@ certificates without leaving the certified world. No floating point anywhere.
 
 Every model separates 0-jets, so the ordinary bound always has a certificate;
 a Frobenius sweep has none when no (m, e) cell separates. Separation is
-monotone in m, so a sweep row (m, e) separates iff m >= m_e, its threshold.
+monotone in m, so cell (m, e) separates iff m >= m_e, the threshold of row e;
+a sweep is its e_max + 1 thresholds, and no per-cell table is ever built.
 """
 
 from __future__ import annotations
@@ -90,34 +91,30 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     return best
 
 
-def frobenius_sweep_table(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
-    """All (e, m, separates, value) cells of the certificate grid, e-major."""
+def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
+    """The thresholds m_e (None: no m separates) of the grid rows e = 0, ..., e_max."""
     if m_max < 1 or e_max < 1:
         raise ValueError("m_max and e_max must be >= 1")
     if ell < 0:
         raise ValueError("ell must be >= 0")
     ensure_prime(p)
-    rows = []
-    for e in range(e_max + 1):
-        numerator = (p**e - 1) * (ell + 1)
-        m_e = frobenius_threshold(model, ell, e, p)
-        for m in range(1, m_max + 1):
-            separating = m_e is not None and m >= m_e
-            rows.append((e, m, separating, Fraction(numerator, m) if separating else None))
-    return rows
+    return [frobenius_threshold(model, ell, e, p) for e in range(e_max + 1)]
 
 
-def best_frobenius_certificate(table, p: int, ell: int) -> BoundCertificate | None:
-    """Certificate for the largest value in a sweep table, None if no cell separates.
+def best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int) -> BoundCertificate | None:
+    """Certificate for the largest value of the grid, None if no cell separates.
 
-    The first maximum in the table's e-major order wins, so ties go to the
-    smallest e, then the smallest m.
+    Row e's best cell is (m_e, e) when m_e <= m_max; the first strict maximum
+    over ascending e wins, so ties go to the smallest e, then the smallest m.
     """
-    best = max((row for row in table if row[2]), key=lambda row: row[3], default=None)
-    if best is None:
-        return None
-    e, m, _, value = best
-    return BoundCertificate(FROBENIUS, value, (m, e), ell=ell, p=p)
+    best = None
+    for e, m_e in enumerate(thresholds):
+        if m_e is None or m_e > m_max:
+            continue
+        value = Fraction((p**e - 1) * (ell + 1), m_e)
+        if best is None or value > best.value:
+            best = BoundCertificate(FROBENIUS, value, (m_e, e), ell=ell, p=p)
+    return best
 
 
 def frobenius_seshadri_lower(
@@ -127,9 +124,8 @@ def frobenius_seshadri_lower(
 
     Returns None when no grid cell separates ("no certificate").
     """
-    return best_frobenius_certificate(
-        frobenius_sweep_table(model, p, ell, m_max, e_max), p, ell
-    )
+    thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
+    return best_frobenius_certificate(thresholds, p, ell, m_max)
 
 
 def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> BoundCertificate:

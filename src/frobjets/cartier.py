@@ -119,10 +119,6 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     return None
 
 
-def verify_trace_surjective(n: int, p: int, e: int, box: int) -> bool:
-    return surjectivity_counterexample(n, p, e, box) is None
-
-
 def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int):
     """A box exponent violating trace(bracket-power forms) == ideal forms, or None.
 
@@ -168,10 +164,6 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     return min(difference) if difference else None
 
 
-def verify_trace_ideal_identity(ideal: MonomialIdeal, p: int, e: int, box: int) -> bool:
-    return ideal_identity_counterexample(ideal, p, e, box) is None
-
-
 def semilinearity_counterexample(p: int, e: int, samples):
     """A (c, form) pair violating trace(x^(p^e*c) * w) == x^c * trace(w), or None."""
     ensure_prime(p)
@@ -183,10 +175,6 @@ def semilinearity_counterexample(p: int, e: int, samples):
         if lhs != rhs:
             return (c, w)
     return None
-
-
-def verify_semilinearity(p: int, e: int, samples) -> bool:
-    return semilinearity_counterexample(p, e, samples) is None
 
 
 def random_forms(n: int, p: int, count: int, seed: int = 0, max_exp: int = 24):

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .bounds import (
     best_frobenius_certificate,
     closed_form_pn,
-    frobenius_sweep_table,
+    frobenius_thresholds,
     seshadri_lower,
 )
 from .cartier import cartier_report
@@ -111,18 +111,21 @@ def _cmd_seshadri(params):
     e_max = 4 if params["e_max"] is None else params["e_max"]
     if p is None:
         raise ValueError("missing parameters: ['p']")
-    table = frobenius_sweep_table(model, p, ell, m_max, e_max)
+    thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
-    payload = _certificate_payload(best_frobenius_certificate(table, p, ell), closed)
+    payload = _certificate_payload(best_frobenius_certificate(thresholds, p, ell, m_max), closed)
     if params["sweep_csv"]:
         with open(params["sweep_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["m", "e", "separates", "value"])
-            for e, m, separating, value in table:
-                writer.writerow(
-                    [m, e, separating, format_fraction(value) if separating else ""]
-                )
+            # one row of the grid at a time, e-major: cell (m, e) separates iff m >= m_e
+            for e, m_e in enumerate(thresholds):
+                numerator = (p**e - 1) * (ell + 1)
+                for m in range(1, m_max + 1):
+                    separating = m_e is not None and m >= m_e
+                    value = format_fraction(Fraction(numerator, m)) if separating else ""
+                    writer.writerow([m, e, separating, value])
         payload["sweep_csv"] = params["sweep_csv"]
     return payload, EXIT_OK
 
@@ -355,6 +358,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv):
+    # argparse reads a value such as "-3,0,5,1" as an unknown option; no flag
+    # starts with a digit, so "--flag -3,..." is passed on as "--flag=-3,..."
+    joined = []
+    for token in argv:
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and joined and joined[-1].startswith("--") and "=" not in joined[-1]:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def config_from_document(doc) -> RunConfig:
     """The RunConfig of a parsed --config document, with its types checked."""
     if not isinstance(doc, dict):
@@ -371,7 +387,7 @@ def config_from_document(doc) -> RunConfig:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     if args.config and args.command is not None:
         print(
             f"invalid config: --config cannot be combined with the subcommand {args.command!r}",

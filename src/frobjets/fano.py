@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import isqrt
 
 from .monomials import ensure_prime
 from .serialize import parse_fraction, parse_int
@@ -121,16 +120,6 @@ def adjoint_jet_report(
     return AdjointJetReport(seshadri_fires, frobenius_fires, implied, separates, conclusion)
 
 
-def very_ample_report(
-    eps_frob0_at_point: Fraction | None = None,
-    eps_frob0_everywhere: Fraction | None = None,
-) -> dict:
-    """Level-0 bounds above 2: very big at a point, very ample everywhere."""
-    everywhere = eps_frob0_everywhere is not None and eps_frob0_everywhere > 2
-    at_point = (eps_frob0_at_point is not None and eps_frob0_at_point > 2) or everywhere
-    return {"very_big": at_point, "very_ample": everywhere}
-
-
 def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
     """(m+1)*eps - (n+1) <= s(m) <= m*eps for every supplied degree m."""
     eps = parse_fraction(eps)
@@ -153,11 +142,6 @@ def degree_bound_check(n: int, eps: Fraction, antican_selfint: int) -> bool:
     if antican_selfint < 1:
         raise ValueError("antican_selfint must be >= 1")
     return parse_fraction(eps) ** n <= antican_selfint
-
-
-def mori_mukai_inputs(min_rc_degree: int, n: int) -> bool:
-    """Whether every rational curve meets the degree threshold n + 1."""
-    return min_rc_degree >= n + 1
 
 
 @dataclass(frozen=True)
@@ -243,50 +227,6 @@ def charpn_verdict(inp: FanoInput) -> CharPnVerdict:
         checks=checks,
         warnings=tuple(warnings),
     )
-
-
-@dataclass(frozen=True)
-class RationalInterval:
-    lower: Fraction
-    upper: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    def __contains__(self, value) -> bool:
-        return self.lower <= value <= self.upper
-
-
-def _sqrt_interval(value: Fraction, scale: int) -> RationalInterval:
-    # sqrt(a/b) = sqrt(a*b)/b, bracketed by scaled integer square roots
-    a, b = value.numerator, value.denominator
-    big = a * b * scale * scale
-    root = isqrt(big)
-    if root * root == big:
-        exact = Fraction(root, b * scale)
-        return RationalInterval(exact, exact)
-    return RationalInterval(Fraction(root, b * scale), Fraction(root + 1, b * scale))
-
-
-def bauer_surface_lower(sigma: Fraction) -> RationalInterval:
-    """Enclosing interval for the surface lower bound 2 / (1 + sqrt(4*sigma + 13)).
-
-    Width at most 10^-12; perfect-square radicands give an exact point
-    interval.
-    """
-    sigma = parse_fraction(sigma)
-    radicand = 4 * sigma + 13
-    if radicand < 0:
-        raise ValueError(f"negative radicand 4*sigma + 13 = {radicand}")
-    tolerance = Fraction(1, 10**12)
-    scale = 10**15
-    while True:
-        root = _sqrt_interval(radicand, scale)
-        interval = RationalInterval(2 / (1 + root.upper), 2 / (1 + root.lower))
-        if interval.width <= tolerance:
-            return interval
-        scale *= 1000
 
 
 def meets_bauer_bound(eps: Fraction, sigma: Fraction) -> bool:

@@ -66,16 +66,6 @@ def det_pp_closed(n: int, ell: int) -> PicClass:
     return PicClass(int(omega_exp), int(l_exp))
 
 
-def check_binomial_identities(n: int, ell: int) -> bool:
-    """The two exact-rational identities behind the determinant recursion."""
-    if n < 1 or ell < 1:
-        raise ValueError("need n >= 1 and ell >= 1")
-    lhs1 = comb(n + ell - 1, n) + Fraction(ell - 1, n + 1) * comb(n + ell - 1, n)
-    rhs1 = Fraction(ell, n + 1) * comb(n + ell, n)
-    pascal = comb(n + ell - 1, n - 1) + comb(n + ell - 1, n) == comb(n + ell, n)
-    return lhs1 == rhs1 and pascal
-
-
 @dataclass(frozen=True)
 class SplitBundle:
     """A direct sum of line bundles on the line, as a degree multiset."""
@@ -110,14 +100,6 @@ def sym_power(bundle: SplitBundle, k: int) -> SplitBundle:
         for choice in combinations_with_replacement(range(bundle.rank), k)
     ]
     return SplitBundle(tuple(sums))
-
-
-def is_globally_generated(bundle: SplitBundle) -> bool:
-    return all(d >= 0 for d in bundle.degrees)
-
-
-def is_ample(bundle: SplitBundle) -> bool:
-    return all(d > 0 for d in bundle.degrees)
 
 
 @dataclass(frozen=True)

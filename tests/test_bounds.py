@@ -23,13 +23,13 @@ from frobjets.bounds import (
     check_level_comparison,
     closed_form_pn,
     frobenius_seshadri_lower,
-    frobenius_sweep_table,
+    frobenius_thresholds,
     gg_twist_extend,
     seshadri_lower,
     subsequence_demo,
     tensor_power_scale,
 )
-from frobjets.jets import pn_threshold, s_jets, separates_frobenius_jets
+from frobjets.jets import frobenius_threshold, pn_threshold, s_jets, separates_frobenius_jets
 from frobjets.models import (
     custom_staircase,
     product_projective,
@@ -47,6 +47,30 @@ def oracle_sweep_table(model, p, ell, m_max, e_max):
             value = Fraction((p**e - 1) * (ell + 1), m) if separating else None
             rows.append((e, m, separating, value))
     return rows
+
+
+def frobenius_sweep_table(model, p, ell, m_max, e_max):
+    """Reference: all (e, m, separates, value) cells of the grid, e-major.
+
+    One threshold per e decides its row, as on the fast path; the per-cell
+    oracle above checks the table, and the table checks the reduction.
+    """
+    rows = []
+    for e, m_e in enumerate(frobenius_thresholds(model, p, ell, m_max, e_max)):
+        numerator = (p**e - 1) * (ell + 1)
+        for m in range(1, m_max + 1):
+            separating = m_e is not None and m >= m_e
+            rows.append((e, m, separating, Fraction(numerator, m) if separating else None))
+    return rows
+
+
+def keyed_best_cell(table):
+    """Reference: the separating cell with the largest (value, -e, -m), or None."""
+    cells = [cell for cell in table if cell[2]]
+    if not cells:
+        return None
+    e, m, _, value = max(cells, key=lambda cell: (cell[3], -cell[0], -cell[1]))
+    return value, (m, e)
 
 
 def double_loop_homogeneity(model, r, p, ell, m_max, e_max, scale=scaled_model):
@@ -156,7 +180,7 @@ class TestFrobeniusSeshadriLower:
         ],
     )
     def test_grid_validated_in_order(self, p, ell, m_max, e_max, message):
-        for sweep in (frobenius_sweep_table, frobenius_seshadri_lower):
+        for sweep in (frobenius_thresholds, frobenius_seshadri_lower):
             with pytest.raises(ValueError, match=message):
                 sweep(projective_space(2), p, ell, m_max, e_max)
 
@@ -167,10 +191,49 @@ class TestFrobeniusSeshadriLower:
     def test_matches_keyed_reduction(self, model):
         # oracle: the largest (value, -e, -m) over the separating cells
         for p, ell in ((2, 0), (2, 1), (3, 1)):
-            cells = [c for c in frobenius_sweep_table(model, p, ell, 20, 3) if c[2]]
-            e, m, _, value = max(cells, key=lambda c: (c[3], -c[0], -c[1]))
             cert = frobenius_seshadri_lower(model, p, ell, 20, 3)
-            assert (cert.value, cert.witness) == (value, (m, e))
+            best = keyed_best_cell(frobenius_sweep_table(model, p, ell, 20, 3))
+            assert (cert.value, cert.witness) == best
+
+    @given(
+        model=models_up_to_three_variables(),
+        p=st.sampled_from([2, 3]),
+        ell=st.integers(0, 2),
+        m_max=st.integers(1, 10),
+        e_max=st.integers(1, 2),
+    )
+    @example(model=SLOPE_ZERO, p=2, ell=0, m_max=4, e_max=2)
+    @example(model=SLOPE_ZERO, p=2, ell=1, m_max=4, e_max=1)
+    @example(model=ZERO_ROW_SLOPE_ZERO, p=3, ell=1, m_max=8, e_max=1)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, p=2, ell=0, m_max=3, e_max=2)
+    @example(model=ZERO_ROW_THREE, p=2, ell=1, m_max=8, e_max=2)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_cell_oracle(self, model, p, ell, m_max, e_max):
+        # the largest (value, -e, -m) over the cells the cobasis oracle separates
+        cert = frobenius_seshadri_lower(model, p, ell, m_max, e_max)
+        best = keyed_best_cell(oracle_sweep_table(model, p, ell, m_max, e_max))
+        assert (None if cert is None else (cert.value, cert.witness)) == best
+        if cert is not None:
+            assert (cert.ell, cert.p, cert.derivation) == (ell, p, ("direct",))
+
+    def test_one_threshold_and_fraction_per_row(self, monkeypatch):
+        calls = {"threshold": 0, "fraction": 0}
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(
+            bounds, "frobenius_threshold", counted("threshold", frobenius_threshold)
+        )
+        monkeypatch.setattr(bounds, "Fraction", counted("fraction", Fraction))
+        cert = frobenius_seshadri_lower(projective_space(3), 2, 1, 3000, 12)
+        assert calls["threshold"] == 13 and calls["fraction"] <= 13
+        # values grow with e, and m_e = 4 * 2^e - 3 passes m_max at e = 10
+        assert cert.witness == (pn_threshold(3, 1, 9, 2), 9) == (2045, 9)
 
     def test_soundness_and_conservativity(self):
         for n in (1, 2, 3):

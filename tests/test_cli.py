@@ -1,10 +1,21 @@
+import csv
+import io
 import json
 import os
 import tempfile
+from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_bounds import oracle_sweep_table
+from test_jets import (
+    SLOPE_ZERO,
+    SLOPE_ZERO_ONE_VARIABLE,
+    ZERO_ROW_SLOPE_ZERO,
+    ZERO_ROW_THREE,
+    models_up_to_three_variables,
+)
 
 from frobjets import bounds
 from frobjets.cli import (
@@ -28,6 +39,17 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def render_sweep_csv(table):
+    """Reference: the --sweep-csv text of (e, m, separates, value) cells."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["m", "e", "separates", "value"])
+    for e, m, separating, value in table:
+        text = f"{value.numerator}/{value.denominator}" if separating else ""
+        writer.writerow([m, e, separating, text])
+    return buffer.getvalue()
 
 
 class TestJetsCommand:
@@ -129,6 +151,32 @@ class TestSeshadriCommand:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + m_max * (e_max + 1)
 
+    @given(
+        model=models_up_to_three_variables(),
+        p=st.sampled_from([2, 3]),
+        ell=st.integers(0, 2),
+        m_max=st.integers(1, 8),
+        e_max=st.integers(1, 2),
+    )
+    @example(model=SLOPE_ZERO, p=2, ell=0, m_max=4, e_max=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, p=3, ell=1, m_max=8, e_max=1)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, p=2, ell=0, m_max=3, e_max=2)
+    @example(model=ZERO_ROW_THREE, p=2, ell=1, m_max=8, e_max=2)
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_csv_matches_per_cell_oracle(self, model, p, ell, m_max, e_max):
+        argv = [
+            "seshadri", "--model", json.dumps(model.to_config()), "--p", str(p),
+            "--l", str(ell), "--m-max", str(m_max), "--e-max", str(e_max),
+        ]
+        with tempfile.TemporaryDirectory() as scratch:
+            target = os.path.join(scratch, "sweep.csv")
+            with redirect_stdout(io.StringIO()):
+                code = main(argv + ["--sweep-csv", target])
+            with open(target, newline="") as handle:
+                written = handle.read()
+        assert code == EXIT_OK
+        assert written == render_sweep_csv(oracle_sweep_table(model, p, ell, m_max, e_max))
+
     def test_missing_p_rejected(self, capsys):
         code, out, err = run_cli(capsys, ["seshadri", "--model", "pn:2", "--m-max", "5"])
         assert code == EXIT_BAD_INPUT
@@ -155,6 +203,14 @@ class TestOtherCommands:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["b"] == 4 and doc["gg"] is True
+
+    def test_mori_endgame_leading_negative_degree(self, capsys):
+        # argparse on its own reads "-3,0,5,1" as an unknown option
+        attached = run_cli(capsys, ["mori-endgame", "--a=-3,0,5,1"])
+        assert run_cli(capsys, ["mori-endgame", "--a", "-3,0,5,1"]) == attached
+        code, out, err = attached
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["b"] == 3
 
     def test_handlers_return_the_library_reports(self):
         # render() serializes them; no handler copies a report into a dict
@@ -443,8 +499,15 @@ class TestMalformedInput:
                 ["seshadri", "--model", '{"kind":"custom","n":1}', "--m-max", "2"],
                 "invalid input: missing model key 'constraints'\n",
             ),
+            (["pp", "--n", "-1", "--l", "1"], "invalid input: need n >= 1 and ell >= 0\n"),
         ],
-        ids=["negative-box", "pn-without-n", "product-without-n2", "custom-without-constraints"],
+        ids=[
+            "negative-box",
+            "pn-without-n",
+            "product-without-n2",
+            "custom-without-constraints",
+            "negative-n",
+        ],
     )
     def test_exact_diagnostic(self, capsys, argv, err):
         assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -9,14 +10,11 @@ from frobjets.fano import (
     DataContradictionError,
     FanoInput,
     adjoint_jet_report,
-    bauer_surface_lower,
     charpn_verdict,
     degree_bound_check,
     meets_bauer_bound,
-    mori_mukai_inputs,
     seshadri_upper_from_curves,
     seshineq_check,
-    very_ample_report,
 )
 from frobjets.jets import s_jets
 from frobjets.models import projective_space, scaled_model
@@ -49,26 +47,6 @@ class TestAdjointJetReport:
     def test_requires_some_bound(self):
         with pytest.raises(ValueError):
             adjoint_jet_report(2, 0)
-
-
-class TestVeryAmpleReport:
-    def test_at_point_only(self):
-        assert very_ample_report(eps_frob0_at_point=Fraction(5, 2)) == {
-            "very_big": True,
-            "very_ample": False,
-        }
-
-    def test_boundary(self):
-        assert very_ample_report(eps_frob0_everywhere=Fraction(2)) == {
-            "very_big": False,
-            "very_ample": False,
-        }
-
-    def test_everywhere_implies_both(self):
-        assert very_ample_report(eps_frob0_everywhere=Fraction(3)) == {
-            "very_big": True,
-            "very_ample": True,
-        }
 
 
 class TestSeshineq:
@@ -115,12 +93,6 @@ class TestDegreeBound:
         # 10^15 + 1 vs (10^5 + something)^3 style traps stay exact
         assert degree_bound_check(3, Fraction(10**5), 10**15)
         assert not degree_bound_check(3, Fraction(10**5) + Fraction(1, 10**6), 10**15)
-
-
-class TestMoriMukaiInputs:
-    def test_thresholds(self):
-        assert mori_mukai_inputs(4, 3)
-        assert not mori_mukai_inputs(3, 3)
 
 
 class TestCharPnVerdict:
@@ -219,18 +191,38 @@ class TestCharPnVerdict:
             FanoInput.from_json(doc)
 
 
+def bauer_interval(sigma):
+    """Reference: an enclosure (lower, upper) of 2 / (1 + sqrt(4*sigma + 13)).
+
+    sqrt(a/b) = sqrt(a*b)/b lies between scaled integer square roots, and the
+    bound falls as the root grows. The scale grows until the width is <= 10^-12.
+    """
+    radicand = 4 * Fraction(sigma) + 13
+    a, b = radicand.numerator, radicand.denominator
+    scale = 10**15
+    while True:
+        root = isqrt(a * b * scale * scale)
+        lower = 2 / (1 + Fraction(root + 1, b * scale))
+        upper = 2 / (1 + Fraction(root, b * scale))
+        if upper - lower <= Fraction(1, 10**12):
+            return lower, upper
+        scale *= 1000
+
+
 class TestBauerBound:
     def test_perfect_square_negative_sigma(self):
-        interval = bauer_surface_lower(Fraction(-1))
-        assert interval.lower == interval.upper == Fraction(1, 2)
+        # 4*(-1) + 13 = 3^2, so the bound is exactly 2/(1+3) = 1/2
+        assert meets_bauer_bound(Fraction(1, 2), Fraction(-1))
+        assert not meets_bauer_bound(Fraction(1, 2) - Fraction(1, 10**30), Fraction(-1))
 
     def test_perfect_square_sigma_three(self):
-        interval = bauer_surface_lower(Fraction(3))
-        assert interval.lower == interval.upper == Fraction(1, 3)
+        # 4*3 + 13 = 5^2, so the bound is exactly 2/(1+5) = 1/3
+        assert meets_bauer_bound(Fraction(1, 3), Fraction(3))
+        assert not meets_bauer_bound(Fraction(1, 3) - Fraction(1, 10**30), Fraction(3))
 
     def test_sigma_zero_interval(self):
-        interval = bauer_surface_lower(Fraction(0))
-        assert interval.width <= Fraction(1, 10**12)
+        lower, upper = bauer_interval(0)
+        assert upper - lower <= Fraction(1, 10**12)
         # Oracle: bisection on f(x) = x^2 - 13 for sqrt(13), then 2/(1+s).
         lo, hi = Fraction(3), Fraction(4)
         for _ in range(60):
@@ -239,12 +231,12 @@ class TestBauerBound:
                 lo = mid
             else:
                 hi = mid
-        assert interval.lower <= 2 / (1 + hi)
-        assert 2 / (1 + lo) <= interval.upper * (1 + Fraction(1, 10**10))
+        assert lower <= 2 / (1 + hi)
+        assert 2 / (1 + lo) <= upper * (1 + Fraction(1, 10**10))
 
     def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError):
-            bauer_surface_lower(Fraction(-4))
+        with pytest.raises(ValueError, match="negative radicand"):
+            meets_bauer_bound(Fraction(1), Fraction(-4))
 
     def test_exact_predicate(self):
         assert meets_bauer_bound(Fraction(1, 2), Fraction(-1))
@@ -255,8 +247,8 @@ class TestBauerBound:
 
     def test_predicate_consistent_with_interval(self):
         for sigma in (Fraction(0), Fraction(5, 7), Fraction(12)):
-            interval = bauer_surface_lower(sigma)
-            assert meets_bauer_bound(interval.upper, sigma)
-            below = interval.lower - Fraction(1, 10**6)
+            lower, upper = bauer_interval(sigma)
+            assert meets_bauer_bound(upper, sigma)
+            below = lower - Fraction(1, 10**6)
             if below > 0:
                 assert not meets_bauer_bound(below, sigma)
