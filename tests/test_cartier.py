@@ -9,7 +9,6 @@ import frobjets.cartier as cartier
 from frobjets.cartier import (
     MonomialForm,
     cartier_report,
-    form,
     ideal_identity_counterexample,
     iteration_counterexample,
     monomial_times,
@@ -19,7 +18,6 @@ from frobjets.cartier import (
     semilinearity_counterexample,
     surjectivity_counterexample,
     trace,
-    zero_form,
 )
 from frobjets.monomials import (
     MonomialIdeal,
@@ -83,14 +81,8 @@ class TestTraceFormula:
                     assert pow(c, p**e, p) == c
 
     def test_zero_coefficient_normalizes(self):
-        assert form(6, (1, 1), 3).is_zero
+        assert trace(MonomialForm(6, (1, 1)), 3, 0) == MonomialForm(0, (0, 0))
         assert trace(MonomialForm(3, (5, 5)), 3, 1).is_zero
-
-    def test_form_rejects_non_integer_exponents(self):
-        for bad in ((2.7, 1), ("2", 1), (2.0, 1)):
-            with pytest.raises(ValueError, match="integer"):
-                form(1, bad, 3)
-        assert form(4, [2, 1], 3) == MonomialForm(1, (2, 1))
 
     @given(
         p=st.sampled_from([2, 3, 5]),
@@ -105,9 +97,14 @@ class TestTraceFormula:
             expected = [None if x is None else brute_trace_one_var(x, p) for x in expected]
         got = trace(MonomialForm(coeff, tuple(exponent)), p, e)
         if coeff % p == 0 or None in expected:
-            assert got == zero_form(len(exponent))
+            assert got == MonomialForm(0, (0,) * len(exponent))
         else:
             assert got == MonomialForm(coeff % p, tuple(expected))
+        # the walks' kernel agrees with trace at coefficient 1, e = 0 included
+        kernel = cartier._trace_exponent(tuple(exponent), p**e)
+        assert kernel == (None if None in expected else tuple(expected))
+        unit = trace(MonomialForm(1, tuple(exponent)), p, e)
+        assert unit.is_zero if kernel is None else unit == MonomialForm(1, kernel)
 
     def test_validates_p_and_e_on_every_call(self):
         w = MonomialForm(1, (5, 2))
@@ -120,19 +117,31 @@ class TestTraceFormula:
             with pytest.raises(ValueError):
                 trace(w, 3, -1)
 
-    def test_zero_form(self):
-        for n in (1, 2, 3, 4):
-            assert zero_form(n) == MonomialForm(0, (0,) * n)
-            assert zero_form(n).is_zero
+    def test_walks_validate_p_and_e(self):
+        # bad input is reported in the order p, box, e by surjectivity, and p,
+        # e, box by the ideal identity, whose e check is bracket_power's
+        for p in (0, 1, 4, 9):
+            message = rf"^characteristic must be prime, got {p}$"
+            for e in (1, -1):
+                with pytest.raises(ValueError, match=message):
+                    surjectivity_counterexample(2, p, e, 2)
+                with pytest.raises(ValueError, match=message):
+                    ideal_identity_counterexample(maximal_ideal(2), p, e, 2)
+        with pytest.raises(ValueError, match=r"^e must be >= 0$"):
+            surjectivity_counterexample(2, 2, -1, 2)
+        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
+            surjectivity_counterexample(2, 2, -1, -1)
+        for box in (2, -1):
+            with pytest.raises(ValueError, match=r"^Frobenius exponent e must be >= 0$"):
+                ideal_identity_counterexample(maximal_ideal(2), 2, -1, box)
 
 
 class TestMonomialForm:
-    def test_repr_and_str(self):
+    def test_repr(self):
+        # cartier_report renders a counterexample form by its repr
         w = MonomialForm(2, (1, 0))
         assert repr(w) == "MonomialForm(coeff=2, exponent=(1, 0))"
-        assert str(w) == "2*x1*dx1^dx2"
-        assert str(MonomialForm(1, (0, 3, 2))) == "1*x2^3*x3^2*dx1^dx2^dx3"
-        assert repr(zero_form(1)) == "MonomialForm(coeff=0, exponent=(0,))"
+        assert repr(MonomialForm(0, (0,))) == "MonomialForm(coeff=0, exponent=(0,))"
 
     def test_is_zero_reads_the_coefficient(self):
         assert MonomialForm(0, (4, 1)).is_zero
@@ -198,30 +207,30 @@ class TestIdealIdentity:
             assert ideal_identity_counterexample(ideal, p, e, box) is None
 
 
-_TRUE_TRACE = trace
+_TRUE_KERNEL = cartier._trace_exponent
 
 
-def _lowered_trace(w, p, e):
+def _lowered_trace(exponent, q):
     # wrong on purpose: lowers the last nonzero entry of every image
-    t = _TRUE_TRACE(w, p, e)
-    if t.is_zero or not any(t.exponent):
+    t = _TRUE_KERNEL(exponent, q)
+    if t is None or not any(t):
         return t
-    i = max(i for i, x in enumerate(t.exponent) if x)
-    return MonomialForm(t.coeff, t.exponent[:i] + (t.exponent[i] - 1,) + t.exponent[i + 1 :])
+    i = max(i for i, x in enumerate(t) if x)
+    return t[:i] + (t[i] - 1,) + t[i + 1 :]
 
 
-def _lossy_trace(w, p, e):
+def _lossy_trace(exponent, q):
     # wrong on purpose: drops every image of total degree 2 mod 3
-    t = _TRUE_TRACE(w, p, e)
-    if not t.is_zero and sum(t.exponent) % 3 == 2:
-        return MonomialForm(0, t.exponent)
+    t = _TRUE_KERNEL(exponent, q)
+    if t is not None and sum(t) % 3 == 2:
+        return None
     return t
 
 
-def _reversed_trace(w, p, e):
+def _reversed_trace(exponent, q):
     # wrong on purpose: reverses every image exponent
-    t = _TRUE_TRACE(w, p, e)
-    return MonomialForm(t.coeff, t.exponent[::-1])
+    t = _TRUE_KERNEL(exponent, q)
+    return None if t is None else t[::-1]
 
 
 _PRINCIPAL = (1, ((0,),))
@@ -262,7 +271,7 @@ class TestCounterexampleOrder:
         ],
     )
     def test_ideal_identity(self, monkeypatch, wrong, ideal, p, e, box, expected):
-        monkeypatch.setattr(cartier, "trace", wrong)
+        monkeypatch.setattr(cartier, "_trace_exponent", wrong)
         assert ideal_identity_counterexample(MonomialIdeal(*ideal), p, e, box) == expected
 
     @pytest.mark.parametrize(
@@ -277,7 +286,7 @@ class TestCounterexampleOrder:
         ],
     )
     def test_surjectivity(self, monkeypatch, wrong, n, p, e, box, expected):
-        monkeypatch.setattr(cartier, "trace", wrong)
+        monkeypatch.setattr(cartier, "_trace_exponent", wrong)
         assert surjectivity_counterexample(n, p, e, box) == expected
 
 
@@ -306,7 +315,7 @@ class TestSemilinearity:
     @settings(max_examples=100, deadline=None)
     def test_semilinearity_property(self, a, c, coeff):
         for p, e in [(2, 1), (5, 1), (3, 2)]:
-            w = form(coeff, a, p)
+            w = MonomialForm(coeff % p, a)
             q = p**e
             lhs = trace(monomial_times(w, tuple(q * x for x in c)), p, e)
             rhs = monomial_times(trace(w, p, e), c)
@@ -361,10 +370,6 @@ class TestReport:
         report = cartier_report(1, 2, 2, 8, ideal=MonomialIdeal(1, ((2,),)))
         assert all(report.values())
 
-    def test_zero_form_str(self):
-        assert str(zero_form(2)) == "0"
-        assert "dx1^dx2" in str(MonomialForm(2, (1, 0)))
-
 
 def _plain_ideal_identity_counterexample(ideal, p, e, box):
     """Oracle: the plain lexicographic scan, asking the bracket at every point."""
@@ -387,15 +392,19 @@ def _plain_ideal_identity_counterexample(ideal, p, e, box):
 
 
 def _recorded(scan, wrapped, ideal, p, e, box):
-    """The scan's result and every (form, p, e) it passed to the trace."""
+    """The scan's result and every (exponent, q) it passed to the trace kernel.
+
+    The plain scan calls the public trace, which calls the kernel, so the
+    recording covers both scans.
+    """
     calls = []
 
-    def recording(w, p, e):
-        calls.append((w, p, e))
-        return wrapped(w, p, e)
+    def recording(exponent, q):
+        calls.append((exponent, q))
+        return wrapped(exponent, q)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cartier, "trace", recording)
+        patch.setattr(cartier, "_trace_exponent", recording)
         result = scan(ideal, p, e, box)
     return result, calls
 
@@ -413,7 +422,7 @@ class TestRowWalk:
     @settings(max_examples=60, deadline=None)
     def test_same_trace_calls_as_plain_scan(self, n, p, e, box, seed):
         ideal = random_primary_ideal(n, random.Random(seed))
-        for wrapped in (_TRUE_TRACE, _lowered_trace):
+        for wrapped in (_TRUE_KERNEL, _lowered_trace):
             walked = _recorded(ideal_identity_counterexample, wrapped, ideal, p, e, box)
             plain = _recorded(_plain_ideal_identity_counterexample, wrapped, ideal, p, e, box)
             assert walked == plain

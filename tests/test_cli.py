@@ -485,6 +485,10 @@ class TestMalformedInput:
                 "invalid input: box must be >= 0\n",
             ),
             (
+                ["cartier", "--n", "2", "--p", "2", "--e", "-1", "--box", "2"],
+                "invalid input: e must be >= 0\n",
+            ),
+            (
                 ["jets", "--model", '{"kind":"pn"}', "--m", "2", "--l", "1"],
                 "invalid input: missing model key 'n'\n",
             ),
@@ -503,6 +507,7 @@ class TestMalformedInput:
         ],
         ids=[
             "negative-box",
+            "negative-e",
             "pn-without-n",
             "product-without-n2",
             "custom-without-constraints",
