@@ -1,10 +1,10 @@
 """The acceptance suite: every exit criterion as a callable check.
 
 Each criterion returns a result with a pass flag and a short detail string;
-`run_all` executes the full battery. All checks are exact; brute-force
-oracles (cobasis enumeration, symmetric-power expansion, direct lattice
-counts) are recomputed here rather than trusted from the fast paths they
-validate.
+`run_all` executes the full battery. All checks are exact; independent
+oracles (the cobasis corners asked of the model, symmetric-power expansion,
+direct lattice counts) are recomputed here rather than trusted from the
+fast paths they validate.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class CriterionResult:
 
 
 def criterion_1_pn_jet_threshold() -> CriterionResult:
-    """Brute-force Frobenius-jet separation matches the closed-form threshold."""
+    """The cobasis oracle's Frobenius-jet separation matches the closed-form threshold."""
     cells = 0
     mismatches = []
     for n in (1, 2, 3):
@@ -326,7 +326,7 @@ def criterion_12_product_model() -> CriterionResult:
                         failures.append((c, d, ell, p, "conservativity", frob.value))
                     if frob is not None and not frob.reverify(model, method="cobasis"):
                         failures.append((c, d, ell, p, "reverify"))
-    # brute-force oracle spot checks of the degree sweep behind the values
+    # cobasis oracle spot checks of the degree sweep behind the values
     for c, d in ((1, 2), (3, 3)):
         model = product_projective(1, 1, c, d)
         for m in range(1, 9):

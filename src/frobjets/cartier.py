@@ -97,9 +97,9 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     if e < 0:
         raise ValueError("e must be >= 0")
     q = p**e
-    top = q - 1
-    for b in targets:
-        if _trace_exponent(tuple([q * x + top for x in b]), q) != b:
+    preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
+    for b, a in zip(targets, preimages):
+        if _trace_exponent(a, q) != b:
             return b
     return None
 
@@ -209,7 +209,7 @@ def iteration_counterexample(p: int, e1: int, e2: int, forms):
 def cartier_report(
     n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None = None, seed: int = 0
 ) -> dict:
-    """Run the full verification battery and collect one JSON-able report."""
+    """Run the verification battery into one JSON-able report (ideal identity on min(box, 8))."""
     if ideal is None:
         from .monomials import maximal_ideal, power
 

@@ -13,11 +13,11 @@ Separation has two interchangeable checkers, the fast path and its oracle:
   sum_i floor(a_i / p^e) <= ell, so the maximum splits into a quotient part
   ell * p^e * max(w) and a remainder part (p^e - 1) * sum(w).  Degree m
   separates iff m >= frobenius_threshold, the least m with every load <= s * m.
-* "cobasis": materialize the cobasis, keep its maximal points (its
-  corners, found by brute force), and ask the model at each corner. An
-  attainable set is downward closed (a model's weights are non-negative),
-  so it covers the cobasis exactly when it covers the corners. This oracle
-  never uses the load formula of the fast path.
+* "cobasis": ask the model at the maximal points (corners) of the cobasis.
+  They are the staircase corners a with every a + e_i in the ideal: a
+  generator dividing a + e_i but not a has g_i = a_i + 1. An attainable set
+  is downward closed (a model's weights are non-negative), so it covers the
+  cobasis exactly when it covers the corners. No load formula is used.
 
 A rank check of the restriction matrix would add nothing: the matrix has at
 most one 1 per row, so its rank counts the attained cobasis monomials, which
@@ -36,10 +36,10 @@ from .monomials import (
     Exponent,
     MonomialIdeal,
     bracket_power,
-    cobasis,
     ensure_prime,
     maximal_ideal,
     power,
+    staircase_corners,
 )
 
 NEG_INF = float("-inf")
@@ -85,13 +85,11 @@ def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | 
 
 @lru_cache(maxsize=256)
 def _cobasis_corners(ideal: MonomialIdeal) -> frozenset[Exponent]:
-    """The maximal points of the cobasis: those a with no a + e_i in it."""
-    # uncached: this result is cached, so cobasis' cache would never be read
-    quotient = cobasis.__wrapped__(ideal)
+    """The maximal points of the cobasis, found among the staircase corners."""
     return frozenset(
         a
-        for a in quotient
-        if all(a[:i] + (a[i] + 1,) + a[i + 1 :] not in quotient for i in range(ideal.n))
+        for a in staircase_corners(ideal)
+        if all(ideal._has(a[:i] + (a[i] + 1,) + a[i + 1 :]) for i in range(ideal.n))
     )
 
 

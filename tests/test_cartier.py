@@ -185,6 +185,20 @@ class TestSurjectivity:
         assert surjectivity_counterexample(2, 3, 1, 0) is None
         assert ideal_identity_counterexample(maximal_ideal(2), 3, 1, 0) is None
 
+    @given(
+        n=st.integers(1, 3),
+        p=st.sampled_from([2, 3, 5]),
+        e=st.integers(0, 2),
+        box=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_trace_calls_as_plain_scan(self, n, p, e, box):
+        # the preimage walk traces what the per-target scan traces, in its order
+        for wrapped in (_TRUE_KERNEL, _lowered_trace):
+            walked = _recorded(surjectivity_counterexample, wrapped, n, p, e, box)
+            plain = _recorded(_plain_surjectivity_counterexample, wrapped, n, p, e, box)
+            assert walked == plain
+
 
 class TestIdealIdentity:
     def test_principal_one_var(self):
@@ -391,11 +405,20 @@ def _plain_ideal_identity_counterexample(ideal, p, e, box):
     return min(difference) if difference else None
 
 
-def _recorded(scan, wrapped, ideal, p, e, box):
+def _plain_surjectivity_counterexample(n, p, e, box):
+    """Oracle: the per-target scan, building each preimage q*b + q - 1."""
+    q = p**e
+    for b in itertools.product(range(box + 1), repeat=n):
+        if cartier._trace_exponent(tuple([q * x + q - 1 for x in b]), q) != b:
+            return b
+    return None
+
+
+def _recorded(scan, wrapped, *args):
     """The scan's result and every (exponent, q) it passed to the trace kernel.
 
-    The plain scan calls the public trace, which calls the kernel, so the
-    recording covers both scans.
+    The plain scans call the kernel too (the ideal-image one through the
+    public trace), so the recording covers both sides.
     """
     calls = []
 
@@ -405,7 +428,7 @@ def _recorded(scan, wrapped, ideal, p, e, box):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cartier, "_trace_exponent", recording)
-        result = scan(ideal, p, e, box)
+        result = scan(*args)
     return result, calls
 
 

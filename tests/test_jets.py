@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frobjets.cartier import random_primary_ideal
 from frobjets.jets import (
     NEG_INF,
     _cobasis_corners,
@@ -154,6 +156,16 @@ SLOPE_ZERO_ONE_VARIABLE = custom_staircase(2, [((1, 0), 0), ((1, 1), 2)])
 ZERO_ROW_THREE = custom_staircase(3, [((0, 0, 0), 2), ((1, 1, 1), 2), ((0, 3, 0), 1)])
 
 
+def brute_corners(ideal):
+    """Reference: the maximal points of the full cobasis, those a with no a + e_i in it."""
+    quotient = cobasis(ideal)
+    return frozenset(
+        a
+        for a in quotient
+        if all(a[:i] + (a[i] + 1,) + a[i + 1 :] not in quotient for i in range(ideal.n))
+    )
+
+
 class TestCornerOracle:
     """The cobasis checker asks only the corners; the full scan is the reference."""
 
@@ -184,6 +196,19 @@ class TestCornerOracle:
         assert corners <= quotient
         assert all(any(divides(a, c) for c in corners) for a in quotient)
         assert not any(divides(c, d) for c in corners for d in corners if c != d)
+
+    @given(
+        n=st.integers(1, 3),
+        ell=st.integers(0, 3),
+        e=st.integers(0, 2),
+        p=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_staircase_candidates_find_every_corner(self, n, ell, e, p, seed):
+        # the corners come from the staircase candidates, not from a cobasis scan
+        for ideal in (jet_ideal(n, ell, e, p), random_primary_ideal(n, random.Random(seed))):
+            assert _cobasis_corners.__wrapped__(ideal) == brute_corners(ideal)
 
     def test_pn_corners(self):
         # the cobasis of m^(ell+1) is the degree <= ell simplex, whose
