@@ -63,14 +63,10 @@ from .monomials import (
 )
 from .principal_parts import (
     PicClass,
-    SplitBundle,
     det_pp_closed,
     det_pp_recursive,
-    dual,
     mori_endgame,
     rank_pp,
-    sym_power,
-    tensor_line,
 )
 
 __version__ = "0.1.0"

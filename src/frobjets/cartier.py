@@ -162,39 +162,37 @@ def semilinearity_counterexample(p: int, e: int, samples):
     return None
 
 
-def random_forms(n: int, p: int, count: int, seed: int = 0, max_exp: int = 24):
+def random_forms(n: int, p: int, count: int, seed: int = 0):
+    """`count` forms with nonzero coefficients and exponent entries in [0, 24]."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         coeff = rng.randrange(1, p)
-        exponent = tuple(rng.randrange(max_exp + 1) for _ in range(n))
+        exponent = tuple(rng.randrange(25) for _ in range(n))
         out.append(MonomialForm(coeff, exponent))
     return out
 
 
-def random_semilinearity_samples(
-    n: int, p: int, count: int, seed: int = 0, max_exp: int = 16
-):
+def random_semilinearity_samples(n: int, p: int, count: int, seed: int = 0):
+    """`count` pairs (c, form): c in [0, 3]^n, form exponent entries in [0, 16]."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         c = tuple(rng.randrange(4) for _ in range(n))
         coeff = rng.randrange(1, p)
-        exponent = tuple(rng.randrange(max_exp + 1) for _ in range(n))
+        exponent = tuple(rng.randrange(17) for _ in range(n))
         out.append((c, MonomialForm(coeff, exponent)))
     return out
 
 
-def random_primary_ideal(
-    n: int, rng: random.Random, max_gens: int = 5, max_exp: int = 8
-) -> MonomialIdeal:
-    """A random monomial ideal with finite complement (pure powers included)."""
+def random_primary_ideal(n: int, rng: random.Random) -> MonomialIdeal:
+    """A random monomial ideal with finite complement: each x_i^8, 1 to 5 gens in [0, 8]^n."""
     gens = [
-        tuple(max_exp if i == j else 0 for i in range(n))
+        tuple(8 if i == j else 0 for i in range(n))
         for j in range(n)
     ]
-    for _ in range(rng.randrange(1, max_gens + 1)):
-        gens.append(tuple(rng.randrange(max_exp + 1) for _ in range(n)))
+    for _ in range(rng.randrange(1, 6)):
+        gens.append(tuple(rng.randrange(9) for _ in range(n)))
     return MonomialIdeal(n, tuple(gens))
 
 

@@ -136,8 +136,7 @@ def _cmd_cartier(params):
         gens = json.loads(params["ideal"])
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise ValueError(f"ideal must be a JSON array of integer arrays, got {gens!r}")
-        exponents = (tuple(parse_int(x, "ideal exponent") for x in g) for g in gens)
-        ideal = MonomialIdeal(n, tuple(exponents))
+        ideal = MonomialIdeal(n, tuple(gens))
     payload = cartier_report(
         n, params["p"], params["e"], params["box"], ideal=ideal, seed=params["seed"]
     )

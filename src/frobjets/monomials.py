@@ -95,11 +95,12 @@ class MonomialIdeal:
     Only the constructors below that know the ideal's shape set it; it is
     not part of equality, hashing or repr.
 
-    ``a in ideal`` takes any exponent a caller supplies: it checks the
-    length and the entries (a list is accepted) and then asks ``_has``.
-    ``_has(a)`` skips that check, so it is only for exponents that are
-    already a tuple of n non-negative ints, such as the points this
-    package enumerates itself with ``product``.
+    ``a in ideal`` takes any exponent a caller supplies: it runs the same
+    one check as construction (length, then entries; a list is accepted)
+    and then asks ``_has``. ``_has(a)`` skips that check, so it is only for
+    exponents the package built itself: the points it enumerates with
+    ``product``, and the generators of another ideal with the same n,
+    which construction has already checked.
     """
 
     n: int
@@ -124,21 +125,7 @@ class MonomialIdeal:
         return ideal
 
     def __contains__(self, a) -> bool:
-        # Full validation by _check_exponent only when the cheap test fails:
-        # non-numeric entries raise TypeError in sum/min, bools sum to an int.
-        try:
-            valid = (
-                type(a) is tuple
-                and len(a) == self.n
-                and type(sum(a)) is int
-                and bool not in map(type, a)
-                and min(a) >= 0
-            )
-        except TypeError:
-            valid = False
-        if not valid:
-            a = _check_exponent(a, self.n)
-        return self._has(a)
+        return self._has(_check_exponent(a, self.n))
 
     def _has(self, a: Exponent) -> bool:
         # a must already be a tuple of n non-negative ints
@@ -211,7 +198,7 @@ def maximal_ideal(n: int) -> MonomialIdeal:
 
 def _minkowski(a_gens, b_gens, n: int) -> MonomialIdeal:
     sums = {tuple(x + y for x, y in zip(a, b)) for a in a_gens for b in b_gens}
-    return MonomialIdeal(n, tuple(sums))
+    return MonomialIdeal._structured(n, tuple(_minimal_antichain(sums)), None)
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -259,7 +246,7 @@ def noncontainment_witness(big: MonomialIdeal, small: MonomialIdeal) -> Exponent
     if big.n != small.n:
         raise ValueError(f"variable counts differ: {big.n} vs {small.n}")
     for g in small.gens:
-        if g not in big:
+        if not big._has(g):
             return g
     return None
 

@@ -4,6 +4,7 @@ Determinant classes live in the free abelian group on the canonical class and
 the line bundle class; no geometry is attempted. The closed-form determinant
 has a fractional-looking exponent, so it is evaluated in exact rationals and
 asserted integral; the recursion provides the independent certificate.
+Split bundles on the line are plain tuples of their summand degrees.
 """
 
 from __future__ import annotations
@@ -67,42 +68,6 @@ def det_pp_closed(n: int, ell: int) -> PicClass:
 
 
 @dataclass(frozen=True)
-class SplitBundle:
-    """A direct sum of line bundles on the line, as a degree multiset."""
-
-    degrees: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.degrees:
-            raise ValueError("a split bundle needs rank >= 1")
-        degrees = (parse_int(d, "summand degree") for d in self.degrees)
-        object.__setattr__(self, "degrees", tuple(sorted(degrees)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.degrees)
-
-
-def dual(bundle: SplitBundle) -> SplitBundle:
-    return SplitBundle(tuple(-d for d in bundle.degrees))
-
-
-def tensor_line(bundle: SplitBundle, d: int) -> SplitBundle:
-    return SplitBundle(tuple(x + d for x in bundle.degrees))
-
-
-def sym_power(bundle: SplitBundle, k: int) -> SplitBundle:
-    """Symmetric power: degree sums over all size-k multisets of summands."""
-    if k < 1:
-        raise ValueError("symmetric power degree k must be >= 1")
-    sums = [
-        sum(bundle.degrees[i] for i in choice)
-        for choice in combinations_with_replacement(range(bundle.rank), k)
-    ]
-    return SplitBundle(tuple(sums))
-
-
-@dataclass(frozen=True)
 class MoriEndgameReport:
     """Arithmetic of the positivity endgame for a pulled-back tangent bundle.
 
@@ -124,12 +89,12 @@ def mori_endgame(a) -> MoriEndgameReport:
         raise ValueError("need at least one summand degree")
     n = len(a)
     b = sum(a)
-    # (Sym^(n+1) of the dual)^dual tensor O(-b), expanded summand by summand
-    quotient = tensor_line(dual(sym_power(dual(SplitBundle(a)), n + 1)), -b)
+    # (Sym^(n+1) of the dual)^dual tensor O(-b): sums of n+1 summand degrees, shifted by -b
+    quotient_degrees = tuple(sorted(sum(c) - b for c in combinations_with_replacement(a, n + 1)))
     gg = (n + 1) * min(a) >= b
     return MoriEndgameReport(
         b=b,
-        quotient_degrees=quotient.degrees,
+        quotient_degrees=quotient_degrees,
         gg=gg,
         all_ai_positive=gg and b > 0 and min(a) > 0,
     )

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,10 @@ from frobjets.monomials import (
     unit_ideal,
     verify_lemma_monomials,
 )
+
+
+class _One(IntEnum):
+    ONE = 1
 
 
 def degree_monomials(n, d):
@@ -92,9 +97,9 @@ class TestMinimalize:
             with pytest.raises(ValueError, match="integers"):
                 (bad, 0) in ideal
 
-    @pytest.mark.parametrize("a", [(True, 0), (0, False), (1, True)])
+    @pytest.mark.parametrize("a", [(True, 0), (0, False), (1, True), (_One.ONE, 0)])
     def test_bool_member_rejected_like_bool_generator(self, a):
-        # bools sum to an int, so the cheap test alone would let them through
+        # bools and IntEnum members are int subclasses, refused like any non-int
         with pytest.raises(ValueError, match="integers"):
             MonomialIdeal(2, (a,))
         shapes = (
