@@ -23,8 +23,8 @@ from .jets import (
     separates_frobenius_jets,
     separates_jets,
 )
-from .models import SectionModel, scaled_model
-from .monomials import ensure_prime
+from .models import SectionModel, projective_space, scaled_model
+from .serialize import parse_int
 
 SESHADRI = "seshadri"
 FROBENIUS = "frobenius_seshadri"
@@ -80,8 +80,7 @@ class BoundCertificate:
 
 def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m."""
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    parse_int(m_max, "m_max", 1)
     best = None
     for m in range(1, m_max + 1):
         s = s_jets(model, m)
@@ -93,11 +92,10 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
 
 def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
     """The thresholds m_e (None: no m separates) of the grid rows e = 0, ..., e_max."""
-    if m_max < 1 or e_max < 1:
+    if parse_int(m_max, "m_max") < 1 or parse_int(e_max, "e_max") < 1:
         raise ValueError("m_max and e_max must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    ensure_prime(p)
+    parse_int(ell, "ell", 0)
+    # the first row checks p
     return [frobenius_threshold(model, ell, e, p) for e in range(e_max + 1)]
 
 
@@ -138,10 +136,8 @@ def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> Bou
 
 def closed_form_pn(n: int, ell: int) -> Fraction:
     """Exact Frobenius-Seshadri value (ell+1)/(ell+n) on projective n-space."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    parse_int(n, "n", 1)
+    parse_int(ell, "ell", 0)
     return Fraction(ell + 1, ell + n)
 
 
@@ -160,11 +156,7 @@ class SubsequenceDemo:
 
 
 def subsequence_demo(n: int, ell: int, p: int, e_max: int) -> SubsequenceDemo:
-    from .models import projective_space
-
-    if e_max < 2:
-        raise ValueError("e_max must be >= 2")
-    ensure_prime(p)
+    parse_int(e_max, "e_max", 2)
     model = projective_space(n)
     upper = []
     lower = []
@@ -188,10 +180,9 @@ def tensor_power_scale(cert: BoundCertificate, r: int, p: int) -> BoundCertifica
     """
     if cert.kind != FROBENIUS:
         raise RuleInapplicableError("tensor-power scaling applies to Frobenius certificates")
-    if cert.p != p:
+    if cert.p != parse_int(p, "p"):
         raise RuleInapplicableError(f"certificate characteristic {cert.p} != {p}")
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    parse_int(r, "r", 1)
     m, e = cert.witness
     if e == 0:
         raise RuleInapplicableError("tensor-power scaling needs a witness with e >= 1")
@@ -216,9 +207,7 @@ def gg_twist_extend(
     """
     if cert.kind != FROBENIUS:
         raise RuleInapplicableError("gg twisting applies to Frobenius certificates")
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if j == 0:
+    if parse_int(j, "j", 0) == 0:
         return cert
     m, e = cert.witness
     twisted = BoundCertificate(
@@ -236,17 +225,17 @@ def gg_twist_extend(
 
 def check_comparison(n: int, ell: int, eps: Fraction, eps_frob: Fraction) -> bool:
     """Sandwich between (ell+1)/(ell+n) * eps and eps, exactly."""
-    return Fraction(ell + 1, ell + n) * eps <= eps_frob <= eps
+    return closed_form_pn(n, ell) * eps <= eps_frob <= eps
 
 
 def check_level_comparison(
     n: int, ell: int, lower_level: int, eps_high: Fraction, eps_low: Fraction
 ) -> bool:
     """Double inequality between Frobenius constants of levels ell > lower_level."""
-    if ell <= lower_level:
+    if ell <= parse_int(lower_level, "lower_level", 0):
         raise ValueError("requires ell > lower_level")
     return (
-        Fraction(ell + 1, ell + n) * eps_low
+        closed_form_pn(n, ell) * eps_low
         <= eps_high
         <= Fraction(ell + 1, lower_level + 1) * eps_low
     )
@@ -261,6 +250,8 @@ def check_homogeneity(
     the base value. Separation is monotone in m, so lifting the threshold m_e
     of each e covers every separating m <= m_max.
     """
+    parse_int(m_max, "m_max", 0)
+    parse_int(e_max, "e_max", 0)
     scaled = scaled_model(model, r)
     for e in range(e_max + 1):
         m_e = frobenius_threshold(model, ell, e, p)

@@ -9,8 +9,10 @@ The monomial formula is hard-coded in one private kernel, _trace_exponent;
 its correctness is pinned down by the verification suite in this module
 (explicit surjectivity preimages, the ideal-image identity, semilinearity
 over p^e-th powers, and the iteration law), not derived from duality theory.
-The public trace validates p and e on every call; the surjectivity and
-ideal-image walks validate them once and call the kernel on plain exponents.
+The public trace validates p, e and the form on every call, then applies the
+unvalidated _trace; the semilinearity and iteration checks validate p and e
+once and call _trace, and the surjectivity and ideal-image walks validate
+them once and call the kernel on plain exponents.
 
 The ideal-image check decides bracket-power membership once per q-block:
 x^a is in I^[q] iff x^(q*(a//q)) is (Miller-Sturmfels, Combinatorial
@@ -28,7 +30,9 @@ import random
 from itertools import product
 from typing import NamedTuple
 
-from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime
+from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime, maximal_ideal, power
+from .monomials import _check_exponent
+from .serialize import parse_int
 
 
 class MonomialForm(NamedTuple):
@@ -57,16 +61,22 @@ def _trace_exponent(exponent: Exponent, q: int) -> Exponent | None:
 
 
 def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
-    """Apply the e-fold trace to a monomial top-form, validating p and e.
+    """Apply the e-fold trace to a monomial top-form, validating p, e and w.
 
     The exponent is mapped by _trace_exponent; the zero form is
     MonomialForm(0, (0,) * n).
     """
     ensure_prime(p)
-    if e < 0:
-        raise ValueError("e must be >= 0")
+    q = p ** parse_int(e, "e", 0)
+    parse_int(w.coeff, "coefficient")
+    _check_exponent(w.exponent, len(w.exponent))
+    return _trace(w, p, q)
+
+
+def _trace(w: MonomialForm, p: int, q: int) -> MonomialForm:
+    """The trace at q = p^e, unvalidated: callers check p, e and the form."""
     c = w.coeff % p
-    exponent = _trace_exponent(w.exponent, p**e) if c else None
+    exponent = _trace_exponent(w.exponent, q) if c else None
     if exponent is None:
         return MonomialForm(0, (0,) * len(w.exponent))
     # c^(p^e) == c on F_p, so c is its own p^e-th root
@@ -81,9 +91,7 @@ def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:
 
 
 def _box(n: int, top: int):
-    if top < 0:
-        raise ValueError("box must be >= 0")
-    return product(range(top + 1), repeat=n)
+    return product(range(parse_int(top, "box", 0) + 1), repeat=n)
 
 
 def surjectivity_counterexample(n: int, p: int, e: int, box: int):
@@ -91,12 +99,11 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
 
     For each target b the form x^(p^e*(b+1)-1) dx must trace to x^b dx.
     """
-    # bad input is reported in the order p, box, e
+    # bad input is reported in the order n, p, box, e
+    parse_int(n, "n", 1)
     ensure_prime(p)
     targets = _box(n, box)
-    if e < 0:
-        raise ValueError("e must be >= 0")
-    q = p**e
+    q = p ** parse_int(e, "e", 0)
     preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
     for b, a in zip(targets, preimages):
         if _trace_exponent(a, q) != b:
@@ -152,11 +159,11 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
 def semilinearity_counterexample(p: int, e: int, samples):
     """A (c, form) pair violating trace(x^(p^e*c) * w) == x^c * trace(w), or None."""
     ensure_prime(p)
-    q = p**e
+    q = p ** parse_int(e, "e", 0)
     for c, w in samples:
         shifted = monomial_times(w, tuple(q * x for x in c))
-        lhs = trace(shifted, p, e)
-        rhs = monomial_times(trace(w, p, e), c)
+        lhs = _trace(shifted, p, q)
+        rhs = monomial_times(_trace(w, p, q), c)
         if lhs != rhs:
             return (c, w)
     return None
@@ -198,8 +205,10 @@ def random_primary_ideal(n: int, rng: random.Random) -> MonomialIdeal:
 
 def iteration_counterexample(p: int, e1: int, e2: int, forms):
     """A form where the (e1+e2)-fold trace differs from the composite, or None."""
+    ensure_prime(p)
+    q1, q2 = p ** parse_int(e1, "e1", 0), p ** parse_int(e2, "e2", 0)
     for w in forms:
-        if trace(w, p, e1 + e2) != trace(trace(w, p, e1), p, e2):
+        if _trace(w, p, q1 * q2) != _trace(_trace(w, p, q1), p, q2):
             return w
     return None
 
@@ -209,9 +218,9 @@ def cartier_report(
 ) -> dict:
     """Run the verification battery into one JSON-able report (ideal identity on min(box, 8))."""
     if ideal is None:
-        from .monomials import maximal_ideal, power
-
         ideal = power(maximal_ideal(n), 2)
+    elif ideal.n != n:
+        raise ValueError(f"ideal has {ideal.n} variables, expected n = {n}")
     # each check's counterexample or None, in the order the checks run
     found = {
         "surjective": surjectivity_counterexample(n, p, e, box),

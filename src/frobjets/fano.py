@@ -44,14 +44,12 @@ class FanoInput:
     curves_through_x: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        for name in ("n", "char", "antican_selfint", "min_rc_degree"):
-            value = getattr(self, name)
-            if value is not None or name in ("n", "char"):
-                parse_int(value, name)
-        if self.n < 1:
-            raise ValueError("dimension n must be >= 1")
-        if self.char != 0:
+        parse_int(self.n, "n", 1)
+        if parse_int(self.char, "char") != 0:
             ensure_prime(self.char)
+        for name, low in (("antican_selfint", 1), ("min_rc_degree", None)):
+            if getattr(self, name) is not None:
+                parse_int(getattr(self, name), name, low)
         for name in ("eps_lower_at_point", "eps_lower_everywhere"):
             value = getattr(self, name)
             if value is not None:
@@ -59,8 +57,6 @@ class FanoInput:
                 if value <= 0:
                     raise ValueError(f"{name} must be positive")
                 object.__setattr__(self, name, value)
-        if self.antican_selfint is not None and self.antican_selfint < 1:
-            raise ValueError("antican_selfint must be >= 1")
         try:
             curves = tuple((d, mult) for d, mult in self.curves_through_x)
         except (TypeError, ValueError) as exc:
@@ -68,8 +64,8 @@ class FanoInput:
                 "curves_through_x must be a list of (degree, multiplicity) pairs"
             ) from exc
         for d, mult in curves:
-            if parse_int(d, "curve degree") < 1 or parse_int(mult, "curve multiplicity") < 1:
-                raise ValueError("curve degrees and multiplicities must be >= 1")
+            parse_int(d, "curve degree", 1)
+            parse_int(mult, "curve multiplicity", 1)
         object.__setattr__(self, "curves_through_x", curves)
 
     @classmethod
@@ -139,8 +135,8 @@ def seshadri_upper_from_curves(curves) -> Fraction:
 
 def degree_bound_check(n: int, eps: Fraction, antican_selfint: int) -> bool:
     """eps^n <= (-K)^n, compared exactly (no real roots taken)."""
-    if antican_selfint < 1:
-        raise ValueError("antican_selfint must be >= 1")
+    parse_int(n, "n", 1)
+    parse_int(antican_selfint, "antican_selfint", 1)
     return parse_fraction(eps) ** n <= antican_selfint
 
 

@@ -41,6 +41,7 @@ from .monomials import (
     power,
     staircase_corners,
 )
+from .serialize import parse_int
 
 NEG_INF = float("-inf")
 
@@ -53,8 +54,10 @@ def jet_ideal(n: int, ell: int, e: int, p: int) -> MonomialIdeal:
 
 def pn_threshold(n: int, ell: int, e: int, p: int) -> int:
     """Minimal degree at which projective n-space separates p^e-Frobenius ell-jets."""
+    parse_int(n, "n", 1)
+    parse_int(ell, "ell", 0)
     ensure_prime(p)
-    q = p**e
+    q = p ** parse_int(e, "e", 0)
     return ell * q + n * (q - 1)
 
 
@@ -70,7 +73,7 @@ def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | 
     Each constraint (w, s) asks for s * m >= its load; None means that a row
     of slope 0 has a positive load, so that no degree separates.
     """
-    if ell < 0 or e < 0:
+    if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
         raise ValueError("ell and e must be >= 0")
     ensure_prime(p)
     m_e = 1
@@ -97,8 +100,7 @@ def separates_frobenius_jets(
     model: SectionModel, m: int, ell: int, e: int, p: int, method: str = "fast"
 ) -> bool:
     """Whether degree-m sections separate p^e-Frobenius ell-jets at the point."""
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
+    parse_int(m, "degree m", 1)
     # the threshold checks ell, e and p; the cobasis oracle does not use it
     m_e = frobenius_threshold(model, ell, e, p)
     if method == "fast":
@@ -137,8 +139,7 @@ def s_jets(model: SectionModel, m: int) -> int:
     A constraint (w, s) admits ell-jets at m iff ell * max(w) <= s * m (the
     fast path's load at e = 0); a row of zero weights admits every ell.
     """
-    if m < 1:
-        raise ValueError("degree m must be >= 1")
+    parse_int(m, "degree m", 1)
     return min(s * m // max(w) for w, s in model.constraints if max(w) > 0)
 
 
@@ -149,7 +150,6 @@ def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
     a constraint (w, s) admits the jets iff ell*q*W + (q-1)*S <= s*m, that is
     iff q <= (s*m + S) // (ell*W + S); a row of zero weights admits every e.
     """
-    ensure_prime(p)
     if not separates_frobenius_jets(model, m, ell, 0, p):
         return NEG_INF
     bound = min(

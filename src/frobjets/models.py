@@ -34,8 +34,7 @@ class SectionModel:
     params: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("model dimension n must be >= 1")
+        parse_int(self.n, "model dimension n", 1)
         cleaned = []
         for constraint in self.constraints:
             try:
@@ -45,12 +44,10 @@ class SectionModel:
                 raise ValueError(
                     f"malformed constraint {constraint!r}: expected [weights, slope]"
                 ) from exc
-            weights = tuple(parse_int(w, "constraint weight") for w in weights)
-            slope = parse_int(slope, "constraint slope")
+            weights = tuple(parse_int(w, "constraint weight", 0) for w in weights)
+            slope = parse_int(slope, "constraint slope", 0)
             if len(weights) != self.n:
                 raise ValueError(f"constraint weights {weights} have wrong length")
-            if any(w < 0 for w in weights) or slope < 0:
-                raise ValueError("constraint weights and slopes must be >= 0")
             cleaned.append((weights, slope))
         for i in range(self.n):
             if not any(w[i] > 0 for w, _ in cleaned):
@@ -105,8 +102,7 @@ class SectionModel:
 
 def projective_space(n: int) -> SectionModel:
     """Degree-m sections hit every monomial of total degree at most m."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    parse_int(n, "n", 1)
     return SectionModel(
         n=n,
         constraints=(((1,) * n, 1),),
@@ -118,8 +114,8 @@ def projective_space(n: int) -> SectionModel:
 
 def product_projective(n1: int, n2: int, c: int, d: int) -> SectionModel:
     """Bidegree-(c*m, d*m) box model on a product of two projective factors."""
-    if min(n1, n2, c, d) < 1:
-        raise ValueError("all product model parameters must be >= 1")
+    for name, value in zip(("n1", "n2", "c", "d"), (n1, n2, c, d)):
+        parse_int(value, name, 1)
     w1 = (1,) * n1 + (0,) * n2
     w2 = (0,) * n1 + (1,) * n2
     return SectionModel(
@@ -142,9 +138,7 @@ def custom_staircase(n: int, constraints) -> SectionModel:
 
 def scaled_model(model: SectionModel, r: int) -> SectionModel:
     """Replace degree m by r*m: every slope is multiplied by r."""
-    if r < 1:
-        raise ValueError("scale factor r must be >= 1")
-    if r == 1:
+    if parse_int(r, "scale factor r", 1) == 1:
         return model
     return SectionModel(
         n=model.n,
@@ -154,17 +148,15 @@ def scaled_model(model: SectionModel, r: int) -> SectionModel:
 
 
 def model_from_config(config: dict) -> SectionModel:
-    """Rebuild a model from its JSON description."""
+    """Rebuild a model from its JSON description; the constructors check its fields."""
     kind = config.get("kind")
     try:
         if kind == "pn":
-            return projective_space(parse_int(config["n"], "model field 'n'"))
+            return projective_space(config["n"])
         if kind == "product":
-            keys = ("n1", "n2", "c", "d")
-            return product_projective(*(parse_int(config[k], f"model field {k!r}") for k in keys))
+            return product_projective(*(config[k] for k in ("n1", "n2", "c", "d")))
         if kind == "custom":
-            n = parse_int(config["n"], "model field 'n'")
-            return custom_staircase(n, config["constraints"])
+            return custom_staircase(config["n"], config["constraints"])
     except KeyError as exc:
         # only the config[...] lookups above raise KeyError
         raise ValueError(f"missing model key {exc}") from None

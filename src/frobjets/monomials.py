@@ -27,6 +27,8 @@ from itertools import product
 from math import isqrt
 from operator import le
 
+from .serialize import parse_int
+
 
 Exponent = tuple[int, ...]
 
@@ -50,7 +52,7 @@ def is_prime(p: int) -> bool:
 
 def ensure_prime(p: int) -> int:
     """Return p if it is a prime characteristic; raise ValueError otherwise."""
-    if not is_prime(p):
+    if not is_prime(parse_int(p, "characteristic")):
         raise ValueError(f"characteristic must be prime, got {p}")
     return p
 
@@ -110,8 +112,7 @@ class MonomialIdeal:
     )
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("variable count n must be >= 1")
+        parse_int(self.n, "variable count n", 1)
         checked = {_check_exponent(g, self.n) for g in self.gens}
         object.__setattr__(self, "gens", tuple(_minimal_antichain(checked)))
 
@@ -182,8 +183,7 @@ def _compositions(k: int, n: int) -> list[Exponent]:
 
 def _maximal_ideal_power(n: int, k: int) -> MonomialIdeal:
     # The degree-k monomials are exactly the minimal generators of m^k.
-    if n < 1:
-        raise ValueError("variable count n must be >= 1")
+    parse_int(n, "variable count n", 1)
     return MonomialIdeal._structured(n, tuple(_compositions(k, n)), k)
 
 
@@ -209,8 +209,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     computed by iterated Minkowski sums of the generator exponents, with
     minimalization after every step to bound intermediate blowup.
     """
-    if k < 0:
-        raise ValueError("power exponent must be >= 0")
+    parse_int(k, "power exponent", 0)
     if type(ideal._rule) is int:
         return _maximal_ideal_power(ideal.n, ideal._rule * k)
     if k == 0:
@@ -224,9 +223,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 def bracket_power(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """Frobenius power: every generator exponent scaled entrywise by p^e."""
     ensure_prime(p)
-    if e < 0:
-        raise ValueError("Frobenius exponent e must be >= 0")
-    q = p**e
+    q = p ** parse_int(e, "Frobenius exponent e", 0)
     if q == 1:
         return ideal
     # Scaling by q keeps the sorted minimal antichain sorted and minimal.
@@ -365,13 +362,11 @@ def verify_lemma_monomials(n: int, ell: int, e: int, p: int) -> InclusionReport:
     and that the chain is sharp: the monomial x1^(ell*p^e) * (x1*...*xn)^(p^e-1)
     has total degree ell*p^e + n*(p^e-1) but lies outside the bracket power.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ell < 0 or e < 0:
+    if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
         raise ValueError("ell and e must be >= 0")
-    ensure_prime(p)
-    q = p**e
+    # maximal_ideal checks n, and bracket_power checks p
     bracket = bracket_power(power(maximal_ideal(n), ell + 1), p, e)
+    q = p**e
 
     left = contains_maximal_power(bracket, ell * q + n * (q - 1) + 1)
     right_degree = (ell + 1) * q

@@ -33,14 +33,14 @@ def rank_pp(n: int, ell: int) -> int:
 
     Telescopes the defining exact sequences: 1 + sum of symmetric-power ranks.
     """
-    if n < 1 or ell < 0:
+    if parse_int(n, "n") < 1 or parse_int(ell, "ell") < 0:
         raise ValueError("need n >= 1 and ell >= 0")
     return 1 + sum(comb(n + k - 1, n - 1) for k in range(1, ell + 1))
 
 
 def det_pp_recursive(n: int, ell: int) -> PicClass:
     """Determinant class accumulated step by step along the rank recursion."""
-    if n < 1 or ell < 0:
+    if parse_int(n, "n") < 1 or parse_int(ell, "ell") < 0:
         raise ValueError("need n >= 1 and ell >= 0")
     omega_exp, l_exp = 0, 1
     for k in range(1, ell + 1):
@@ -55,7 +55,7 @@ def det_pp_closed(n: int, ell: int) -> PicClass:
     The division is carried out in exact arithmetic and must be integral;
     a non-integral exponent would contradict the recursion and raises.
     """
-    if n < 1 or ell < 0:
+    if parse_int(n, "n") < 1 or parse_int(ell, "ell") < 0:
         raise ValueError("need n >= 1 and ell >= 0")
     total = comb(n + ell, n)
     omega_exp = Fraction(ell * total, n + 1)

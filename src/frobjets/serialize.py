@@ -1,7 +1,9 @@
 """Lossless JSON-friendly rendering of exact values, and the input parsers.
 
 Rationals serialize as "num/den" strings and minus infinity as "-inf", so
-emitted reports parse back without any floating point.
+emitted reports parse back without any floating point. parse_int is the
+package's one integer check, run once on an integer argument where it
+enters the package.
 """
 
 from __future__ import annotations
@@ -16,14 +18,19 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_int(value, name: str) -> int:
+def parse_int(value, name: str, low: int | None = None) -> int:
     """The integer `value` itself; ValueError naming `name` for anything else.
 
-    The one integer check on values read from a JSON document: a bool, a
-    float (even 2.0 or 1e400), text or null is refused rather than coerced.
+    The package's one integer check, made once where an integer argument or
+    a JSON document's integer enters the package. Only an exact int passes:
+    a bool or another int subclass (an IntEnum member), a float (even 2.0 or
+    1e400), text or None is refused rather than coerced. With `low`, a value
+    below it is refused too, as "`name` must be >= `low`".
     """
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
     return value
 
 
@@ -42,7 +49,7 @@ def parse_text_int(text: str, name: str) -> int:
 
 
 def parse_fraction(value) -> Fraction:
-    """An exact rational from "num/den" text, an integer, or a Fraction.
+    """An exact rational from "num/den" text, an exact int, or a Fraction.
 
     Raises ValueError on anything else, a float included (0.1 is not 1/10).
     """
@@ -51,11 +58,11 @@ def parse_fraction(value) -> Fraction:
             num, _, den = value.partition("/")
             den = parse_text_int(den, "denominator") if den else 1
             return Fraction(parse_text_int(num, "numerator"), den)
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return Fraction(value)
-    except ZeroDivisionError as exc:
+        if isinstance(value, Fraction):
+            return value
+        return Fraction(parse_int(value, "value"))
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {value!r}") from exc
-    raise ValueError(f"not an exact rational: {value!r}")
 
 
 def to_jsonable(obj):

@@ -116,6 +116,14 @@ class TestTraceFormula:
                     trace(w, p, 1)
             with pytest.raises(ValueError):
                 trace(w, 3, -1)
+            # a float or negative exponent entry, or a float coefficient
+            for bad in (
+                MonomialForm(1, (1.0, 3)),
+                MonomialForm(1, (-1, 3)),
+                MonomialForm(1.0, (5, 2)),
+            ):
+                with pytest.raises(ValueError):
+                    trace(bad, 3, 1)
 
     def test_walks_validate_p_and_e(self):
         # bad input is reported in the order p, box, e by surjectivity, and p,
@@ -383,6 +391,11 @@ class TestReport:
     def test_report_with_explicit_ideal(self):
         report = cartier_report(1, 2, 2, 8, ideal=MonomialIdeal(1, ((2,),)))
         assert all(report.values())
+
+    def test_ideal_of_another_variable_count_rejected(self):
+        # the ideal identity would run in 2 variables inside a 3-variable report
+        with pytest.raises(ValueError, match=r"^ideal has 2 variables, expected n = 3$"):
+            cartier_report(3, 2, 1, 4, ideal=MonomialIdeal(2, ((1, 0), (0, 1))))
 
 
 def _plain_ideal_identity_counterexample(ideal, p, e, box):

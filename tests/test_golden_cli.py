@@ -5,12 +5,7 @@ output format, a few certificate, tie-break and validation cases, and a
 legacy `--config` document that still carries `"parallelism": 4`. Each
 case's `argv` runs in a fresh directory, so relative paths such as
 `sweep.csv` land there; `config` (if present) is written to `run.json`
-first.
-
-The outputs were recorded while the CLI still had a thread pool and a rank
-checker. Removing them changed one thing on purpose: `jets --oracle` no
-longer reports a `rank_check` key, so that line is dropped from both sides
-before comparing. Everything else must match byte for byte.
+first. Everything must match byte for byte.
 """
 
 import io
@@ -25,13 +20,6 @@ from frobjets.cli import main
 CASES = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
-def _without_rank_check(text):
-    # the key is never the last one (sorted keys put "separates" after it),
-    # so dropping its line leaves valid JSON, CSV and aligned table rows
-    lines = text.splitlines(keepends=True)
-    return "".join(line for line in lines if not line.lstrip(' "').startswith("rank_check"))
-
-
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_output_unchanged(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -40,10 +28,7 @@ def test_output_unchanged(case, tmp_path, monkeypatch):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(case["argv"]))
-    stdout, expected = out.getvalue(), case["stdout"]
-    if "--oracle" in case["argv"]:
-        stdout, expected = _without_rank_check(stdout), _without_rank_check(expected)
-    assert (code, stdout, err.getvalue()) == (case["exit"], expected, case["stderr"])
+    assert (code, out.getvalue(), err.getvalue()) == (case["exit"], case["stdout"], case["stderr"])
     for name, content in case.get("files", {}).items():
         with open(name, newline="") as handle:
             assert handle.read() == content
