@@ -11,9 +11,10 @@ from .bounds import (
     RuleInapplicableError,
     certificate_at,
     check_comparison,
-    check_homogeneity,
     check_level_comparison,
     closed_form_pn,
+    exact_frobenius_seshadri,
+    exact_seshadri,
     frobenius_seshadri_lower,
     gg_twist_extend,
     seshadri_lower,
@@ -28,7 +29,6 @@ from .fano import (
     adjoint_jet_report,
     charpn_verdict,
     degree_bound_check,
-    meets_bauer_bound,
     seshadri_upper_from_curves,
     seshineq_check,
 )

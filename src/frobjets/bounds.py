@@ -8,6 +8,14 @@ Every model separates 0-jets, so the ordinary bound always has a certificate;
 a Frobenius sweep has none when no (m, e) cell separates. Separation is
 monotone in m, so cell (m, e) separates iff m >= m_e, the threshold of row e;
 a sweep is its e_max + 1 thresholds, and no per-cell table is ever built.
+
+Both constants are exact. Over the rows (w, s) with W = max(w) > 0 and
+S = sum(w), the Seshadri constant a/b = min s/W (lowest terms) is certified
+at (b, a): every floor of s(m) = min floor(s*m/W) is exact at m = b, and
+s(m)/m < a/b where b does not divide m, so seshadri_lower returns (b, a)
+whenever b <= m_max and scans the degrees only below it. The Frobenius
+constant (ell+1) * min s/(ell*W + S) is a limit, a Fraction: no cell attains
+it once ell >= 1.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .jets import (
     separates_frobenius_jets,
     separates_jets,
 )
-from .models import SectionModel, projective_space, scaled_model
+from .models import SectionModel, projective_space
 from .serialize import parse_int
 
 SESHADRI = "seshadri"
@@ -78,9 +86,29 @@ class BoundCertificate:
         return doc
 
 
+def exact_seshadri(model: SectionModel) -> BoundCertificate:
+    """The Seshadri constant a/b = min s/W over the rows with W > 0, certified at (b, a)."""
+    value = min(Fraction(s, max(w)) for w, s in model.constraints if max(w) > 0)
+    return BoundCertificate(SESHADRI, value, (value.denominator, value.numerator))
+
+
+def exact_frobenius_seshadri(model: SectionModel, ell: int) -> Fraction:
+    """The Frobenius-Seshadri limit (ell+1) * min s/(ell*W + S) over the rows with W > 0."""
+    parse_int(ell, "ell", 0)
+    rows = [(s, max(w), sum(w)) for w, s in model.constraints if max(w) > 0]
+    return (ell + 1) * min(Fraction(s, ell * big + total) for s, big, total in rows)
+
+
 def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
-    """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m."""
+    """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m.
+
+    That is exact_seshadri's certificate (b, a) when b <= m_max; only a
+    smaller m_max scans the degrees.
+    """
     parse_int(m_max, "m_max", 1)
+    exact = exact_seshadri(model)
+    if exact.witness[0] <= m_max:
+        return exact
     best = None
     for m in range(1, m_max + 1):
         s = s_jets(model, m)
@@ -99,7 +127,7 @@ def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_ma
     return [frobenius_threshold(model, ell, e, p) for e in range(e_max + 1)]
 
 
-def best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int) -> BoundCertificate | None:
+def _best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int):
     """Certificate for the largest value of the grid, None if no cell separates.
 
     Row e's best cell is (m_e, e) when m_e <= m_max; the first strict maximum
@@ -123,7 +151,7 @@ def frobenius_seshadri_lower(
     Returns None when no grid cell separates ("no certificate").
     """
     thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
-    return best_frobenius_certificate(thresholds, p, ell, m_max)
+    return _best_frobenius_certificate(thresholds, p, ell, m_max)
 
 
 def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> BoundCertificate:
@@ -239,24 +267,3 @@ def check_level_comparison(
         <= eps_high
         <= Fraction(ell + 1, lower_level + 1) * eps_low
     )
-
-
-def check_homogeneity(
-    model: SectionModel, r: int, p: int, ell: int, m_max: int, e_max: int
-) -> bool:
-    """Every separating pair on the base model lifts to the r-scaled model.
-
-    A witness (m, e) lifts to (ceil(m/r), e), with a value at least r times
-    the base value. Separation is monotone in m, so lifting the threshold m_e
-    of each e covers every separating m <= m_max.
-    """
-    parse_int(m_max, "m_max", 0)
-    parse_int(e_max, "e_max", 0)
-    scaled = scaled_model(model, r)
-    for e in range(e_max + 1):
-        m_e = frobenius_threshold(model, ell, e, p)
-        if m_e is None or m_e > m_max:
-            continue
-        if not separates_frobenius_jets(scaled, -(-m_e // r), ell, e, p):
-            return False
-    return True

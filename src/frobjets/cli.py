@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 from fractions import Fraction
 
 from .bounds import (
-    best_frobenius_certificate,
+    _best_frobenius_certificate,
     closed_form_pn,
     frobenius_thresholds,
     seshadri_lower,
@@ -114,7 +114,7 @@ def _cmd_seshadri(params):
     thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
-    payload = _certificate_payload(best_frobenius_certificate(thresholds, p, ell, m_max), closed)
+    payload = _certificate_payload(_best_frobenius_certificate(thresholds, p, ell, m_max), closed)
     if params["sweep_csv"]:
         with open(params["sweep_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)

@@ -25,6 +25,20 @@ class DataContradictionError(ValueError):
     """Supplied geometric data contradict a claimed bound."""
 
 
+def _parse_curves(curves) -> tuple[tuple[int, int], ...]:
+    """The (degree, multiplicity) pairs of `curves`, each entry an integer >= 1."""
+    try:
+        curves = tuple((d, mult) for d, mult in curves)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(
+            "curves_through_x must be a list of (degree, multiplicity) pairs"
+        ) from exc
+    for d, mult in curves:
+        parse_int(d, "curve degree", 1)
+        parse_int(mult, "curve multiplicity", 1)
+    return curves
+
+
 @dataclass(frozen=True)
 class FanoInput:
     """Certified inputs about an n-dimensional smooth variety with ample
@@ -57,16 +71,7 @@ class FanoInput:
                 if value <= 0:
                     raise ValueError(f"{name} must be positive")
                 object.__setattr__(self, name, value)
-        try:
-            curves = tuple((d, mult) for d, mult in self.curves_through_x)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                "curves_through_x must be a list of (degree, multiplicity) pairs"
-            ) from exc
-        for d, mult in curves:
-            parse_int(d, "curve degree", 1)
-            parse_int(mult, "curve multiplicity", 1)
-        object.__setattr__(self, "curves_through_x", curves)
+        object.__setattr__(self, "curves_through_x", _parse_curves(self.curves_through_x))
 
     @classmethod
     def from_json(cls, doc: dict) -> "FanoInput":
@@ -102,8 +107,12 @@ def adjoint_jet_report(
     A Seshadri bound also implies the Frobenius threshold through the
     comparison factor (ell+1)/(ell+n).
     """
+    parse_int(n, "n", 1)
+    parse_int(ell, "ell", 0)
     if eps is None and eps_frob is None:
         raise ValueError("need at least one of eps or eps_frob")
+    eps = None if eps is None else parse_fraction(eps)
+    eps_frob = None if eps_frob is None else parse_fraction(eps_frob)
     seshadri_fires = None if eps is None else eps > n + ell
     frobenius_fires = None if eps_frob is None else eps_frob > ell + 1
     implied = None if eps is None else Fraction(ell + 1, ell + n) * eps > ell + 1
@@ -118,16 +127,17 @@ def adjoint_jet_report(
 
 def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
     """(m+1)*eps - (n+1) <= s(m) <= m*eps for every supplied degree m."""
+    parse_int(n, "n", 1)
     eps = parse_fraction(eps)
     for m, s in s_values.items():
-        if not ((m + 1) * eps - (n + 1) <= s <= m * eps):
-            return False
-    return True
+        parse_int(m, "degree m", 1)
+        parse_int(s, "s(m)", 0)
+    return all((m + 1) * eps - (n + 1) <= s <= m * eps for m, s in s_values.items())
 
 
 def seshadri_upper_from_curves(curves) -> Fraction:
     """min over curves of degree/multiplicity, an upper bound at the point."""
-    curves = list(curves)
+    curves = _parse_curves(curves)
     if not curves:
         raise ValueError("need at least one curve")
     return min(Fraction(d, mult) for d, mult in curves)
@@ -223,20 +233,3 @@ def charpn_verdict(inp: FanoInput) -> CharPnVerdict:
         checks=checks,
         warnings=tuple(warnings),
     )
-
-
-def meets_bauer_bound(eps: Fraction, sigma: Fraction) -> bool:
-    """Exact predicate eps >= 2 / (1 + sqrt(4*sigma + 13)).
-
-    Rearranged to 2/eps - 1 <= sqrt(4*sigma + 13) and squared only when the
-    left side is positive, so no real roots are ever taken.
-    """
-    eps = parse_fraction(eps)
-    sigma = parse_fraction(sigma)
-    radicand = 4 * sigma + 13
-    if radicand < 0:
-        raise ValueError(f"negative radicand 4*sigma + 13 = {radicand}")
-    if eps <= 0:
-        return False
-    t = Fraction(2, 1) / eps - 1
-    return t <= 0 or t * t <= radicand

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,13 +14,15 @@ from test_jets import (
 from frobjets import bounds
 from frobjets.bounds import (
     FROBENIUS,
+    SESHADRI,
     BoundCertificate,
     RuleInapplicableError,
     certificate_at,
     check_comparison,
-    check_homogeneity,
     check_level_comparison,
     closed_form_pn,
+    exact_frobenius_seshadri,
+    exact_seshadri,
     frobenius_seshadri_lower,
     frobenius_thresholds,
     gg_twist_extend,
@@ -74,7 +75,8 @@ def keyed_best_cell(table):
 
 
 def double_loop_homogeneity(model, r, p, ell, m_max, e_max, scale=scaled_model):
-    """Reference: lift every separating base cell, and compare values when r | m."""
+    """Whether every separating base cell (m, e) lifts to (ceil(m/r), e) on the
+    r-scaled model, with r times the base value when r | m."""
     scaled = scale(model, r)
     for e in range(e_max + 1):
         for m in range(1, m_max + 1):
@@ -98,6 +100,41 @@ def limit_constants(model, ell):
     eps = min(Fraction(s, big) for s, big, _ in rows)
     eps_f = (ell + 1) * min(Fraction(s, ell * big + total) for s, big, total in rows)
     return eps, eps_f
+
+
+def scanned_seshadri(model, m_max):
+    """Reference: the first strict maximum of s(m)/m over m = 1, ..., m_max, as (value, (m, s))."""
+    best = None
+    for m in range(1, m_max + 1):
+        s = s_jets(model, m)
+        if best is None or Fraction(s, m) > best[0]:
+            best = (Fraction(s, m), (m, s))
+    return best
+
+
+@st.composite
+def models_and_degree_bounds(draw):
+    """A model and an m_max on either side of its Seshadri denominator b.
+
+    Custom rows with weights and slopes up to 9 give b up to 9; the models
+    of models_up_to_three_variables have b <= 3.
+    """
+    if draw(st.booleans()):
+        model = draw(models_up_to_three_variables())
+    else:
+        n = draw(st.integers(1, 3))
+        rows = draw(
+            st.lists(
+                st.tuples(st.tuples(*[st.integers(0, 9)] * n), st.integers(0, 9)), max_size=2
+            )
+        )
+        # a row with every weight positive bounds every variable
+        rows.append((tuple(draw(st.integers(1, 9)) for _ in range(n)), draw(st.integers(0, 9))))
+        model = custom_staircase(n, rows)
+    b = limit_constants(model, 0)[0].denominator
+    if b > 1 and draw(st.booleans()):
+        return model, draw(st.integers(1, b - 1))
+    return model, draw(st.integers(b, 3 * b))
 
 
 class TestSeshadriLower:
@@ -131,6 +168,29 @@ class TestSeshadriLower:
             cert = seshadri_lower(model, 8)
             assert cert.reverify(model)
             assert cert.reverify(model, method="cobasis")
+
+    @given(case=models_and_degree_bounds())
+    @example(case=(SLOPE_ZERO, 1))
+    @example(case=(ZERO_ROW_SLOPE_ZERO, 1))
+    @example(case=(ZERO_ROW_THREE, 2))
+    @example(case=(ZERO_ROW_THREE, 3))
+    @example(case=(custom_staircase(1, [((7,), 5)]), 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_degree_scan(self, case):
+        model, m_max = case
+        cert = seshadri_lower(model, m_max)
+        assert (cert.value, cert.witness) == scanned_seshadri(model, m_max)
+        assert (cert.kind, cert.derivation) == (SESHADRI, ("direct",))
+
+    @pytest.mark.parametrize("m_max, witness, scanned", [(6, (3, 2), 6), (7, (7, 5), 0)])
+    def test_scan_only_below_the_denominator(self, monkeypatch, m_max, witness, scanned):
+        # s(m) = floor(5m/7): 2/3 at m = 3 leads up to m = 6, and 5/7 is exact at m = 7
+        calls = []
+        monkeypatch.setattr(bounds, "s_jets", lambda *args: calls.append(args) or s_jets(*args))
+        cert = seshadri_lower(custom_staircase(1, [((7,), 5)]), m_max)
+        assert cert.witness == witness
+        assert cert.value == Fraction(witness[1], witness[0])
+        assert len(calls) == scanned
 
 
 class TestFrobeniusSeshadriLower:
@@ -362,7 +422,16 @@ class TestComparisons:
 
     def test_limit_constants_of_pn(self):
         for n, ell in ((1, 0), (2, 1), (3, 2), (4, 0)):
-            assert limit_constants(projective_space(n), ell) == (1, closed_form_pn(n, ell))
+            model = projective_space(n)
+            assert limit_constants(model, ell) == (1, closed_form_pn(n, ell))
+            pair = (exact_seshadri(model).value, exact_frobenius_seshadri(model, ell))
+            assert pair == (1, closed_form_pn(n, ell))
+
+    def test_exact_constants_skip_zero_rows(self):
+        # SLOPE_ZERO's only row with W > 0 has slope 0, ZERO_ROW_THREE's give 2 and 1/3
+        assert exact_seshadri(SLOPE_ZERO) == BoundCertificate(SESHADRI, Fraction(0), (1, 0))
+        assert exact_seshadri(ZERO_ROW_THREE).witness == (3, 1)
+        assert exact_frobenius_seshadri(ZERO_ROW_SLOPE_ZERO, 1) == Fraction(2, 5)
 
     @given(
         model=models_up_to_three_variables(),
@@ -372,6 +441,7 @@ class TestComparisons:
         e_max=st.integers(1, 4),
     )
     @example(model=SLOPE_ZERO, ell=0, p=2, m_max=10, e_max=2)
+    @example(model=SLOPE_ZERO, ell=1, p=3, m_max=10, e_max=2)
     @example(model=ZERO_ROW_SLOPE_ZERO, ell=1, p=3, m_max=40, e_max=3)
     @example(model=SLOPE_ZERO_ONE_VARIABLE, ell=0, p=2, m_max=5, e_max=1)
     @example(model=ZERO_ROW_THREE, ell=2, p=2, m_max=60, e_max=4)
@@ -380,9 +450,14 @@ class TestComparisons:
         # the sandwich (ell+1)/(ell+n) * eps <= eps_F <= eps of the limit constants
         eps, eps_f = limit_constants(model, ell)
         assert check_comparison(model.n, ell, eps, eps_f)
+        exact = exact_seshadri(model)
+        assert (exact.value, exact_frobenius_seshadri(model, ell)) == (eps, eps_f)
+        assert exact.reverify(model, method="cobasis")
         assert seshadri_lower(model, m_max).value <= eps
         cert = frobenius_seshadri_lower(model, p, ell, m_max, e_max)
         assert cert is None or cert.value <= eps_f
+        # no cell attains the Frobenius limit once ell >= 1
+        assert cert is None or ell == 0 or cert.value < eps_f
 
     def test_level_comparison_on_closed_forms(self):
         for n in range(1, 5):
@@ -407,13 +482,13 @@ class TestHomogeneity:
         assert cert.reverify(model)
 
     def test_r_one_trivial(self):
-        assert check_homogeneity(projective_space(2), 1, 2, 0, 6, 2)
+        assert double_loop_homogeneity(projective_space(2), 1, 2, 0, 6, 2)
 
     def test_p2_grid(self):
-        assert check_homogeneity(projective_space(2), 3, 2, 0, 12, 3)
+        assert double_loop_homogeneity(projective_space(2), 3, 2, 0, 12, 3)
 
     def test_product_grid(self):
-        assert check_homogeneity(product_projective(1, 1, 1, 2), 2, 3, 1, 10, 2)
+        assert double_loop_homogeneity(product_projective(1, 1, 1, 2), 2, 3, 1, 10, 2)
 
     @given(
         model=models_up_to_three_variables(),
@@ -422,23 +497,20 @@ class TestHomogeneity:
         ell=st.integers(0, 2),
         m_max=st.integers(0, 12),
         e_max=st.integers(0, 3),
-        broken=st.booleans(),
     )
-    @example(model=SLOPE_ZERO, r=2, p=2, ell=0, m_max=6, e_max=2, broken=False)
-    @example(model=ZERO_ROW_SLOPE_ZERO, r=3, p=3, ell=1, m_max=12, e_max=2, broken=True)
-    @example(model=SLOPE_ZERO_ONE_VARIABLE, r=2, p=2, ell=0, m_max=4, e_max=1, broken=True)
-    @example(model=ZERO_ROW_THREE, r=2, p=2, ell=1, m_max=12, e_max=3, broken=False)
+    @example(model=SLOPE_ZERO, r=2, p=2, ell=0, m_max=6, e_max=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, r=3, p=3, ell=1, m_max=12, e_max=2)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, r=2, p=2, ell=0, m_max=4, e_max=1)
+    @example(model=ZERO_ROW_THREE, r=2, p=2, ell=1, m_max=12, e_max=3)
     @settings(max_examples=100, deadline=None)
-    def test_matches_double_loop(self, model, r, p, ell, m_max, e_max, broken):
-        # a broken scale that leaves the model unscaled makes lifts fail
-        scale = (lambda base, r: base) if broken else scaled_model
-        expected = double_loop_homogeneity(model, r, p, ell, m_max, e_max, scale)
-        with mock.patch.object(bounds, "scaled_model", scale):
-            assert check_homogeneity(model, r, p, ell, m_max, e_max) == expected
+    def test_every_lift_holds(self, model, r, p, ell, m_max, e_max):
+        assert double_loop_homogeneity(model, r, p, ell, m_max, e_max)
 
     def test_broken_scale_is_caught(self):
-        with mock.patch.object(bounds, "scaled_model", lambda base, r: base):
-            assert not check_homogeneity(projective_space(2), 2, 2, 0, 6, 2)
+        # a scale that leaves the model unscaled makes the lift of (2, 1) to (1, 1) fail
+        assert not double_loop_homogeneity(
+            projective_space(2), 2, 2, 0, 6, 2, scale=lambda base, r: base
+        )
 
 
 class TestCertificateJson:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -12,7 +11,6 @@ from frobjets.fano import (
     adjoint_jet_report,
     charpn_verdict,
     degree_bound_check,
-    meets_bauer_bound,
     seshadri_upper_from_curves,
     seshineq_check,
 )
@@ -48,6 +46,16 @@ class TestAdjointJetReport:
         with pytest.raises(ValueError):
             adjoint_jet_report(2, 0)
 
+    @pytest.mark.parametrize("bound", ["eps", "eps_frob"])
+    def test_float_bound_refused(self, bound):
+        # 4.6 > n + ell would fire the criterion if a float were compared
+        with pytest.raises(ValueError, match="^not an exact rational: 4.6$"):
+            adjoint_jet_report(3, 1, **{bound: 4.6})
+
+    def test_text_bound_parsed_exactly(self):
+        report = adjoint_jet_report(3, 1, eps="9/2", eps_frob="2")
+        assert report.seshadri_criterion and report.frobenius_criterion is False
+
 
 class TestSeshineq:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -65,6 +73,14 @@ class TestSeshineq:
         n = 3
         assert not seshineq_check(n, Fraction(n + 1), {1: n})
 
+    def test_every_entry_checked_after_a_violation(self):
+        with pytest.raises(ValueError, match=r"^s\(m\) must be an integer"):
+            seshineq_check(3, Fraction(4), {1: 3, 2: 4.0})
+
+    def test_float_eps_refused(self):
+        with pytest.raises(ValueError, match="^not an exact rational"):
+            seshineq_check(1, 2.0, {1: 2})
+
 
 class TestCurveUpperBounds:
     def test_line(self):
@@ -76,6 +92,11 @@ class TestCurveUpperBounds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             seshadri_upper_from_curves([])
+
+    @pytest.mark.parametrize("curves", [[(True, 1)], [(4, 0)], [(4,)], 4])
+    def test_malformed_curves_rejected(self, curves):
+        with pytest.raises(ValueError, match="^curve|^curves_through_x"):
+            seshadri_upper_from_curves(curves)
 
 
 class TestDegreeBound:
@@ -189,66 +210,3 @@ class TestCharPnVerdict:
     def test_non_integer_fields_rejected(self, doc):
         with pytest.raises(ValueError, match="must be an integer"):
             FanoInput.from_json(doc)
-
-
-def bauer_interval(sigma):
-    """Reference: an enclosure (lower, upper) of 2 / (1 + sqrt(4*sigma + 13)).
-
-    sqrt(a/b) = sqrt(a*b)/b lies between scaled integer square roots, and the
-    bound falls as the root grows. The scale grows until the width is <= 10^-12.
-    """
-    radicand = 4 * Fraction(sigma) + 13
-    a, b = radicand.numerator, radicand.denominator
-    scale = 10**15
-    while True:
-        root = isqrt(a * b * scale * scale)
-        lower = 2 / (1 + Fraction(root + 1, b * scale))
-        upper = 2 / (1 + Fraction(root, b * scale))
-        if upper - lower <= Fraction(1, 10**12):
-            return lower, upper
-        scale *= 1000
-
-
-class TestBauerBound:
-    def test_perfect_square_negative_sigma(self):
-        # 4*(-1) + 13 = 3^2, so the bound is exactly 2/(1+3) = 1/2
-        assert meets_bauer_bound(Fraction(1, 2), Fraction(-1))
-        assert not meets_bauer_bound(Fraction(1, 2) - Fraction(1, 10**30), Fraction(-1))
-
-    def test_perfect_square_sigma_three(self):
-        # 4*3 + 13 = 5^2, so the bound is exactly 2/(1+5) = 1/3
-        assert meets_bauer_bound(Fraction(1, 3), Fraction(3))
-        assert not meets_bauer_bound(Fraction(1, 3) - Fraction(1, 10**30), Fraction(3))
-
-    def test_sigma_zero_interval(self):
-        lower, upper = bauer_interval(0)
-        assert upper - lower <= Fraction(1, 10**12)
-        # Oracle: bisection on f(x) = x^2 - 13 for sqrt(13), then 2/(1+s).
-        lo, hi = Fraction(3), Fraction(4)
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if mid * mid < 13:
-                lo = mid
-            else:
-                hi = mid
-        assert lower <= 2 / (1 + hi)
-        assert 2 / (1 + lo) <= upper * (1 + Fraction(1, 10**10))
-
-    def test_negative_radicand_rejected(self):
-        with pytest.raises(ValueError, match="negative radicand"):
-            meets_bauer_bound(Fraction(1), Fraction(-4))
-
-    def test_exact_predicate(self):
-        assert meets_bauer_bound(Fraction(1, 2), Fraction(-1))
-        assert not meets_bauer_bound(Fraction(2, 5), Fraction(-1))
-        assert meets_bauer_bound(Fraction(1, 3), Fraction(3))
-        assert meets_bauer_bound(Fraction(5), Fraction(0))  # t < 0 branch
-        assert not meets_bauer_bound(Fraction(0), Fraction(0))
-
-    def test_predicate_consistent_with_interval(self):
-        for sigma in (Fraction(0), Fraction(5, 7), Fraction(12)):
-            lower, upper = bauer_interval(sigma)
-            assert meets_bauer_bound(upper, sigma)
-            below = lower - Fraction(1, 10**6)
-            if below > 0:
-                assert not meets_bauer_bound(below, sigma)

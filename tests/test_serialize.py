@@ -179,11 +179,11 @@ INTEGER_PARAMETERS = [
     ("n", lambda v: frobjets.check_level_comparison(v, 3, 1, Fraction(1), Fraction(1))),
     ("ell", lambda v: frobjets.check_level_comparison(2, v, 0, Fraction(1), Fraction(1))),
     ("lower_level", lambda v: frobjets.check_level_comparison(2, 3, v, Fraction(1), Fraction(1))),
-    ("scale factor r", lambda v: frobjets.check_homogeneity(_P2, v, 2, 1, 6, 2)),
-    ("characteristic", lambda v: frobjets.check_homogeneity(_P2, 2, v, 1, 6, 2)),
-    ("ell", lambda v: frobjets.check_homogeneity(_P2, 2, 2, v, 6, 2)),
-    ("m_max", lambda v: frobjets.check_homogeneity(_P2, 2, 2, 1, v, 2)),
-    ("e_max", lambda v: frobjets.check_homogeneity(_P2, 2, 2, 1, 6, v)),
+    ("ell", lambda v: frobjets.exact_frobenius_seshadri(_P2, v)),
+    ("n", lambda v: frobjets.adjoint_jet_report(v, 1, eps=Fraction(5))),
+    ("ell", lambda v: frobjets.adjoint_jet_report(2, v, eps_frob=Fraction(3))),
+    ("curve degree", lambda v: frobjets.seshadri_upper_from_curves([(v, 1)])),
+    ("curve multiplicity", lambda v: frobjets.seshadri_upper_from_curves([(3, v)])),
     ("n", lambda v: frobjets.FanoInput(n=v)),
     ("char", lambda v: frobjets.FanoInput(n=2, char=v)),
     ("antican_selfint", lambda v: frobjets.FanoInput(n=2, antican_selfint=v)),
@@ -199,6 +199,9 @@ INTEGER_PARAMETERS = [
     ("n", lambda v: frobjets.det_pp_closed(v, 1)),
     ("ell", lambda v: frobjets.det_pp_closed(2, v)),
     ("summand degree", lambda v: frobjets.mori_endgame([v, 1, 1])),
+    ("n", lambda v: frobjets.seshineq_check(v, Fraction(3), {1: 1})),
+    ("degree m", lambda v: frobjets.seshineq_check(2, Fraction(3), {v: 1})),
+    ("s(m)", lambda v: frobjets.seshineq_check(2, Fraction(3), {1: v})),
 ]
 
 
