@@ -17,13 +17,17 @@ against. Two shapes built here answer membership structurally instead
 
 Neither shape is re-minimalized: the compositions of k are the minimal
 generators of m^k, and scaling by q keeps an antichain an antichain.
+
+Construction checks all generators at once, and one at a time only to name
+the first bad one; the cobasis is walked, not scanned from a bounding box.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import isqrt
 from operator import le
 
@@ -57,11 +61,6 @@ def ensure_prime(p: int) -> int:
     return p
 
 
-def divides(a: Exponent, b: Exponent) -> bool:
-    """Componentwise a <= b, i.e. x^a divides x^b."""
-    return all(map(le, a, b))
-
-
 def _check_exponent(a, n: int) -> Exponent:
     a = tuple(a)
     for x in a:
@@ -76,11 +75,14 @@ def _check_exponent(a, n: int) -> Exponent:
 
 
 def _minimal_antichain(gens: set[Exponent]) -> list[Exponent]:
-    # Keep only divisibility-minimal elements; scan in increasing total
-    # degree so each candidate is only compared against kept generators.
+    # Keep only divisibility-minimal elements. A proper divisor has a smaller
+    # total degree, so in degree order each candidate meets only kept ones.
     kept: list[Exponent] = []
-    for a in sorted(gens, key=lambda g: (sum(g), g)):
-        if not any(divides(b, a) for b in kept):
+    for a in sorted(gens, key=sum):
+        for b in kept:
+            if all(map(le, b, a)):
+                break
+        else:
             kept.append(a)
     return sorted(kept)
 
@@ -100,9 +102,9 @@ class MonomialIdeal:
     ``a in ideal`` takes any exponent a caller supplies: it runs the same
     one check as construction (length, then entries; a list is accepted)
     and then asks ``_has``. ``_has(a)`` skips that check, so it is only for
-    exponents the package built itself: the points it enumerates with
-    ``product``, and the generators of another ideal with the same n,
-    which construction has already checked.
+    exponents the package built itself: the points it enumerates (by
+    ``product`` or the cobasis walk), and the generators of another
+    ideal with the same n, which construction has already checked.
     """
 
     n: int
@@ -112,9 +114,21 @@ class MonomialIdeal:
     )
 
     def __post_init__(self):
-        parse_int(self.n, "variable count n", 1)
-        checked = {_check_exponent(g, self.n) for g in self.gens}
-        object.__setattr__(self, "gens", tuple(_minimal_antichain(checked)))
+        n = parse_int(self.n, "variable count n", 1)
+        raw = tuple(self.gens)
+        try:
+            gens = list(map(tuple, raw))
+        except TypeError:
+            gens = None
+        # check all entries at once and dedupe only after, as (2,) == (2.0,);
+        # on a failure the check per generator raises the first error in order
+        if gens is None or not (
+            set(map(type, chain.from_iterable(gens))) <= {int}
+            and set(map(len, gens)) <= {n}
+            and min(chain.from_iterable(gens), default=0) >= 0
+        ):
+            gens = [_check_exponent(g, n) for g in raw]
+        object.__setattr__(self, "gens", tuple(_minimal_antichain(set(gens))))
 
     @classmethod
     def _structured(cls, n: int, gens: tuple[Exponent, ...], rule) -> MonomialIdeal:
@@ -271,16 +285,27 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> list[int]:
 def cobasis(ideal: MonomialIdeal) -> frozenset[Exponent]:
     """Exponents of the monomials outside the ideal (the staircase complement).
 
-    Raises if the complement is infinite.
+    Raises if the complement is infinite. The complement is downward closed,
+    so it is built one coordinate at a time: a prefix in it (zero-padded)
+    takes every next coordinate below the first one in the ideal, found by a
+    binary search below the pure power that asks only ``_has``.
     """
     if ideal.is_unit():
         return frozenset()
     if ideal.is_zero():
         raise ValueError("not zero-dimensional: zero ideal has infinite complement")
-    bounds = _pure_power_bounds(ideal)
-    return frozenset(
-        a for a in product(*(range(b) for b in bounds)) if not ideal._has(a)
-    )
+    points: list[Exponent] = [()]
+    for i, bound in enumerate(_pure_power_bounds(ideal)):
+        pad = (0,) * (ideal.n - i - 1)
+        extended = []
+        for prefix in points:
+            # the first x in the ideal: prefix + pad is outside, x = bound inside
+            first = bisect_left(
+                range(bound), True, 1, key=lambda x: ideal._has(prefix + (x,) + pad)
+            )
+            extended += [prefix + (x,) for x in range(first)]
+        points = extended
+    return frozenset(points)
 
 
 def staircase_corners(ideal: MonomialIdeal):

@@ -1,11 +1,13 @@
 import inspect
 import itertools
+import random
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobjets.cartier import random_primary_ideal
 from frobjets.monomials import (
     InclusionReport,
     MonomialIdeal,
@@ -13,7 +15,6 @@ from frobjets.monomials import (
     cobasis,
     contains,
     contains_maximal_power,
-    divides,
     ensure_prime,
     is_prime,
     maximal_ideal,
@@ -36,9 +37,14 @@ def degree_monomials(n, d):
     return [a for a in itertools.product(range(d + 1), repeat=n) if sum(a) == d]
 
 
+def divides(a, b):
+    """Oracle: componentwise a <= b, i.e. x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def scan_member(gens, a):
     """Oracle: x^a is in the ideal iff some generator divides it."""
-    return any(all(x <= y for x, y in zip(g, a)) for g in gens)
+    return any(divides(g, a) for g in gens)
 
 
 def brute_power_gens(base_gens, k, n):
@@ -110,6 +116,67 @@ class TestMinimalize:
         for ideal in shapes:
             with pytest.raises(ValueError, match="integers"):
                 a in ideal
+
+
+def pairwise_minimal(gens):
+    """Oracle: keep g iff no other distinct generator divides it, then sort."""
+    distinct = {tuple(g) for g in gens}
+    return tuple(
+        sorted(g for g in distinct if not any(divides(h, g) for h in distinct if h != g))
+    )
+
+
+@st.composite
+def generator_lists(draw):
+    """n and a generator list with repeats, mixing lists and tuples."""
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=12))
+    gens = pool + draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
+    gens = draw(st.permutations(gens))
+    return n, [list(g) if draw(st.booleans()) else g for g in gens]
+
+
+class TestConstruction:
+    """The batched generator check and the degree-sorted antichain."""
+
+    @given(data=generator_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_minimalize_matches_pairwise_oracle(self, data):
+        n, gens = data
+        assert minimalize(gens, n).gens == pairwise_minimal(gens)
+        assert MonomialIdeal(n, tuple(gens)).gens == pairwise_minimal(gens)
+
+    # The first bad generator in list order decides the exception and its
+    # text, also when an equal valid one, such as (2,) for (2.0,), is present.
+    @pytest.mark.parametrize(
+        "n,gens,error,message",
+        [
+            (1, ((2,), (2.0,)), ValueError, "exponent entries must be integers, got (2.0,)"),
+            (1, ((2.0,), (2,)), ValueError, "exponent entries must be integers, got (2.0,)"),
+            (2, ((1, True),), ValueError, "exponent entries must be integers, got (1, True)"),
+            (
+                2,
+                ((_One.ONE, 0),),
+                ValueError,
+                "exponent entries must be integers, got (<_One.ONE: 1>, 0)",
+            ),
+            (2, ((1, -1), (1.5, 0)), ValueError, "exponent entries must be >= 0, got (1, -1)"),
+            (2, ((1, 2), (0, -1)), ValueError, "exponent entries must be >= 0, got (0, -1)"),
+            (2, ((1, 1), (1, 2, 3)), ValueError, "exponent (1, 2, 3) has length 3, expected 2"),
+            (2, ((1, 2), (-3,)), ValueError, "exponent (-3,) has length 1, expected 2"),
+            (2, ((1, 2), [3, 4.0]), ValueError, "exponent entries must be integers, got (3, 4.0)"),
+            (2, ("ab",), ValueError, "exponent entries must be integers, got ('a', 'b')"),
+            (1, (5,), TypeError, "'int' object is not iterable"),
+            (2, ((2.0, 5), 5), ValueError, "exponent entries must be integers, got (2.0, 5)"),
+            (2, (5, (2.0, 5)), TypeError, "'int' object is not iterable"),
+        ],
+    )
+    def test_first_error_in_list_order(self, n, gens, error, message):
+        for build in (lambda: MonomialIdeal(n, gens), lambda: minimalize(gens, n)):
+            with pytest.raises(error) as info:
+                build()
+            assert type(info.value) is error
+            assert str(info.value) == message
 
 
 class TestMaximalIdeal:
@@ -287,6 +354,90 @@ class TestCobasis:
         outside = cobasis(ideal)
         for a in itertools.product(range(7), repeat=2):
             assert (a in outside) != (a in ideal)
+
+
+def box_scan(ideal):
+    """Oracle: the points of the pure-power box that no generator divides."""
+    if ideal.is_unit():
+        return set()
+    bounds = [
+        min(g[i] for g in ideal.gens if g[i] > 0 and sum(g) == g[i])
+        for i in range(ideal.n)
+    ]
+    return {
+        a
+        for a in itertools.product(*(range(b) for b in bounds))
+        if not scan_member(ideal.gens, a)
+    }
+
+
+@st.composite
+def ideals_with_pure_powers(draw, max_n=4, top=5):
+    """A random ideal in n <= max_n variables that includes every pure power."""
+    n = draw(st.integers(1, max_n))
+    pure = [draw(st.integers(1, top)) for _ in range(n)]
+    gens = [tuple(b if i == j else 0 for i in range(n)) for j, b in enumerate(pure)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, top)] * n), max_size=5))
+    return MonomialIdeal(n, tuple(gens))
+
+
+class TestCobasisWalk:
+    """The staircase walk against a scan of the whole pure-power box."""
+
+    def assert_walk_matches_scan(self, ideal):
+        cobasis.cache_clear()
+        assert cobasis(ideal) == box_scan(ideal)
+
+    @given(ideal=ideals_with_pure_powers())
+    @settings(max_examples=150, deadline=None)
+    def test_random_ideals(self, ideal):
+        self.assert_walk_matches_scan(ideal)
+
+    @given(n=st.integers(1, 4), k=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_maximal_ideal_powers(self, n, k):
+        self.assert_walk_matches_scan(power(maximal_ideal(n), k))
+
+    @given(
+        n=st.integers(1, 3),
+        k=st.integers(1, 3),
+        p=st.sampled_from([2, 3]),
+        e=st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bracket_of_maximal_power(self, n, k, p, e):
+        self.assert_walk_matches_scan(bracket_power(power(maximal_ideal(n), k), p, e))
+
+    @given(
+        ideal=ideals_with_pure_powers(max_n=3, top=4),
+        pe=st.sampled_from([(2, 0), (2, 1), (3, 1), (2, 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bracket_of_plain_ideal(self, ideal, pe):
+        self.assert_walk_matches_scan(bracket_power(ideal, *pe))
+
+    @given(n=st.integers(1, 3), seed=st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_primary_ideals(self, n, seed):
+        self.assert_walk_matches_scan(random_primary_ideal(n, random.Random(seed)))
+
+    def test_thin_staircase_asks_few_points(self, monkeypatch):
+        # The box scan would ask all N^2 = 10^8 points of this box.
+        N = 10**4
+        calls = 0
+        has = MonomialIdeal._has
+
+        def counting_has(ideal, a):
+            nonlocal calls
+            calls += 1
+            return has(ideal, a)
+
+        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
+        cobasis.cache_clear()
+        points = cobasis(MonomialIdeal(2, ((N, 0), (0, N), (1, 1))))
+        assert len(points) == 2 * N - 1
+        assert points == {(x, 0) for x in range(N)} | {(0, y) for y in range(N)}
+        assert calls <= 40 * N
 
 
 class TestStaircaseMaxDegree:
