@@ -1,14 +1,19 @@
-"""The acceptance suite: every exit criterion as a callable check.
+"""The acceptance suite: every exit criterion as one entry of a table.
 
-Each criterion returns a result with a pass flag and a short detail string;
-`run_all` executes the full battery. All checks are exact; independent
-oracles (the cobasis corners asked of the model, symmetric-power expansion,
-direct lattice counts) are recomputed here rather than trusted from the
-fast paths they validate.
+`@criterion(number, name, detail)` registers a body in `CRITERIA`, in
+number order. A body only finds failures: it yields each one it meets and
+may return its count of cases (or, for a value check, the value), which a
+callable pass detail formats. One runner, `criterion`'s `check`, turns every
+body into a `CriterionResult` and formats every failure detail; `run_all`
+executes the full battery. All checks are exact. Each independent oracle
+(the cobasis separation checker, the symmetric-power expansion, the
+re-verification of a certificate's witness) stays inline in its criterion,
+which never calls the fast path it validates to check that fast path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -57,10 +62,44 @@ class CriterionResult:
         return f"{status}  criterion {self.number:2d}  {self.name}: {self.detail}"
 
 
-def criterion_1_pn_jet_threshold() -> CriterionResult:
+CRITERIA = []
+
+
+def criterion(number, name, detail, failed="failed at {first}", need=0):
+    """Register a failure-finding body as criterion `number` of `CRITERIA`.
+
+    `detail` is the pass detail, or a function of the body's return value
+    and the number of cases that did not fail. On a failure, `failed`
+    formats the detail from the pass `detail` and the `first` failure. With
+    `need`, fewer than `need` cases fail the criterion too.
+    """
+
+    def register(find_failures):
+        @functools.wraps(find_failures)
+        def check() -> CriterionResult:
+            failures, body = [], find_failures()
+            try:
+                while True:
+                    failures.append(next(body))
+            except StopIteration as stop:
+                count = stop.value
+            text = detail(count, count - len(failures)) if callable(detail) else detail
+            if failures:
+                text = failed.format(detail=text, first=failures[0])
+            passed = not failures and not (need and count < need)
+            return CriterionResult(number, name, passed, text)
+
+        CRITERIA.append(check)
+        return check
+
+    return register
+
+
+@criterion(1, "projective-space jet threshold", lambda cells, ok: f"{ok}/{cells} cells agree",
+           failed="{detail}; first mismatch {first}")
+def criterion_1_pn_jet_threshold():
     """The cobasis oracle's Frobenius-jet separation matches the closed-form threshold."""
     cells = 0
-    mismatches = []
     for n in (1, 2, 3):
         model = projective_space(n)
         for p in (2, 3):
@@ -73,38 +112,32 @@ def criterion_1_pn_jet_threshold() -> CriterionResult:
                             model, m, ell, e, p, method="cobasis"
                         )
                         if brute != (m >= threshold):
-                            mismatches.append((n, p, ell, e, m))
-    passed = not mismatches
-    detail = f"{cells - len(mismatches)}/{cells} cells agree"
-    if mismatches:
-        detail += f"; first mismatch {mismatches[0]}"
-    return CriterionResult(1, "projective-space jet threshold", passed, detail)
+                            yield (n, p, ell, e, m)
+    return cells
 
 
-def criterion_2_ordinary_seshadri_pn() -> CriterionResult:
-    failures = []
+@criterion(2, "ordinary Seshadri on projective space",
+           "value 1 with witness (1,1) and s(m)=m for n<=5, m<=20")
+def criterion_2_ordinary_seshadri_pn():
     for n in range(1, 6):
         model = projective_space(n)
         cert = seshadri_lower(model, 20)
         if cert.value != 1 or cert.witness != (1, 1):
-            failures.append((n, "certificate", cert))
+            yield (n, "certificate", cert)
         for m in range(1, 21):
             if s_jets(model, m) != m:
-                failures.append((n, "s_jets", m))
-    detail = "value 1 with witness (1,1) and s(m)=m for n<=5, m<=20"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(2, "ordinary Seshadri on projective space", not failures, detail)
+                yield (n, "s_jets", m)
 
 
-def criterion_3_frobenius_closed_form() -> CriterionResult:
+@criterion(3, "Frobenius-Seshadri closed form",
+           "grid n<=4, ell<=4, p in {2,3}, e<=6 within 2/p^6 of (ell+1)/(ell+n)")
+def criterion_3_frobenius_closed_form():
     """Certificates along the threshold degrees approach (ell+1)/(ell+n).
 
     For ell >= 1 the sequence is strictly increasing and strictly below the
     closed form; for ell = 0 the certificate equals the closed form exactly
     at every e, so the strictness clauses are replaced by exact equality.
     """
-    failures = []
     for n in range(1, 5):
         model = projective_space(n)
         for ell in range(5):
@@ -115,34 +148,30 @@ def criterion_3_frobenius_closed_form() -> CriterionResult:
                     m = pn_threshold(n, ell, e, p)
                     values.append(certificate_at(model, p, ell, m, e).value)
                 if abs(limit - values[-1]) > Fraction(2, p**6):
-                    failures.append((n, ell, p, "tolerance"))
+                    yield (n, ell, p, "tolerance")
                 if ell == 0:
                     if any(v != limit for v in values):
-                        failures.append((n, ell, p, "exact-equality"))
+                        yield (n, ell, p, "exact-equality")
                 else:
                     if not all(a < b for a, b in zip(values, values[1:])):
-                        failures.append((n, ell, p, "monotone"))
+                        yield (n, ell, p, "monotone")
                     if not all(v < limit for v in values):
-                        failures.append((n, ell, p, "below-limit"))
-    detail = "grid n<=4, ell<=4, p in {2,3}, e<=6 within 2/p^6 of (ell+1)/(ell+n)"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(3, "Frobenius-Seshadri closed form", not failures, detail)
+                        yield (n, ell, p, "below-limit")
 
 
-def criterion_4_limsup_not_limit() -> CriterionResult:
-    demo = subsequence_demo(2, 1, 2, 8)
-    value = demo.lower_seq[-1]
-    expected = Fraction(254, 765)
-    target = Fraction(1, 3)
-    passed = value == expected and abs(value - target) < Fraction(1, 100)
-    detail = f"lower-sequence value {value} vs limit 1/3"
-    return CriterionResult(4, "limsup/lim gap demonstration", passed, detail)
+@criterion(4, "limsup/lim gap demonstration",
+           lambda value, _: f"lower-sequence value {value} vs limit 1/3", failed="{detail}")
+def criterion_4_limsup_not_limit():
+    value = subsequence_demo(2, 1, 2, 8).lower_seq[-1]
+    if value != Fraction(254, 765) or abs(value - Fraction(1, 3)) >= Fraction(1, 100):
+        yield value
+    return value
 
 
-def criterion_5_inclusion_suite() -> CriterionResult:
+@criterion(5, "power/bracket-power inclusion suite",
+           lambda cases, ok: f"{ok}/{cases} inclusion chains verified", failed="{detail}")
+def criterion_5_inclusion_suite():
     cases = 0
-    failures = []
     for n in range(1, 6):
         for ell in range(5):
             for e in range(4):
@@ -150,42 +179,39 @@ def criterion_5_inclusion_suite() -> CriterionResult:
                     cases += 1
                     report = verify_lemma_monomials(n, ell, e, p)
                     if not report.all_ok:
-                        failures.append((n, ell, e, p, report))
-    detail = f"{cases - len(failures)}/{cases} inclusion chains verified"
-    return CriterionResult(5, "power/bracket-power inclusion suite", not failures, detail)
+                        yield (n, ell, e, p, report)
+    return cases
 
 
-def criterion_6_comparison_inequalities() -> CriterionResult:
-    failures = []
+@criterion(6, "comparison inequalities", "closed-form sandwich and level comparisons hold exactly")
+def criterion_6_comparison_inequalities():
     for n in range(1, 7):
         for ell in range(7):
             eps = Fraction(1)
             frob = closed_form_pn(n, ell)
             if Fraction(ell + 1, ell + n) * eps != frob:
-                failures.append((n, ell, "left-equality"))
+                yield (n, ell, "left-equality")
             if not check_comparison(n, ell, eps, frob):
-                failures.append((n, ell, "sandwich"))
+                yield (n, ell, "sandwich")
     for n in range(1, 5):
         for low in range(5):
             for high in range(low + 1, 5):
                 if not check_level_comparison(
                     n, high, low, closed_form_pn(n, high), closed_form_pn(n, low)
                 ):
-                    failures.append((n, high, low, "level-comparison"))
-    detail = "closed-form sandwich and level comparisons hold exactly"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(6, "comparison inequalities", not failures, detail)
+                    yield (n, high, low, "level-comparison")
 
 
-def criterion_7_derived_certificates() -> CriterionResult:
+@criterion(7, "derivation-rule soundness",
+           lambda count, ok: f"{ok}/{count} derived certificates re-verified (need >= 100)",
+           failed="{detail}", need=100)
+def criterion_7_derived_certificates():
     models = [
         projective_space(1),
         projective_space(2),
         product_projective(1, 1, 1, 2),
     ]
     count = 0
-    failures = []
     for model, p, ell in itertools.product(models, (2, 3), (0, 1, 2)):
         # the threshold of P^n, n = model.n, separates on all three models
         base_m = pn_threshold(model.n, ell, 1, p)
@@ -195,65 +221,57 @@ def criterion_7_derived_certificates() -> CriterionResult:
                 derived = gg_twist_extend(tensor_power_scale(base, r, p), j, model)
                 count += 1
                 if not derived.reverify(model, method="cobasis"):
-                    failures.append((model.label, p, ell, r, j))
-    passed = not failures and count >= 100
-    detail = f"{count - len(failures)}/{count} derived certificates re-verified (need >= 100)"
-    return CriterionResult(7, "derivation-rule soundness", passed, detail)
+                    yield (model.label, p, ell, r, j)
+    return count
 
 
-def criterion_8_cartier_suite() -> CriterionResult:
-    failures = []
+@criterion(8, "trace-map verification suite",
+           "surjectivity on 30-boxes, 100 ideal identities, iteration on 200 forms")
+def criterion_8_cartier_suite():
     for n in (1, 2, 3):
         for p in (2, 3):
             for e in (0, 1, 2):
                 if surjectivity_counterexample(n, p, e, 30) is not None:
-                    failures.append(("surjectivity", n, p, e))
+                    yield ("surjectivity", n, p, e)
     rng = random.Random(2024)
-    ideals = 0
-    while ideals < 100:
+    for _ in range(100):
         n = rng.randrange(1, 4)
         p = rng.choice([2, 3])
         e = rng.randrange(1, 3)
         q = p**e
         box = max(2, min(10, int(round(40000 ** (1 / n))) // q - 1))
         ideal = random_primary_ideal(n, rng)
-        ideals += 1
         if ideal_identity_counterexample(ideal, p, e, box) is not None:
-            failures.append(("ideal-identity", ideal, p, e, box))
+            yield ("ideal-identity", ideal, p, e, box)
     for p in (2, 3):
         forms = random_forms(2, p, 200, seed=5)
         for e1, e2 in ((1, 1), (1, 2), (2, 1)):
             if iteration_counterexample(p, e1, e2, forms) is not None:
-                failures.append(("iteration", p, e1, e2))
-    detail = "surjectivity on 30-boxes, 100 ideal identities, iteration on 200 forms"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(8, "trace-map verification suite", not failures, detail)
+                yield ("iteration", p, e1, e2)
 
 
-def criterion_9_principal_parts() -> CriterionResult:
-    failures = []
+@criterion(9, "principal-parts determinants",
+           lambda cases, _: f"{cases} determinant classes agree, (2,2) gives omega^4 L^6")
+def criterion_9_principal_parts():
     cases = 0
     for n in range(1, 8):
         for ell in range(11):
             cases += 1
             try:
                 if det_pp_recursive(n, ell) != det_pp_closed(n, ell):
-                    failures.append((n, ell))
+                    yield (n, ell)
             except ArithmeticError:
-                failures.append((n, ell, "integrality"))
+                yield (n, ell, "integrality")
     reference = det_pp_recursive(2, 2)
     if (reference.omega_exp, reference.l_exp) != (4, 6):
-        failures.append(("reference", reference))
-    detail = f"{cases} determinant classes agree, (2,2) gives omega^4 L^6"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(9, "principal-parts determinants", not failures, detail)
+        yield ("reference", reference)
+    return cases
 
 
-def criterion_10_split_bundle_endgame() -> CriterionResult:
+@criterion(10, "split-bundle positivity endgame",
+           "min-inequality matches full expansion on 200 random inputs")
+def criterion_10_split_bundle_endgame():
     rng = random.Random(99)
-    failures = []
     for _ in range(200):
         n = rng.randrange(1, 5)
         a = tuple(rng.randrange(-5, 6) for _ in range(n))
@@ -266,66 +284,60 @@ def criterion_10_split_bundle_endgame() -> CriterionResult:
         ]
         oracle_gg = all(s - b >= 0 for s in sums)
         if report.gg != oracle_gg:
-            failures.append(a)
+            yield a
     for n in range(2, 6):
         report = mori_endgame((2,) + (1,) * (n - 1))
         if not report.gg or min(report.quotient_degrees) != 0:
-            failures.append(("reference", n))
-    detail = "min-inequality matches full expansion on 200 random inputs"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(10, "split-bundle positivity endgame", not failures, detail)
+            yield ("reference", n)
 
 
-def criterion_11_fano_chain_and_verdicts() -> CriterionResult:
-    failures = []
+@criterion(11, "positivity chain and verdicts",
+           "chain equalities, verdict firing/refusal, degree-bound equalities")
+def criterion_11_fano_chain_and_verdicts():
     for n in range(1, 5):
         eps = Fraction(n + 1)
         model = scaled_model(projective_space(n), n + 1)
         s_values = {m: s_jets(model, m) for m in range(1, 11)}
         if not seshineq_check(n, eps, s_values):
-            failures.append((n, "chain"))
+            yield (n, "chain")
         if any((m + 1) * eps - (n + 1) != s for m, s in s_values.items()):
-            failures.append((n, "chain-equality"))
+            yield (n, "chain-equality")
     verdict = charpn_verdict(FanoInput(n=3, char=2, eps_lower_at_point=Fraction(4)))
     if verdict.verdict != "isomorphic_to_Pn":
-        failures.append("point-rule")
+        yield "point-rule"
     quadric = charpn_verdict(FanoInput(n=3, char=5, curves_through_x=((3, 1),)))
     if quadric.verdict != "no_conclusion":
-        failures.append("quadric-refusal")
+        yield "quadric-refusal"
     try:
         charpn_verdict(
             FanoInput(
                 n=3, char=5, eps_lower_at_point=Fraction(4), curves_through_x=((3, 1),)
             )
         )
-        failures.append("missing-contradiction")
+        yield "missing-contradiction"
     except DataContradictionError:
         pass
     for n in range(1, 7):
         if not degree_bound_check(n, Fraction(n + 1), (n + 1) ** n):
-            failures.append((n, "degree-equality"))
-    detail = "chain equalities, verdict firing/refusal, degree-bound equalities"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(11, "positivity chain and verdicts", not failures, detail)
+            yield (n, "degree-equality")
 
 
-def criterion_12_product_model() -> CriterionResult:
-    failures = []
+@criterion(12, "product-model bounds",
+           "ordinary value min(c,d); Frobenius certificates never exceed it")
+def criterion_12_product_model():
     for c in range(1, 4):
         for d in range(1, 4):
             model = product_projective(1, 1, c, d)
             cert = seshadri_lower(model, 15)
             if cert.value != min(c, d):
-                failures.append((c, d, "ordinary", cert))
+                yield (c, d, "ordinary", cert)
             for ell in range(3):
                 for p in (2, 3):
                     frob = frobenius_seshadri_lower(model, p, ell, 12, 4)
                     if frob is not None and frob.value > min(c, d):
-                        failures.append((c, d, ell, p, "conservativity", frob.value))
+                        yield (c, d, ell, p, "conservativity", frob.value)
                     if frob is not None and not frob.reverify(model, method="cobasis"):
-                        failures.append((c, d, ell, p, "reverify"))
+                        yield (c, d, ell, p, "reverify")
     # cobasis oracle spot checks of the degree sweep behind the values
     for c, d in ((1, 2), (3, 3)):
         model = product_projective(1, 1, c, d)
@@ -333,27 +345,7 @@ def criterion_12_product_model() -> CriterionResult:
             s = s_jets(model, m)
             separates = separates_jets(model, m, s, method="cobasis")
             if not separates or separates_jets(model, m, s + 1, method="cobasis"):
-                failures.append((c, d, m, "s_jets-oracle"))
-    detail = "ordinary value min(c,d); Frobenius certificates never exceed it"
-    if failures:
-        detail = f"failed at {failures[0]}"
-    return CriterionResult(12, "product-model bounds", not failures, detail)
-
-
-CRITERIA = (
-    criterion_1_pn_jet_threshold,
-    criterion_2_ordinary_seshadri_pn,
-    criterion_3_frobenius_closed_form,
-    criterion_4_limsup_not_limit,
-    criterion_5_inclusion_suite,
-    criterion_6_comparison_inequalities,
-    criterion_7_derived_certificates,
-    criterion_8_cartier_suite,
-    criterion_9_principal_parts,
-    criterion_10_split_bundle_endgame,
-    criterion_11_fano_chain_and_verdicts,
-    criterion_12_product_model,
-)
+                yield (c, d, m, "s_jets-oracle")
 
 
 def run_all(echo=None) -> list[CriterionResult]:

@@ -32,7 +32,7 @@ from .jets import (
     separates_jets,
 )
 from .models import SectionModel, projective_space
-from .serialize import parse_int
+from .serialize import parse_fraction, parse_int
 
 SESHADRI = "seshadri"
 FROBENIUS = "frobenius_seshadri"
@@ -253,6 +253,7 @@ def gg_twist_extend(
 
 def check_comparison(n: int, ell: int, eps: Fraction, eps_frob: Fraction) -> bool:
     """Sandwich between (ell+1)/(ell+n) * eps and eps, exactly."""
+    eps, eps_frob = parse_fraction(eps), parse_fraction(eps_frob)
     return closed_form_pn(n, ell) * eps <= eps_frob <= eps
 
 
@@ -260,8 +261,9 @@ def check_level_comparison(
     n: int, ell: int, lower_level: int, eps_high: Fraction, eps_low: Fraction
 ) -> bool:
     """Double inequality between Frobenius constants of levels ell > lower_level."""
-    if ell <= parse_int(lower_level, "lower_level", 0):
+    if parse_int(ell, "ell", 0) <= parse_int(lower_level, "lower_level", 0):
         raise ValueError("requires ell > lower_level")
+    eps_high, eps_low = parse_fraction(eps_high), parse_fraction(eps_low)
     return (
         closed_form_pn(n, ell) * eps_low
         <= eps_high

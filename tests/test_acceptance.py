@@ -1,4 +1,11 @@
-"""One test per acceptance criterion; each prints its pass/fail line."""
+"""One test per acceptance criterion; each prints its pass/fail line.
+
+Each criterion also gets a failure path: one fast path that `acceptance`
+imports is patched to answer wrongly, and the criterion must then fail with
+its exact line, without raising.
+"""
+
+from dataclasses import replace
 
 import pytest
 
@@ -12,3 +19,89 @@ def test_criterion(check):
     result = check()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_criteria_order_and_names():
+    # the test ids above and perfbench's acceptance.criterion_NN_s read these
+    assert [check.__name__ for check in acceptance.CRITERIA] == [
+        "criterion_1_pn_jet_threshold",
+        "criterion_2_ordinary_seshadri_pn",
+        "criterion_3_frobenius_closed_form",
+        "criterion_4_limsup_not_limit",
+        "criterion_5_inclusion_suite",
+        "criterion_6_comparison_inequalities",
+        "criterion_7_derived_certificates",
+        "criterion_8_cartier_suite",
+        "criterion_9_principal_parts",
+        "criterion_10_split_bundle_endgame",
+        "criterion_11_fano_chain_and_verdicts",
+        "criterion_12_product_model",
+    ]
+
+
+def shifted(fast):
+    return lambda *args: fast(*args) + 1
+
+
+def negated(fast):
+    return lambda *args: not fast(*args)
+
+
+def changed(**fields):
+    """Wrap a fast path so that the named fields of its dataclass result change.
+
+    Each keyword maps the true result to the field's new value.
+    """
+
+    def wrap(fast):
+        def call(*args):
+            result = fast(*args)
+            return replace(result, **{name: new(result) for name, new in fields.items()})
+
+        return call
+
+    return wrap
+
+
+FAILURE_PATHS = [
+    (1, "pn_threshold", shifted,
+     "FAIL  criterion  1  projective-space jet threshold: "
+     "2817/2880 cells agree; first mismatch (1, 2, 0, 1, 1)"),
+    (2, "seshadri_lower", changed(witness=lambda cert: (2, 2)),
+     "FAIL  criterion  2  ordinary Seshadri on projective space: failed at (1, 'certificate', "
+     "BoundCertificate(kind='seshadri', value=Fraction(1, 1), witness=(2, 2), ell=None, "
+     "p=None, derivation=('direct',)))"),
+    (3, "closed_form_pn", shifted,
+     "FAIL  criterion  3  Frobenius-Seshadri closed form: failed at (1, 0, 2, 'tolerance')"),
+    (4, "subsequence_demo", changed(lower_seq=lambda demo: demo.lower_seq[:-1]),
+     "FAIL  criterion  4  limsup/lim gap demonstration: lower-sequence value 42/127 vs limit 1/3"),
+    (5, "verify_lemma_monomials", changed(sharpness=lambda report: False),
+     "FAIL  criterion  5  power/bracket-power inclusion suite: 0/300 inclusion chains verified"),
+    (6, "check_comparison", negated,
+     "FAIL  criterion  6  comparison inequalities: failed at (1, 0, 'sandwich')"),
+    (7, "gg_twist_extend", changed(value=lambda cert: cert.value + 1),
+     "FAIL  criterion  7  derivation-rule soundness: "
+     "0/162 derived certificates re-verified (need >= 100)"),
+    (8, "surjectivity_counterexample", lambda fast: lambda *args: (0,),
+     "FAIL  criterion  8  trace-map verification suite: failed at ('surjectivity', 1, 2, 0)"),
+    (9, "det_pp_closed", changed(l_exp=lambda pic: pic.l_exp + 1),
+     "FAIL  criterion  9  principal-parts determinants: failed at (1, 0)"),
+    (10, "mori_endgame", changed(gg=lambda report: not report.gg),
+     "FAIL  criterion 10  split-bundle positivity endgame: failed at (1, -2, 4, -3)"),
+    (11, "seshineq_check", negated,
+     "FAIL  criterion 11  positivity chain and verdicts: failed at (1, 'chain')"),
+    (12, "s_jets", shifted,
+     "FAIL  criterion 12  product-model bounds: failed at (1, 2, 1, 's_jets-oracle')"),
+]
+
+
+@pytest.mark.parametrize(
+    "number, fast_path, corrupt, line",
+    FAILURE_PATHS,
+    ids=[f"{number}-{name}" for number, name, _, _ in FAILURE_PATHS],
+)
+def test_criterion_fails_on_a_wrong_fast_path(number, fast_path, corrupt, line, monkeypatch):
+    monkeypatch.setattr(acceptance, fast_path, corrupt(getattr(acceptance, fast_path)))
+    result = acceptance.CRITERIA[number - 1]()
+    assert result.passed is False
+    assert result.line() == line

@@ -471,6 +471,31 @@ class TestComparisons:
         with pytest.raises(ValueError):
             check_level_comparison(2, 1, 1, Fraction(1), Fraction(1))
 
+    def test_level_comparison_checks_ell_before_comparing(self):
+        with pytest.raises(ValueError, match="^ell must be an integer, got '3'"):
+            check_level_comparison(2, "3", 1, Fraction(1), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_comparison(2, 1, 1.0, 0.7),
+            lambda: check_comparison(2, 1, Fraction(1), 0.7),
+            lambda: check_level_comparison(2, 2, 1, 0.75, 0.7),
+            lambda: check_level_comparison(2, 2, 1, Fraction(3, 4), 0.7),
+        ],
+        ids=["comparison", "comparison-eps_frob", "level", "level-eps_low"],
+    )
+    def test_float_bounds_refused(self, call):
+        with pytest.raises(ValueError, match="^not an exact rational: "):
+            call()
+
+    def test_text_bounds_compare_exactly(self):
+        # (l+1)/(l+n) = 2/3 for n = 2, l = 1; 3/4 for l = 2
+        assert check_comparison(2, 1, "1", "2/3")
+        assert not check_comparison(2, 1, "1", "6666/10000")
+        assert check_level_comparison(2, 2, 1, "1", "2/3")
+        assert not check_level_comparison(2, 2, 1, "1000001/1000000", "2/3")
+
 
 class TestHomogeneity:
     def test_pn_scaled_closed_form(self):

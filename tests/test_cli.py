@@ -17,10 +17,11 @@ from test_jets import (
     models_up_to_three_variables,
 )
 
-from frobjets import bounds
+from frobjets import acceptance, bounds
 from frobjets.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
+    EXIT_CHECK_FAILED,
     EXIT_CONTRADICTION,
     EXIT_OK,
     OUTPUT_FORMATS,
@@ -664,3 +665,21 @@ class TestVerifyAll:
         doc = json.loads(out)
         assert doc["all_passed"] is True
         assert len(doc["criteria"]) == 12
+
+    @pytest.fixture
+    def criterion_6_fails(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "check_comparison", lambda *args: False)
+
+    def test_table_format_exits_1_on_a_failure(self, capsys, criterion_6_fails):
+        code, out, _ = run_cli(capsys, ["verify-all", "--format", "table"])
+        assert code == EXIT_CHECK_FAILED
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL  criterion  6  comparison inequalities: failed at (1, 0, 'sandwich')"]
+        assert out.endswith("\n11/12 acceptance criteria passed\n")
+
+    def test_json_format_exits_1_on_a_failure(self, capsys, criterion_6_fails):
+        code, out, _ = run_cli(capsys, ["verify-all"])
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        assert [c["passed"] for c in doc["criteria"]] == [n != 6 for n in range(1, 13)]
