@@ -1,27 +1,29 @@
 """Certified exact-rational lower bounds for Seshadri-type constants.
 
 Every bound comes as a certificate whose witness re-verifies against the jets
-engine; derivation rules (tensor powers, globally generated twists) transform
-certificates without leaving the certified world. No floating point anywhere.
+engine and whose value is certified_value's, the one value rule; derivation
+rules (tensor powers, globally generated twists) transform certificates
+without leaving the certified world. No floating point anywhere.
 
 Every model separates 0-jets, so the ordinary bound always has a certificate;
 a Frobenius sweep has none when no (m, e) cell separates. Separation is
 monotone in m, so cell (m, e) separates iff m >= m_e, the threshold of row e;
 a sweep is its e_max + 1 thresholds, and no per-cell table is ever built.
 
-Both constants are exact. Over the rows (w, s) with W = max(w) > 0 and
-S = sum(w), the Seshadri constant a/b = min s/W (lowest terms) is certified
-at (b, a): every floor of s(m) = min floor(s*m/W) is exact at m = b, and
-s(m)/m < a/b where b does not divide m, so seshadri_lower returns (b, a)
-whenever b <= m_max and scans the degrees only below it. The Frobenius
-constant (ell+1) * min s/(ell*W + S) is a limit, a Fraction: no cell attains
-it once ell >= 1.
+Both constants are exact. Over the model's rows (s, W, S, i), W > 0 (see
+SectionModel.rows), the Seshadri constant a/b = min s/W (lowest terms) is
+certified at (b, a): every floor of s(m) = min floor(s*m/W) is exact at
+m = b, and s(m)/m < a/b where b does not divide m, so seshadri_lower returns
+(b, a) whenever b <= m_max and scans the degrees only below it. The
+Frobenius constant (ell+1) * min s/(ell*W + S) is a limit, a Fraction: no
+cell attains it once ell >= 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 
 from .jets import (
     frobenius_threshold,
@@ -42,13 +44,20 @@ class RuleInapplicableError(ValueError):
     """A certificate derivation rule was applied outside its preconditions."""
 
 
+def certified_value(kind: str, witness: tuple[int, int], ell=None, p=None) -> Fraction:
+    """The value s/m of an ordinary witness (m, s), (p^e - 1)(ell + 1)/m of a Frobenius (m, e)."""
+    m, second = witness
+    if kind == SESHADRI:
+        return Fraction(second, m)
+    return Fraction((p**second - 1) * (ell + 1), m)
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """An exact rational lower bound together with its finite witness.
 
-    For the ordinary kind the witness is (m, s) and the value is s/m; for
-    the Frobenius kind the witness is (m, e) and the value is
-    (p^e - 1) * (ell + 1) / m.
+    The witness is (m, s) for the ordinary kind, (m, e) for the Frobenius
+    kind; its value is the one that certified_value gives the witness.
     """
 
     kind: str
@@ -58,11 +67,13 @@ class BoundCertificate:
     p: int | None = None
     derivation: tuple[str, ...] = ("direct",)
 
+    @classmethod
+    def of(cls, kind, witness, ell=None, p=None, derivation=("direct",)) -> BoundCertificate:
+        """The certificate of a witness, at the value that the witness certifies."""
+        return cls(kind, certified_value(kind, witness, ell, p), witness, ell, p, derivation)
+
     def recomputed_value(self) -> Fraction:
-        m, second = self.witness
-        if self.kind == SESHADRI:
-            return Fraction(second, m)
-        return Fraction((self.p**second - 1) * (self.ell + 1), m)
+        return certified_value(self.kind, self.witness, self.ell, self.p)
 
     def reverify(self, model: SectionModel, method: str = "fast") -> bool:
         """Re-check the witness against the jets engine and the stated value."""
@@ -88,15 +99,14 @@ class BoundCertificate:
 
 def exact_seshadri(model: SectionModel) -> BoundCertificate:
     """The Seshadri constant a/b = min s/W over the rows with W > 0, certified at (b, a)."""
-    value = min(Fraction(s, max(w)) for w, s in model.constraints if max(w) > 0)
+    value = min(certified_value(SESHADRI, (W, s)) for s, W, _, _ in model.rows)
     return BoundCertificate(SESHADRI, value, (value.denominator, value.numerator))
 
 
 def exact_frobenius_seshadri(model: SectionModel, ell: int) -> Fraction:
     """The Frobenius-Seshadri limit (ell+1) * min s/(ell*W + S) over the rows with W > 0."""
     parse_int(ell, "ell", 0)
-    rows = [(s, max(w), sum(w)) for w, s in model.constraints if max(w) > 0]
-    return (ell + 1) * min(Fraction(s, ell * big + total) for s, big, total in rows)
+    return (ell + 1) * min(Fraction(s, ell * W + S) for s, W, S, _ in model.rows)
 
 
 def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
@@ -109,13 +119,8 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     exact = exact_seshadri(model)
     if exact.witness[0] <= m_max:
         return exact
-    best = None
-    for m in range(1, m_max + 1):
-        s = s_jets(model, m)
-        value = Fraction(s, m)
-        if best is None or value > best.value:
-            best = BoundCertificate(SESHADRI, value, (m, s))
-    return best
+    scan = (BoundCertificate.of(SESHADRI, (m, s_jets(model, m))) for m in range(1, m_max + 1))
+    return max(scan, key=attrgetter("value"))
 
 
 def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
@@ -130,17 +135,12 @@ def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_ma
 def _best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int):
     """Certificate for the largest value of the grid, None if no cell separates.
 
-    Row e's best cell is (m_e, e) when m_e <= m_max; the first strict maximum
-    over ascending e wins, so ties go to the smallest e, then the smallest m.
+    Row e's best cell is (m_e, e) when m_e <= m_max; max keeps the first
+    maximum over ascending e, so ties go to the smallest e, then the smallest m.
     """
-    best = None
-    for e, m_e in enumerate(thresholds):
-        if m_e is None or m_e > m_max:
-            continue
-        value = Fraction((p**e - 1) * (ell + 1), m_e)
-        if best is None or value > best.value:
-            best = BoundCertificate(FROBENIUS, value, (m_e, e), ell=ell, p=p)
-    return best
+    cells = [(m_e, e) for e, m_e in enumerate(thresholds) if m_e is not None and m_e <= m_max]
+    certificates = (BoundCertificate.of(FROBENIUS, cell, ell, p) for cell in cells)
+    return max(certificates, key=attrgetter("value"), default=None)
 
 
 def frobenius_seshadri_lower(
@@ -158,8 +158,7 @@ def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> Bou
     """Certificate for one verified (m, e) witness."""
     if not separates_frobenius_jets(model, m, ell, e, p):
         raise ValueError(f"degree {m} does not separate p^{e}-Frobenius {ell}-jets")
-    value = Fraction((p**e - 1) * (ell + 1), m)
-    return BoundCertificate(FROBENIUS, value, (m, e), ell=ell, p=p)
+    return BoundCertificate.of(FROBENIUS, (m, e), ell, p)
 
 
 def closed_form_pn(n: int, ell: int) -> Fraction:
@@ -190,14 +189,14 @@ def subsequence_demo(n: int, ell: int, p: int, e_max: int) -> SubsequenceDemo:
     lower = []
     for e in range(1, e_max + 1):
         m_e = pn_threshold(n, ell, e, p)
-        upper.append(Fraction((ell + 1) * (p**e - 1), m_e))
+        upper.append(certified_value(FROBENIUS, (m_e, e), ell, p))
         m_low = m_e - 1
         if m_low < 1:
             lower.append(None)
             continue
         # m_low >= ell, the e = 0 threshold, so s_frobenius is an integer here
         s = s_frobenius(model, m_low, ell, p)
-        lower.append(Fraction((ell + 1) * (p**s - 1), m_low))
+        lower.append(certified_value(FROBENIUS, (m_low, s), ell, p))
     return SubsequenceDemo(tuple(upper), tuple(lower))
 
 
@@ -238,14 +237,8 @@ def gg_twist_extend(
     if parse_int(j, "j", 0) == 0:
         return cert
     m, e = cert.witness
-    twisted = BoundCertificate(
-        FROBENIUS,
-        Fraction((cert.p**e - 1) * (cert.ell + 1), m + j),
-        (m + j, e),
-        ell=cert.ell,
-        p=cert.p,
-        derivation=cert.derivation + (f"gg_twist({j})",),
-    )
+    derivation = cert.derivation + (f"gg_twist({j})",)
+    twisted = BoundCertificate.of(FROBENIUS, (m + j, e), cert.ell, cert.p, derivation)
     if not twisted.reverify(model):
         raise RuleInapplicableError("twisted witness failed re-verification")
     return twisted

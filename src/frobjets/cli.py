@@ -25,7 +25,9 @@ from typing import Callable, NamedTuple
 from fractions import Fraction
 
 from .bounds import (
+    FROBENIUS,
     _best_frobenius_certificate,
+    certified_value,
     closed_form_pn,
     frobenius_thresholds,
     seshadri_lower,
@@ -121,11 +123,12 @@ def _cmd_seshadri(params):
             writer.writerow(["m", "e", "separates", "value"])
             # one row of the grid at a time, e-major: cell (m, e) separates iff m >= m_e
             for e, m_e in enumerate(thresholds):
-                numerator = (p**e - 1) * (ell + 1)
                 for m in range(1, m_max + 1):
-                    separating = m_e is not None and m >= m_e
-                    value = format_fraction(Fraction(numerator, m)) if separating else ""
-                    writer.writerow([m, e, separating, value])
+                    if m_e is not None and m >= m_e:
+                        value = format_fraction(certified_value(FROBENIUS, (m, e), ell, p))
+                        writer.writerow([m, e, True, value])
+                    else:
+                        writer.writerow([m, e, False, ""])
         payload["sweep_csv"] = params["sweep_csv"]
     return payload, EXIT_OK
 
@@ -150,9 +153,7 @@ def _cmd_pp(params):
 
 
 def _cmd_mori_endgame(params):
-    degrees = [
-        parse_text_int(x, "summand degree") for x in params["a"].split(",") if x.strip() != ""
-    ]
+    degrees = [parse_text_int(x, "summand degree") for x in params["a"].split(",")]
     return mori_endgame(degrees), EXIT_OK
 
 

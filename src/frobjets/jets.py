@@ -10,9 +10,10 @@ Separation has two interchangeable checkers, the fast path and its oracle:
 * "fast": per-constraint maximization of <w, a> over the complement of the
   jet ideal, in closed form.  A monomial x^a lies outside the bracket power
   by p^e of the (ell+1)-st maximal-ideal power iff
-  sum_i floor(a_i / p^e) <= ell, so the maximum splits into a quotient part
-  ell * p^e * max(w) and a remainder part (p^e - 1) * sum(w).  Degree m
-  separates iff m >= frobenius_threshold, the least m with every load <= s * m.
+  sum_i floor(a_i / p^e) <= ell, so with q = p^e the maximum is the load
+  _load = ell * q * W + (q - 1) * S of the model's row (s, W, S, i), where
+  W = max(w) and S = sum(w) (see SectionModel.rows).  Degree m separates
+  iff m >= frobenius_threshold, the least m with every load <= s * m.
 * "cobasis": ask the model at the maximal points (corners) of the cobasis.
   They are the staircase corners a with every a + e_i in the ideal: a
   generator dividing a + e_i but not a has g_i = a_i + 1. An attainable set
@@ -23,8 +24,8 @@ A rank check of the restriction matrix would add nothing: the matrix has at
 most one 1 per row, so its rank counts the attained cobasis monomials, which
 is the "cobasis" check again.
 
-The indices need no checker: s(m) is the closed form min over the constraints
-of floor(s * m / max(w)), and s_F(m) solves the load inequality for p^e.
+The indices need no checker: s(m) is the closed form min over the rows of
+floor(s * m / W), and s_F(m) solves the load inequality for p^e.
 """
 
 from __future__ import annotations
@@ -57,28 +58,27 @@ def pn_threshold(n: int, ell: int, e: int, p: int) -> int:
     parse_int(n, "n", 1)
     parse_int(ell, "ell", 0)
     ensure_prime(p)
-    q = p ** parse_int(e, "e", 0)
-    return ell * q + n * (q - 1)
+    # the load of the one row (1, ..., 1; 1) of P^n
+    return _load(1, n, ell, p ** parse_int(e, "e", 0))
 
 
-def _constraint_load(weights, ell: int, e: int, p: int) -> int:
+def _load(W: int, S: int, ell: int, q: int) -> int:
     # max of <w, a> over exponents outside the jet ideal (see module docstring)
-    q = p**e
-    return ell * q * max(weights) + (q - 1) * sum(weights)
+    return ell * q * W + (q - 1) * S
 
 
 def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | None:
     """Smallest degree m >= 1 that separates p^e-Frobenius ell-jets, or None.
 
-    Each constraint (w, s) asks for s * m >= its load; None means that a row
+    Each row (s, W, S, i) asks for s * m >= its load; None means that a row
     of slope 0 has a positive load, so that no degree separates.
     """
     if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
         raise ValueError("ell and e must be >= 0")
-    ensure_prime(p)
+    q = ensure_prime(p) ** e
     m_e = 1
-    for w, s in model.constraints:
-        load = _constraint_load(w, ell, e, p)
+    for s, W, S, _ in model.rows:
+        load = _load(W, S, ell, q)
         if load > s * m_e:
             if s == 0:
                 return None
@@ -120,13 +120,12 @@ def separates_jets(model: SectionModel, m: int, ell: int, method: str = "fast") 
 def missing_exponent(model: SectionModel, m: int, ell: int, e: int, p: int):
     """A cobasis exponent of the jet ideal that the model misses, or None.
 
-    The witness is the corner that maximizes the violated constraint: all
-    coordinates at p^e - 1, plus ell * p^e on a heaviest coordinate.
+    The witness is the corner that maximizes the violated row's load: all
+    coordinates at p^e - 1, plus ell * p^e on its first heaviest coordinate i.
     """
     q = p**e
-    for w, s in model.constraints:
-        if _constraint_load(w, ell, e, p) > s * m:
-            i = w.index(max(w))
+    for s, W, S, i in model.rows:
+        if _load(W, S, ell, q) > s * m:
             a = [q - 1] * model.n
             a[i] += ell * q
             return tuple(a)
@@ -136,25 +135,23 @@ def missing_exponent(model: SectionModel, m: int, ell: int, e: int, p: int):
 def s_jets(model: SectionModel, m: int) -> int:
     """Largest ell such that degree-m sections separate ell-jets.
 
-    A constraint (w, s) admits ell-jets at m iff ell * max(w) <= s * m (the
-    fast path's load at e = 0); a row of zero weights admits every ell.
+    A row (s, W, S, i) admits ell-jets at m iff ell * W <= s * m (its load
+    at e = 0).
     """
     parse_int(m, "degree m", 1)
-    return min(s * m // max(w) for w, s in model.constraints if max(w) > 0)
+    return min(s * m // W for s, W, _, _ in model.rows)
 
 
 def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
     """Largest e such that degree-m sections separate p^e-Frobenius ell-jets.
 
-    Returns -inf when even e = 0 fails. With q = p^e, W = max(w), S = sum(w),
-    a constraint (w, s) admits the jets iff ell*q*W + (q-1)*S <= s*m, that is
-    iff q <= (s*m + S) // (ell*W + S); a row of zero weights admits every e.
+    Returns -inf when even e = 0 fails. With q = p^e, a row (s, W, S, i)
+    admits the jets iff its load ell*q*W + (q-1)*S <= s*m, that is iff
+    q <= (s*m + S) // (ell*W + S).
     """
     if not separates_frobenius_jets(model, m, ell, 0, p):
         return NEG_INF
-    bound = min(
-        (s * m + sum(w)) // (ell * max(w) + sum(w)) for w, s in model.constraints if max(w) > 0
-    )
+    bound = min((s * m + S) // (ell * W + S) for s, W, S, _ in model.rows)
     e, q = 0, p
     while q <= bound:
         e, q = e + 1, q * p

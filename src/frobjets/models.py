@@ -25,6 +25,10 @@ class SectionModel:
 
     Weights and slopes are non-negative, so the zero exponent is attainable
     at every degree: every model is globally generated at the point.
+
+    `rows`, derived once from `constraints`, holds (s, W, S, i) for each
+    (w, s) with W = max(w) = w[i] > 0, S = sum(w) and i the first heaviest
+    coordinate: all that the closed forms of jets and bounds read.
     """
 
     n: int
@@ -32,6 +36,7 @@ class SectionModel:
     label: str = ""
     kind: str = "custom"
     params: tuple = field(default=(), compare=False)
+    rows: tuple[tuple[int, int, int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parse_int(self.n, "model dimension n", 1)
@@ -55,6 +60,8 @@ class SectionModel:
                     f"unbounded staircase: no constraint bounds variable x{i + 1}"
                 )
         object.__setattr__(self, "constraints", tuple(cleaned))
+        rows = tuple((s, max(w), sum(w), w.index(max(w))) for w, s in cleaned if max(w) > 0)
+        object.__setattr__(self, "rows", rows)
 
     def attains(self, a: Exponent, m: int) -> bool:
         """Whether the exponent a is attainable at degree m."""

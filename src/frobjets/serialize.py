@@ -55,8 +55,8 @@ def parse_fraction(value) -> Fraction:
     """
     try:
         if isinstance(value, str):
-            num, _, den = value.partition("/")
-            den = parse_text_int(den, "denominator") if den else 1
+            num, slash, den = value.partition("/")
+            den = parse_text_int(den, "denominator") if slash else 1
             return Fraction(parse_text_int(num, "numerator"), den)
         if isinstance(value, Fraction):
             return value

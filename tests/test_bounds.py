@@ -30,7 +30,14 @@ from frobjets.bounds import (
     subsequence_demo,
     tensor_power_scale,
 )
-from frobjets.jets import frobenius_threshold, pn_threshold, s_jets, separates_frobenius_jets
+from frobjets.jets import (
+    frobenius_threshold,
+    missing_exponent,
+    pn_threshold,
+    s_frobenius,
+    s_jets,
+    separates_frobenius_jets,
+)
 from frobjets.models import (
     custom_staircase,
     product_projective,
@@ -135,6 +142,38 @@ def models_and_degree_bounds(draw):
     if b > 1 and draw(st.booleans()):
         return model, draw(st.integers(1, b - 1))
     return model, draw(st.integers(b, 3 * b))
+
+
+class TestZeroRows:
+    @given(
+        model=models_up_to_three_variables(),
+        slopes=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        m=st.integers(1, 40),
+        ell=st.integers(0, 3),
+        e=st.integers(0, 3),
+        p=st.sampled_from([2, 3]),
+        m_max=st.integers(1, 30),
+    )
+    @example(model=SLOPE_ZERO, slopes=[0], m=3, ell=1, e=1, p=2, m_max=5)
+    @example(model=ZERO_ROW_THREE, slopes=[0, 2], m=7, ell=2, e=2, p=3, m_max=2)
+    @settings(max_examples=150, deadline=None)
+    def test_appended_zero_rows_change_nothing(self, model, slopes, m, ell, e, p, m_max):
+        padded = custom_staircase(
+            model.n, model.constraints + tuple(((0,) * model.n, s) for s in slopes)
+        )
+
+        def closed_forms(mdl):
+            return (
+                frobenius_threshold(mdl, ell, e, p),
+                missing_exponent(mdl, m, ell, e, p),
+                s_jets(mdl, m),
+                s_frobenius(mdl, m, ell, p),
+                seshadri_lower(mdl, m_max),
+                exact_seshadri(mdl),
+                exact_frobenius_seshadri(mdl, ell),
+            )
+
+        assert closed_forms(padded) == closed_forms(model)
 
 
 class TestSeshadriLower:

@@ -213,6 +213,12 @@ class TestOtherCommands:
         assert (code, err) == (EXIT_OK, "")
         assert json.loads(out)["b"] == 3
 
+    @pytest.mark.parametrize("degrees", ["2,,1", "2,1,"])
+    def test_mori_endgame_empty_entry_named(self, capsys, degrees):
+        code, out, err = run_cli(capsys, ["mori-endgame", "--a", degrees])
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == "invalid input: summand degree must be an integer, got ''\n"
+
     def test_handlers_return_the_library_reports(self):
         # render() serializes them; no handler copies a report into a dict
         report, code = COMMANDS["inclusion-check"].handler({"n": 2, "l": 1, "e": 1, "p": 2})
@@ -370,6 +376,11 @@ class TestMalformedInput:
             ["jets", "--model", "pn:1_0", "--m", "3", "--l", "1"],
             ["jets", "--model", "product:1,1,1,\u0662", "--m", "3", "--l", "1"],
             ["mori-endgame", "--a", "1_0,\u0662"],
+            # every comma-separated entry must parse, an empty one included
+            ["mori-endgame", "--a", "2,,1"],
+            ["mori-endgame", "--a", "2,1,"],
+            # "4/" has no denominator; it is not 4
+            ["fano", "--json", '{"n": 3, "char": 2, "eps_lower_at_point": "4/"}'],
             # the ordinary kind has no characteristic, which would go unchecked
             ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary", "--p", "4"],
             # nor a jet level or a Frobenius range, which would be dropped
@@ -396,6 +407,9 @@ class TestMalformedInput:
             "underscore-pn-dimension",
             "non-ascii-product-parameter",
             "non-ascii-mori-degrees",
+            "empty-mori-degree",
+            "trailing-comma-mori-degrees",
+            "empty-denominator-eps",
             "ordinary-with-p",
             "ordinary-with-l",
             "ordinary-with-e-max",

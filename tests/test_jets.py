@@ -234,6 +234,14 @@ class TestMissingExponent:
     def test_none_when_separating(self):
         assert missing_exponent(projective_space(2), 4, 1, 1, 2) is None
 
+    def test_tied_heaviest_coordinates_keep_the_first(self):
+        # W = 3 at coordinates 1 and 2: ell * q goes on coordinate 1
+        model = custom_staircase(3, [((2, 3, 3), 1)])
+        witness = missing_exponent(model, 1, 1, 1, 2)
+        assert witness == (1, 3, 1)
+        assert witness in cobasis(jet_ideal(3, 1, 1, 2))
+        assert not model.attains(witness, 1)
+
 
 class TestSJets:
     @pytest.mark.parametrize("n", [1, 2, 4])

@@ -1,11 +1,13 @@
 import itertools
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobjets.models import (
+    SectionModel,
     custom_staircase,
     model_from_config,
     model_from_spec,
@@ -80,6 +82,32 @@ class TestCustomStaircase:
     def test_unbounded_rejected(self):
         with pytest.raises(ValueError, match="unbounded"):
             custom_staircase(2, [((1, 0), 1)])
+
+
+class TestDerivedRows:
+    def test_rows_summarize_the_weighted_constraints(self):
+        model = custom_staircase(3, [((0, 0, 0), 2), ((1, 2, 2), 5), ((0, 3, 0), 1)])
+        # (s, W, S, i): the zero row is left out, and the tie at W = 2 keeps i = 1
+        assert model.rows == ((5, 2, 5, 1), (1, 3, 3, 1))
+
+    def test_rows_stay_out_of_equality_hash_and_repr(self):
+        model = custom_staircase(2, [((0, 0), 4), ((2, 1), 3)])
+        tampered = custom_staircase(2, [((0, 0), 4), ((2, 1), 3)])
+        object.__setattr__(tampered, "rows", ())
+        assert tampered == model and hash(tampered) == hash(model)
+        assert repr(tampered) == repr(model) == (
+            "SectionModel(n=2, constraints=(((0, 0), 4), ((2, 1), 3)), "
+            "label='custom staircase', kind='custom', params=())"
+        )
+        # equal rows do not make equal models: the constraints decide
+        assert custom_staircase(2, [((2, 1), 3)]).rows == model.rows
+        assert custom_staircase(2, [((2, 1), 3)]) != model
+
+    def test_rows_cannot_be_set(self):
+        with pytest.raises(TypeError):
+            SectionModel(1, (((1,), 1),), rows=((1, 1, 1, 0),))
+        with pytest.raises(FrozenInstanceError):
+            projective_space(2).rows = ()
 
 
 class TestScaledModel:

@@ -240,7 +240,8 @@ class TestParseFraction:
         assert parse_fraction(5) == Fraction(5)
 
     @pytest.mark.parametrize(
-        "value", ["1/0", "x", None, [1], 0.1, 4.0, float("inf"), True, "1_0/3", "3/\u0662"]
+        "value",
+        ["1/0", "4/", "/4", "x", None, [1], 0.1, 4.0, float("inf"), True, "1_0/3", "3/\u0662"],
     )
     def test_malformed_rejected(self, value):
         with pytest.raises(ValueError):
