@@ -104,25 +104,24 @@ def adjoint_jet_report(
 ) -> AdjointJetReport:
     """Strict thresholds: eps > n + ell, or the level-ell bound > ell + 1.
 
-    A Seshadri bound also implies the Frobenius threshold through the
-    comparison factor (ell+1)/(ell+n).
+    The adjoint bundle separates ell-jets when either criterion fires. The
+    threshold that eps implies through the comparison factor (ell+1)/(ell+n)
+    adds nothing: (ell+1)/(ell+n) * eps > ell + 1 iff eps > n + ell, so
+    frobenius_threshold_implied is the Seshadri criterion itself.
     """
     parse_int(n, "n", 1)
     parse_int(ell, "ell", 0)
     if eps is None and eps_frob is None:
         raise ValueError("need at least one of eps or eps_frob")
-    eps = None if eps is None else parse_fraction(eps)
-    eps_frob = None if eps_frob is None else parse_fraction(eps_frob)
-    seshadri_fires = None if eps is None else eps > n + ell
-    frobenius_fires = None if eps_frob is None else eps_frob > ell + 1
-    implied = None if eps is None else Fraction(ell + 1, ell + n) * eps > ell + 1
-    separates = bool(seshadri_fires) or bool(frobenius_fires) or bool(implied)
+    seshadri_fires = None if eps is None else parse_fraction(eps) > n + ell
+    frobenius_fires = None if eps_frob is None else parse_fraction(eps_frob) > ell + 1
+    separates = bool(seshadri_fires) or bool(frobenius_fires)
     conclusion = (
         f"adjoint bundle separates {ell}-jets at the point"
         if separates
         else "no conclusion"
     )
-    return AdjointJetReport(seshadri_fires, frobenius_fires, implied, separates, conclusion)
+    return AdjointJetReport(seshadri_fires, frobenius_fires, seshadri_fires, separates, conclusion)
 
 
 def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:
@@ -162,32 +161,36 @@ class CharPnVerdict:
 def charpn_verdict(inp: FanoInput) -> CharPnVerdict:
     """Decide whether the inputs force the variety to be projective space.
 
-    Fires on a point bound >= n+1 (positive characteristic, or characteristic
-    zero through the cited degeneration), or on an everywhere bound >= n+1 in
-    positive characteristic via the rational-curve and degree conditions.
+    It fires on one condition: the best point bound, the larger of the two
+    lower bounds, is at least n+1. The rule is then the point rule of the
+    characteristic (char 0 goes through the cited degeneration). In positive
+    characteristic an everywhere bound >= n+1 also meets the all-points
+    route, which is recorded as a second fired rule. Its degree condition
+    (n+1)^n <= (-K)^n needs no check of its own: when (-K)^n is given, the
+    contradiction check has already shown best^n <= (-K)^n with best >= n+1.
     Curve data can only block, never fire, and inconsistent data raise.
     """
-    n = inp.n
+    n, everywhere = inp.n, inp.eps_lower_everywhere
     target = n + 1
+    claimed = [b for b in (inp.eps_lower_at_point, everywhere) if b is not None]
+    best_point = max(claimed) if claimed else None
     checks: dict = {}
     warnings: list[str] = []
 
-    curve_upper = None
     if inp.curves_through_x:
         curve_upper = seshadri_upper_from_curves(inp.curves_through_x)
         checks["curve_upper_bound"] = curve_upper
-
-    claimed = [
-        b for b in (inp.eps_lower_at_point, inp.eps_lower_everywhere) if b is not None
-    ]
-    best_point = max(claimed) if claimed else None
-
-    if curve_upper is not None and best_point is not None and curve_upper < best_point:
-        raise DataContradictionError(
-            f"curve upper bound {curve_upper} is below the claimed lower bound {best_point}"
-        )
-    if inp.eps_lower_everywhere is not None and inp.min_rc_degree is not None:
-        if inp.min_rc_degree < inp.eps_lower_everywhere:
+        if best_point is not None and curve_upper < best_point:
+            raise DataContradictionError(
+                f"curve upper bound {curve_upper} is below the claimed lower bound {best_point}"
+            )
+        # below n+1 the bound blocks: no consistent point bound can reach n+1
+        if curve_upper < target:
+            warnings.append(
+                f"curve upper bound {curve_upper} < {target}: the point hypothesis cannot hold here"
+            )
+    if everywhere is not None and inp.min_rc_degree is not None:
+        if inp.min_rc_degree < everywhere:
             raise DataContradictionError(
                 "minimal rational-curve degree is below the everywhere lower bound"
             )
@@ -197,37 +200,18 @@ def charpn_verdict(inp: FanoInput) -> CharPnVerdict:
                 "claimed lower bound exceeds the n-th root of the anti-canonical degree"
             )
 
+    met = best_point is not None and best_point >= target
     fired = []
-    if best_point is not None and best_point >= target:
-        if inp.char > 0:
-            fired.append(RULE_POINT_CHAR_P)
-        else:
-            fired.append(RULE_POINT_CHAR_ZERO)
-    if (
-        inp.char > 0
-        and inp.eps_lower_everywhere is not None
-        and inp.eps_lower_everywhere >= target
-    ):
-        # the all-points route needs the degree condition; it is derivable
-        # from the everywhere bound, and provided data must agree with it
-        degree_ok = (
-            inp.antican_selfint is None
-            or degree_bound_check(n, Fraction(target), inp.antican_selfint)
-        )
-        checks["degree_condition_derivable"] = degree_ok
-        if degree_ok:
+    if met:
+        fired.append(RULE_POINT_CHAR_P if inp.char > 0 else RULE_POINT_CHAR_ZERO)
+        if inp.char > 0 and everywhere is not None and everywhere >= target:
+            checks["degree_condition_derivable"] = True
             fired.append(RULE_ALL_POINTS_DEGREE)
-
     if best_point is not None:
-        checks["point_bound_met"] = best_point >= target
-    if curve_upper is not None and curve_upper < target and not fired:
-        warnings.append(
-            f"curve upper bound {curve_upper} < {target}: the point hypothesis cannot hold here"
-        )
+        checks["point_bound_met"] = met
 
-    verdict = "isomorphic_to_Pn" if fired else "no_conclusion"
     return CharPnVerdict(
-        verdict=verdict,
+        verdict="isomorphic_to_Pn" if fired else "no_conclusion",
         rule=fired[0] if fired else None,
         fired=tuple(fired),
         checks=checks,

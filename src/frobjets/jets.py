@@ -54,11 +54,14 @@ def jet_ideal(n: int, ell: int, e: int, p: int) -> MonomialIdeal:
 
 
 def pn_threshold(n: int, ell: int, e: int, p: int) -> int:
-    """Minimal degree at which projective n-space separates p^e-Frobenius ell-jets."""
+    """The load ell * p^e + n * (p^e - 1) of P^n's one row (1, ..., 1; 1).
+
+    P^n separates p^e-Frobenius ell-jets from degree max(1, pn_threshold) on:
+    that is frobenius_threshold(projective_space(n), ...), and 0 only at ell = e = 0.
+    """
     parse_int(n, "n", 1)
     parse_int(ell, "ell", 0)
     ensure_prime(p)
-    # the load of the one row (1, ..., 1; 1) of P^n
     return _load(1, n, ell, p ** parse_int(e, "e", 0))
 
 
@@ -120,16 +123,18 @@ def separates_jets(model: SectionModel, m: int, ell: int, method: str = "fast") 
 def missing_exponent(model: SectionModel, m: int, ell: int, e: int, p: int):
     """A cobasis exponent of the jet ideal that the model misses, or None.
 
-    The witness is the corner that maximizes the violated row's load: all
-    coordinates at p^e - 1, plus ell * p^e on its first heaviest coordinate i.
+    None iff degree m separates (separates_frobenius_jets checks the arguments).
+    Else the witness maximizes the first violated row's load: all coordinates
+    at p^e - 1, plus ell * p^e on that row's first heaviest coordinate i.
     """
+    if separates_frobenius_jets(model, m, ell, e, p):
+        return None
     q = p**e
     for s, W, S, i in model.rows:
         if _load(W, S, ell, q) > s * m:
             a = [q - 1] * model.n
             a[i] += ell * q
             return tuple(a)
-    return None
 
 
 def s_jets(model: SectionModel, m: int) -> int:

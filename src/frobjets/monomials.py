@@ -28,7 +28,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
-from math import isqrt
 from operator import le
 
 from .serialize import parse_int
@@ -37,21 +36,28 @@ from .serialize import parse_int
 Exponent = tuple[int, ...]
 
 
+# Miller-Rabin with the 13 prime bases 2..41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson-Webster, Math. Comp. 2017)
+_PRIME_TEST_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below 41^2 a number is prime iff it is no proper multiple of a base
+_SMALL_PRIMES = frozenset(range(2, 41**2)).difference(*(range(2 * b, 41**2, b) for b in _BASES))
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality check by trial division."""
-    if p < 2:
+    """Exact primality below _PRIME_TEST_LIMIT: a table below 41^2, Miller-Rabin above."""
+    if p < 41**2:
+        return p in _SMALL_PRIMES
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"characteristic must be below {_PRIME_TEST_LIMIT} to be tested, got {p}")
+    if any(p % b == 0 for b in _BASES):
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    limit = isqrt(p)
-    while d <= limit:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # p is a strong probable prime to base b: b^d = 1, or b^(d * 2^r) = -1 for some r < s
+    return all(
+        pow(b, d, p) == 1 or any(pow(b, d << r, p) == p - 1 for r in range(s)) for b in _BASES
+    )
 
 
 def ensure_prime(p: int) -> int:

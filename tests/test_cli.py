@@ -17,7 +17,7 @@ from test_jets import (
     models_up_to_three_variables,
 )
 
-from frobjets import acceptance, bounds
+from frobjets import acceptance, bounds, cli
 from frobjets.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -87,6 +87,40 @@ class TestJetsCommand:
         assert "rank_check" not in doc
 
 
+    def test_oracle_disagreement_exits_1(self, capsys, monkeypatch):
+        # an oracle that answers the opposite of the fast checker
+        def flipped(model, m, ell, e, p, method="fast"):
+            fast = separates_frobenius_jets(model, m, ell, e, p)
+            return not fast if method == "cobasis" else fast
+
+        monkeypatch.setattr(cli, "separates_frobenius_jets", flipped)
+        argv = ["jets", "--model", "pn:2", "--m", "4", "--l", "1", "--e", "1", "--oracle"]
+        assert run_cli(capsys, argv) == (
+            EXIT_CHECK_FAILED,
+            '{\n  "e": 1,\n  "l": 1,\n  "m": 4,\n  "methods_agree": false,\n'
+            '  "oracle": false,\n  "p": 2,\n  "pn_threshold": 4,\n  "separates": true\n}\n',
+            "",
+        )
+
+    def test_seventeen_digit_prime_answers(self, capsys):
+        argv = ["jets", "--model", "pn:1", "--m", "2", "--l", "1", "--p", "99999999999999997"]
+        assert run_cli(capsys, argv) == (
+            EXIT_OK,
+            '{\n  "e": 0,\n  "l": 1,\n  "m": 2,\n  "p": 99999999999999997,\n'
+            '  "pn_threshold": 1,\n  "separates": true\n}\n',
+            "",
+        )
+
+    def test_characteristic_beyond_the_exact_test_refused(self, capsys):
+        limit = 3317044064679887385961981
+        argv = ["jets", "--model", "pn:1", "--m", "2", "--l", "1", "--p", str(limit)]
+        assert run_cli(capsys, argv) == (
+            EXIT_BAD_INPUT,
+            "",
+            f"invalid input: characteristic must be below {limit} to be tested, got {limit}\n",
+        )
+
+
 class TestSeshadriCommand:
     def test_frobenius_with_closed_form(self, capsys):
         code, out, _ = run_cli(
@@ -106,6 +140,15 @@ class TestSeshadriCommand:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["value"] == "2/1"
+
+    def test_ordinary_on_pn_has_closed_form(self, capsys):
+        argv = ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "ordinary"]
+        assert run_cli(capsys, argv) == (
+            EXIT_OK,
+            '{\n  "closed_form": "1/1",\n  "derivation": [\n    "direct"\n  ],\n'
+            '  "kind": "seshadri",\n  "value": "1/1",\n  "witness": [\n    1,\n    1\n  ]\n}\n',
+            "",
+        )
 
     def test_sweep_csv(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -241,6 +284,31 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, ["fano", "--json", json.dumps(doc)])
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "isomorphic_to_Pn"
+
+    def test_fano_input_file(self, capsys, tmp_path):
+        doc = {"n": 3, "char": 2, "eps_lower_at_point": "4/1", "curves_through_x": [[4, 1]]}
+        path = tmp_path / "fano.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, ["fano", "--input", str(path)]) == (
+            EXIT_OK,
+            '{\n  "checks": {\n    "curve_upper_bound": "4/1",\n    "point_bound_met": true\n'
+            '  },\n  "fired": [\n    "point_bound_char_p"\n  ],\n'
+            '  "rule": "point_bound_char_p",\n  "verdict": "isomorphic_to_Pn",\n'
+            '  "warnings": []\n}\n',
+            "",
+        )
+
+    def test_fano_everywhere_bound_fires_both_rules(self, capsys):
+        doc = {"n": 2, "char": 3, "eps_lower_everywhere": "3", "antican_selfint": 9}
+        assert run_cli(capsys, ["fano", "--json", json.dumps(doc)]) == (
+            EXIT_OK,
+            '{\n  "checks": {\n    "degree_condition_derivable": true,\n'
+            '    "point_bound_met": true\n  },\n'
+            '  "fired": [\n    "point_bound_char_p",\n    "all_points_degree_bound"\n  ],\n'
+            '  "rule": "point_bound_char_p",\n  "verdict": "isomorphic_to_Pn",\n'
+            '  "warnings": []\n}\n',
+            "",
+        )
 
     def test_fano_quadric_no_conclusion(self, capsys):
         doc = {"n": 3, "char": 5, "curves_through_x": [[3, 1]]}
@@ -531,6 +599,28 @@ class TestMalformedInput:
     )
     def test_exact_diagnostic(self, capsys, argv, err):
         assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("[1]", "invalid input: FanoInput must be a JSON object\n"),
+            ("{}", "invalid input: missing FanoInput key 'n'\n"),
+            (
+                '{"n": 2, "eps_lower_at_point": "0"}',
+                "invalid input: eps_lower_at_point must be positive\n",
+            ),
+        ],
+        ids=["array", "no-n", "zero-bound"],
+    )
+    def test_malformed_fano_document(self, capsys, text, err):
+        assert run_cli(capsys, ["fano", "--json", text]) == (EXIT_BAD_INPUT, "", err)
+
+    def test_config_with_unknown_command(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "nope"}))
+        assert run_cli(capsys, ["--config", str(config)]) == (
+            EXIT_BAD_INPUT, "", "unknown command 'nope'\n"
+        )
 
     def test_config_without_command_names_the_key(self, capsys, tmp_path):
         config = tmp_path / "run.json"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frobjets.fano import (
     RULE_ALL_POINTS_DEGREE,
@@ -35,6 +37,22 @@ class TestAdjointJetReport:
         assert not report.seshadri_criterion
         assert not report.separates
         assert report.conclusion == "no conclusion"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        ell=st.integers(0, 6),
+        eps=st.none() | st.fractions(Fraction(1, 4), 15, max_denominator=6),
+        eps_frob=st.none() | st.fractions(Fraction(1, 4), 8, max_denominator=6),
+    )
+    def test_either_criterion_separates(self, n, ell, eps, eps_frob):
+        assume(eps is not None or eps_frob is not None)
+        report = adjoint_jet_report(n, ell, eps=eps, eps_frob=eps_frob)
+        # the threshold implied through the comparison factor is the Seshadri criterion
+        implied = None if eps is None else Fraction(ell + 1, ell + n) * eps > ell + 1
+        assert report.frobenius_threshold_implied == implied == report.seshadri_criterion
+        either = bool(report.seshadri_criterion) or bool(report.frobenius_criterion)
+        assert report.separates == either
 
     def test_implied_threshold(self):
         # eps > n + ell makes (ell+1)/(ell+n) * eps > ell + 1 automatically
@@ -210,3 +228,105 @@ class TestCharPnVerdict:
     def test_non_integer_fields_rejected(self, doc):
         with pytest.raises(ValueError, match="must be an integer"):
             FanoInput.from_json(doc)
+
+
+def _bound(n):
+    # a positive rational, with the threshold n + 1 and values just below it over-weighted
+    return st.one_of(
+        st.sampled_from([Fraction(n + 1), Fraction(n + 1) - Fraction(1, 7), Fraction(n)]),
+        st.fractions(Fraction(1, 4), 2 * n + 4, max_denominator=4),
+    )
+
+
+@st.composite
+def fano_inputs(draw):
+    n = draw(st.integers(1, 5))
+    fields = {"n": n, "char": draw(st.sampled_from([0, 2, 3, 5, 7]))}
+    optional = {
+        "eps_lower_at_point": _bound(n),
+        "eps_lower_everywhere": _bound(n),
+        "antican_selfint": st.one_of(
+            st.sampled_from([(n + 1) ** n - 1, (n + 1) ** n]), st.integers(1, 3 * (n + 1) ** n)
+        ),
+        "min_rc_degree": st.integers(-2, 2 * n + 4),
+        "curves_through_x": st.lists(
+            st.tuples(st.integers(1, 3 * n + 4), st.integers(1, 3)), min_size=1, max_size=2
+        ).map(tuple),
+    }
+    for name, values in optional.items():
+        if draw(st.booleans()):
+            fields[name] = draw(values)
+    return FanoInput(**fields)
+
+
+def specified_verdict(inp):
+    """What charpn_verdict must answer, from its statement: (fired, checks, warnings).
+
+    Raises DataContradictionError with the message of the first contradiction.
+    """
+    n, char, everywhere = inp.n, inp.char, inp.eps_lower_everywhere
+    lows = [b for b in (inp.eps_lower_at_point, everywhere) if b is not None]
+    best = max(lows) if lows else None
+    upper = min((Fraction(d, k) for d, k in inp.curves_through_x), default=None)
+    if upper is not None and best is not None and upper < best:
+        raise DataContradictionError(
+            f"curve upper bound {upper} is below the claimed lower bound {best}"
+        )
+    if everywhere is not None and inp.min_rc_degree is not None and inp.min_rc_degree < everywhere:
+        raise DataContradictionError(
+            "minimal rational-curve degree is below the everywhere lower bound"
+        )
+    if inp.antican_selfint is not None and best is not None and best**n > inp.antican_selfint:
+        raise DataContradictionError(
+            "claimed lower bound exceeds the n-th root of the anti-canonical degree"
+        )
+    fired, checks, warnings = [], {}, []
+    if best is not None and best >= n + 1:
+        fired.append(RULE_POINT_CHAR_P if char > 0 else RULE_POINT_CHAR_ZERO)
+    all_points = char > 0 and everywhere is not None and everywhere >= n + 1
+    if all_points:
+        fired.append(RULE_ALL_POINTS_DEGREE)
+    if upper is not None:
+        checks["curve_upper_bound"] = upper
+        if upper < n + 1:
+            warnings.append(
+                f"curve upper bound {upper} < {n + 1}: the point hypothesis cannot hold here"
+            )
+    if all_points:
+        checks["degree_condition_derivable"] = True
+    if best is not None:
+        checks["point_bound_met"] = best >= n + 1
+    return fired, checks, warnings
+
+
+class TestCharPnVerdictSpecification:
+    @settings(max_examples=400, deadline=None)
+    @given(fano_inputs())
+    def test_matches_the_specification(self, inp):
+        try:
+            fired, checks, warnings = specified_verdict(inp)
+        except DataContradictionError as exc:
+            with pytest.raises(DataContradictionError) as raised:
+                charpn_verdict(inp)
+            assert str(raised.value) == str(exc)
+            return
+        verdict = charpn_verdict(inp)
+        assert verdict.fired == tuple(fired)
+        assert verdict.rule == (fired[0] if fired else None)
+        assert verdict.verdict == ("isomorphic_to_Pn" if fired else "no_conclusion")
+        assert verdict.checks == checks
+        assert verdict.warnings == tuple(warnings)
+
+    def test_everywhere_bound_fires_both_rules(self):
+        inp = FanoInput.from_json(
+            {"n": 2, "char": 3, "eps_lower_everywhere": "3", "antican_selfint": 9}
+        )
+        verdict = charpn_verdict(inp)
+        assert verdict.fired == (RULE_POINT_CHAR_P, RULE_ALL_POINTS_DEGREE)
+        assert verdict.checks == {"degree_condition_derivable": True, "point_bound_met": True}
+        assert verdict.warnings == ()
+
+    def test_everywhere_bound_in_char_zero_fires_the_point_rule_only(self):
+        verdict = charpn_verdict(FanoInput(n=2, eps_lower_everywhere=Fraction(3)))
+        assert verdict.fired == (RULE_POINT_CHAR_ZERO,)
+        assert verdict.checks == {"point_bound_met": True}

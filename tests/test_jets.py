@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,6 +75,19 @@ class TestSeparatesFrobeniusJets:
         assert pn_threshold(3, 2, 1, 3) == 12
         assert pn_threshold(3, 2, 2, 2) == 17
         assert pn_threshold(5, 3, 0, 7) == 3
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pn_threshold_is_the_load(self, n, p):
+        # the load of the one row; the least separating degree is max(1, load)
+        for ell, e in itertools.product(range(4), range(4)):
+            q = p**e
+            assert pn_threshold(n, ell, e, p) == ell * q + n * (q - 1)
+            least = frobenius_threshold(projective_space(n), ell, e, p)
+            assert least == max(1, ell * q + n * (q - 1))
+        # they differ only at ell = e = 0, where the load is 0
+        assert pn_threshold(n, 0, 0, p) == 0
+        assert frobenius_threshold(projective_space(n), 0, 0, p) == 1
 
     @pytest.mark.parametrize("p", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -233,6 +247,28 @@ class TestMissingExponent:
 
     def test_none_when_separating(self):
         assert missing_exponent(projective_space(2), 4, 1, 1, 2) is None
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((3, 1, 1, 4), "characteristic must be prime, got 4"),
+            ((3, 1.0, 1, 2), "ell must be an integer, got 1.0"),
+            ((-5, 1, 1, 2), "degree m must be >= 1"),
+        ],
+        ids=["p-4", "float-ell", "negative-m"],
+    )
+    def test_arguments_checked(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            missing_exponent(projective_space(2), *args)
+
+    def test_witness_iff_not_separating(self):
+        for model in (projective_space(2), product_projective(1, 1, 1, 2), SLOPE_ZERO):
+            for m, ell, e, p in itertools.product(range(1, 7), range(3), range(3), (2, 3)):
+                witness = missing_exponent(model, m, ell, e, p)
+                assert (witness is None) == separates_frobenius_jets(model, m, ell, e, p)
+                if witness is not None:
+                    assert witness not in jet_ideal(model.n, ell, e, p)
+                    assert not model.attains(witness, m)
 
     def test_tied_heaviest_coordinates_keep_the_first(self):
         # W = 3 at coordinates 1 and 2: ell * q goes on coordinate 1

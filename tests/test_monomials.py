@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 from enum import IntEnum
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,24 @@ def brute_power_gens(base_gens, k, n):
     return sums
 
 
+def trial_division(p):
+    """Oracle: p is prime iff p >= 2 and no d in [2, sqrt(p)] divides it."""
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+# least strong pseudoprimes to every prime base up to 7, 11, 13, 17, 23 and 37
+STRONG_PSEUDOPRIMES = [
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+# the least strong pseudoprime to every prime base up to 41: no exact answer there
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 class TestPrimes:
     def test_small_primes(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -67,6 +86,32 @@ class TestPrimes:
         with pytest.raises(ValueError):
             ensure_prime(6)
         assert ensure_prime(5) == 5
+
+    def test_agrees_with_trial_division(self):
+        # the table below 41^2 and the Miller-Rabin test above it
+        for p in range(-3, 30000):
+            assert is_prime(p) == trial_division(p), p
+
+    def test_products_of_primes_above_the_bases(self):
+        rng = random.Random(20)
+        primes = [q for q in range(43, 20000) if trial_division(q)]
+        for _ in range(300):
+            a, b = rng.choice(primes), rng.choice(primes)
+            assert is_prime(a) and not is_prime(a * b), (a, b)
+
+    @pytest.mark.parametrize("p", STRONG_PSEUDOPRIMES)
+    def test_strong_pseudoprimes_are_composite(self, p):
+        assert not is_prime(p)
+
+    @pytest.mark.parametrize("p", [10**16 + 61, 99999999999999997, 2**61 - 1, 2**31 - 1])
+    def test_large_primes(self, p):
+        assert ensure_prime(p) == p
+
+    @pytest.mark.parametrize("p", [PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 2, 10**40])
+    def test_refused_from_the_limit_on(self, p):
+        message = f"characteristic must be below {PRIME_TEST_LIMIT} to be tested, got {p}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ensure_prime(p)
 
 
 class TestMinimalize:

@@ -14,6 +14,7 @@ from frobjets.cartier import (
     semilinearity_counterexample,
     surjectivity_counterexample,
 )
+from frobjets.jets import missing_exponent
 from frobjets.monomials import maximal_ideal
 from frobjets.principal_parts import PicClass
 from frobjets.serialize import dumps_report, parse_fraction, parse_int, parse_text_int, to_jsonable
@@ -202,6 +203,10 @@ INTEGER_PARAMETERS = [
     ("n", lambda v: frobjets.seshineq_check(v, Fraction(3), {1: 1})),
     ("degree m", lambda v: frobjets.seshineq_check(2, Fraction(3), {v: 1})),
     ("s(m)", lambda v: frobjets.seshineq_check(2, Fraction(3), {1: v})),
+    ("degree m", lambda v: missing_exponent(_P2, v, 1, 1, 2)),
+    ("ell", lambda v: missing_exponent(_P2, 4, v, 1, 2)),
+    ("e", lambda v: missing_exponent(_P2, 4, 1, v, 2)),
+    ("characteristic", lambda v: missing_exponent(_P2, 4, 1, 1, v)),
 ]
 
 
