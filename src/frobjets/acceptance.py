@@ -24,6 +24,8 @@ from .bounds import (
     check_comparison,
     check_level_comparison,
     closed_form_pn,
+    exact_frobenius_seshadri,
+    exact_seshadri,
     frobenius_seshadri_lower,
     gg_twist_extend,
     seshadri_lower,
@@ -45,7 +47,7 @@ from .fano import (
     seshineq_check,
 )
 from .jets import pn_threshold, s_jets, separates_frobenius_jets, separates_jets
-from .models import product_projective, projective_space, scaled_model
+from .models import custom_staircase, product_projective, projective_space, scaled_model
 from .monomials import verify_lemma_monomials
 from .principal_parts import det_pp_closed, det_pp_recursive, mori_endgame
 
@@ -185,21 +187,24 @@ def criterion_5_inclusion_suite():
 
 @criterion(6, "comparison inequalities", "closed-form sandwich and level comparisons hold exactly")
 def criterion_6_comparison_inequalities():
-    for n in range(1, 7):
+    models = [projective_space(n) for n in range(1, 7)]
+    models += [product_projective(*dims, 2) for dims in itertools.product((1, 2), (1, 2), (1, 3))]
+    rng = random.Random(6)
+    for n in [rng.randrange(1, 4) for _ in range(30)]:
+        # the first row bounds every variable; the others may have zero weights and slopes
+        rows = [([rng.randrange(k, 4) for _ in range(n)], rng.randrange(k, 5)) for k in (1, 0, 0)]
+        models.append(custom_staircase(n, rows))
+    for model in models:
+        n, eps = model.n, exact_seshadri(model).value
+        frob = [exact_frobenius_seshadri(model, ell) for ell in range(7)]
         for ell in range(7):
-            eps = Fraction(1)
-            frob = closed_form_pn(n, ell)
-            if Fraction(ell + 1, ell + n) * eps != frob:
+            if model.kind == "pn" and Fraction(ell + 1, ell + n) * eps != frob[ell]:
                 yield (n, ell, "left-equality")
-            if not check_comparison(n, ell, eps, frob):
+            if not check_comparison(n, ell, eps, frob[ell]):
                 yield (n, ell, "sandwich")
-    for n in range(1, 5):
-        for low in range(5):
-            for high in range(low + 1, 5):
-                if not check_level_comparison(
-                    n, high, low, closed_form_pn(n, high), closed_form_pn(n, low)
-                ):
-                    yield (n, high, low, "level-comparison")
+        for low, high in itertools.combinations(range(5), 2):
+            if not check_level_comparison(n, high, low, frob[high], frob[low]):
+                yield (n, high, low, "level-comparison")
 
 
 @criterion(7, "derivation-rule soundness",

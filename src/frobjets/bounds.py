@@ -21,7 +21,7 @@ cell attains it once ell >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 
@@ -34,7 +34,7 @@ from .jets import (
     separates_jets,
 )
 from .models import SectionModel, projective_space
-from .serialize import parse_fraction, parse_int
+from .serialize import format_fraction, parse_fraction, parse_int
 
 SESHADRI = "seshadri"
 FROBENIUS = "frobenius_seshadri"
@@ -57,28 +57,22 @@ class BoundCertificate:
     """An exact rational lower bound together with its finite witness.
 
     The witness is (m, s) for the ordinary kind, (m, e) for the Frobenius
-    kind; its value is the one that certified_value gives the witness.
+    kind; `value` is set at construction to what certified_value gives it.
     """
 
     kind: str
-    value: Fraction
+    value: Fraction = field(init=False)
     witness: tuple[int, int]
     ell: int | None = None
     p: int | None = None
     derivation: tuple[str, ...] = ("direct",)
 
-    @classmethod
-    def of(cls, kind, witness, ell=None, p=None, derivation=("direct",)) -> BoundCertificate:
-        """The certificate of a witness, at the value that the witness certifies."""
-        return cls(kind, certified_value(kind, witness, ell, p), witness, ell, p, derivation)
-
-    def recomputed_value(self) -> Fraction:
-        return certified_value(self.kind, self.witness, self.ell, self.p)
+    def __post_init__(self):
+        value = certified_value(self.kind, self.witness, self.ell, self.p)
+        object.__setattr__(self, "value", value)
 
     def reverify(self, model: SectionModel, method: str = "fast") -> bool:
-        """Re-check the witness against the jets engine and the stated value."""
-        if self.value != self.recomputed_value():
-            return False
+        """Re-check the witness against the jets engine."""
         m, second = self.witness
         if self.kind == SESHADRI:
             return separates_jets(model, m, second, method=method)
@@ -87,7 +81,7 @@ class BoundCertificate:
     def to_json(self) -> dict:
         doc = {
             "kind": self.kind,
-            "value": f"{self.value.numerator}/{self.value.denominator}",
+            "value": format_fraction(self.value),
             "witness": list(self.witness),
             "derivation": list(self.derivation),
         }
@@ -100,7 +94,7 @@ class BoundCertificate:
 def exact_seshadri(model: SectionModel) -> BoundCertificate:
     """The Seshadri constant a/b = min s/W over the rows with W > 0, certified at (b, a)."""
     value = min(certified_value(SESHADRI, (W, s)) for s, W, _, _ in model.rows)
-    return BoundCertificate(SESHADRI, value, (value.denominator, value.numerator))
+    return BoundCertificate(SESHADRI, (value.denominator, value.numerator))
 
 
 def exact_frobenius_seshadri(model: SectionModel, ell: int) -> Fraction:
@@ -119,7 +113,7 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     exact = exact_seshadri(model)
     if exact.witness[0] <= m_max:
         return exact
-    scan = (BoundCertificate.of(SESHADRI, (m, s_jets(model, m))) for m in range(1, m_max + 1))
+    scan = (BoundCertificate(SESHADRI, (m, s_jets(model, m))) for m in range(1, m_max + 1))
     return max(scan, key=attrgetter("value"))
 
 
@@ -139,7 +133,7 @@ def _best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int):
     maximum over ascending e, so ties go to the smallest e, then the smallest m.
     """
     cells = [(m_e, e) for e, m_e in enumerate(thresholds) if m_e is not None and m_e <= m_max]
-    certificates = (BoundCertificate.of(FROBENIUS, cell, ell, p) for cell in cells)
+    certificates = (BoundCertificate(FROBENIUS, cell, ell, p) for cell in cells)
     return max(certificates, key=attrgetter("value"), default=None)
 
 
@@ -158,7 +152,7 @@ def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> Bou
     """Certificate for one verified (m, e) witness."""
     if not separates_frobenius_jets(model, m, ell, e, p):
         raise ValueError(f"degree {m} does not separate p^{e}-Frobenius {ell}-jets")
-    return BoundCertificate.of(FROBENIUS, (m, e), ell, p)
+    return BoundCertificate(FROBENIUS, (m, e), ell, p)
 
 
 def closed_form_pn(n: int, ell: int) -> Fraction:
@@ -219,7 +213,7 @@ def tensor_power_scale(cert: BoundCertificate, r: int, p: int) -> BoundCertifica
         witness=(m * d_r, r * e),
         derivation=cert.derivation + (f"tensor_power({r})",),
     )
-    assert scaled.recomputed_value() == cert.value
+    assert scaled.value == cert.value
     return scaled
 
 
@@ -237,8 +231,7 @@ def gg_twist_extend(
     if parse_int(j, "j", 0) == 0:
         return cert
     m, e = cert.witness
-    derivation = cert.derivation + (f"gg_twist({j})",)
-    twisted = BoundCertificate.of(FROBENIUS, (m + j, e), cert.ell, cert.p, derivation)
+    twisted = replace(cert, witness=(m + j, e), derivation=cert.derivation + (f"gg_twist({j})",))
     if not twisted.reverify(model):
         raise RuleInapplicableError("twisted witness failed re-verification")
     return twisted

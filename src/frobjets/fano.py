@@ -61,9 +61,9 @@ class FanoInput:
         parse_int(self.n, "n", 1)
         if parse_int(self.char, "char") != 0:
             ensure_prime(self.char)
-        for name, low in (("antican_selfint", 1), ("min_rc_degree", None)):
+        for name in ("antican_selfint", "min_rc_degree"):
             if getattr(self, name) is not None:
-                parse_int(getattr(self, name), name, low)
+                parse_int(getattr(self, name), name, 1)
         for name in ("eps_lower_at_point", "eps_lower_everywhere"):
             value = getattr(self, name)
             if value is not None:
@@ -94,7 +94,6 @@ class AdjointJetReport:
 
     seshadri_criterion: bool | None
     frobenius_criterion: bool | None
-    frobenius_threshold_implied: bool | None
     separates: bool
     conclusion: str
 
@@ -104,10 +103,8 @@ def adjoint_jet_report(
 ) -> AdjointJetReport:
     """Strict thresholds: eps > n + ell, or the level-ell bound > ell + 1.
 
-    The adjoint bundle separates ell-jets when either criterion fires. The
-    threshold that eps implies through the comparison factor (ell+1)/(ell+n)
-    adds nothing: (ell+1)/(ell+n) * eps > ell + 1 iff eps > n + ell, so
-    frobenius_threshold_implied is the Seshadri criterion itself.
+    The adjoint bundle separates ell-jets when either criterion fires. What eps
+    implies through the comparison, (ell+1)/(ell+n) * eps > ell + 1, is eps > n + ell.
     """
     parse_int(n, "n", 1)
     parse_int(ell, "ell", 0)
@@ -121,7 +118,7 @@ def adjoint_jet_report(
         if separates
         else "no conclusion"
     )
-    return AdjointJetReport(seshadri_fires, frobenius_fires, seshadri_fires, separates, conclusion)
+    return AdjointJetReport(seshadri_fires, frobenius_fires, separates, conclusion)
 
 
 def seshineq_check(n: int, eps: Fraction, s_values: dict) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 
 from .monomials import Exponent
 from .serialize import parse_int, parse_text_int
@@ -71,28 +70,6 @@ class SectionModel:
             sum(w * x for w, x in zip(weights, a)) <= slope * m
             for weights, slope in self.constraints
         )
-
-    def coordinate_box(self, m: int) -> list[int]:
-        """Componentwise upper bounds for attainable exponents at degree m."""
-        box = []
-        for i in range(self.n):
-            bound = min(
-                slope * m // weights[i]
-                for weights, slope in self.constraints
-                if weights[i] > 0
-            )
-            box.append(bound)
-        return box
-
-    def attainable_exponents(self, m: int, limit: int = 2_000_000):
-        """Materialize the attainable set at degree m (small m only)."""
-        box = self.coordinate_box(m)
-        volume = 1
-        for b in box:
-            volume *= b + 1
-        if volume > limit:
-            raise ValueError(f"attainable set too large to materialize ({volume} boxes)")
-        return [a for a in product(*(range(b + 1) for b in box)) if self.attains(a, m)]
 
     def to_config(self) -> dict:
         if self.kind == "pn":

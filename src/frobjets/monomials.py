@@ -169,24 +169,8 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self.gens == ((0,) * self.n,)
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "(0)"
-        return "(" + ", ".join(render_monomial(g) for g in self.gens) + ")"
-
     def to_json(self) -> dict:
         return {"n": self.n, "generators": [list(g) for g in self.gens]}
-
-
-def render_monomial(a: Exponent) -> str:
-    """Render x1^a1*...*xn^an, omitting zero exponents; the unit is "1"."""
-    parts = []
-    for i, x in enumerate(a, start=1):
-        if x == 1:
-            parts.append(f"x{i}")
-        elif x > 1:
-            parts.append(f"x{i}^{x}")
-    return "*".join(parts) if parts else "1"
 
 
 def minimalize(gens, n: int) -> MonomialIdeal:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from frobjets.bounds import (
     BoundCertificate,
     RuleInapplicableError,
     certificate_at,
+    certified_value,
     check_comparison,
     check_level_comparison,
     closed_form_pn,
@@ -468,7 +470,7 @@ class TestComparisons:
 
     def test_exact_constants_skip_zero_rows(self):
         # SLOPE_ZERO's only row with W > 0 has slope 0, ZERO_ROW_THREE's give 2 and 1/3
-        assert exact_seshadri(SLOPE_ZERO) == BoundCertificate(SESHADRI, Fraction(0), (1, 0))
+        assert exact_seshadri(SLOPE_ZERO) == BoundCertificate(SESHADRI, (1, 0))
         assert exact_seshadri(ZERO_ROW_THREE).witness == (3, 1)
         assert exact_frobenius_seshadri(ZERO_ROW_SLOPE_ZERO, 1) == Fraction(2, 5)
 
@@ -585,9 +587,41 @@ class TestCertificateJson:
         assert doc["witness"] == [4, 1]
         assert doc["kind"] == FROBENIUS
         assert doc["p"] == 2 and doc["ell"] == 1
+        # the value is written in lowest terms, zero as "0/1"
+        assert BoundCertificate(SESHADRI, (6, 4)).to_json()["value"] == "2/3"
+        assert BoundCertificate(FROBENIUS, (3, 0), ell=1, p=2).to_json()["value"] == "0/1"
 
-    def test_bad_value_fails_reverify(self):
-        cert = BoundCertificate(
-            FROBENIUS, Fraction(9, 1), (4, 1), ell=1, p=2
-        )
+
+class TestDerivedValue:
+    def test_value_argument_refused(self):
+        # the old call shape, with the value second, no longer fits the signature
+        with pytest.raises(TypeError):
+            BoundCertificate(FROBENIUS, Fraction(9), (4, 1), ell=1, p=2)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'value'"):
+            BoundCertificate(SESHADRI, witness=(1, 1), value=Fraction(1))
+
+    @given(
+        kind=st.sampled_from([SESHADRI, FROBENIUS]),
+        m=st.integers(1, 200),
+        second=st.integers(0, 8),
+        ell=st.integers(0, 4),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_value_is_certified_value(self, kind, m, second, ell, p):
+        cert = BoundCertificate(kind, (m, second), ell, p)
+        assert cert.value == certified_value(kind, (m, second), ell, p)
+
+    def test_replace_recomputes_the_value(self):
+        cert = certificate_at(projective_space(2), 2, 1, 4, 1)
+        assert cert.value == Fraction(1, 2)
+        assert replace(cert, witness=(5, 1)).value == Fraction(2, 5)
+        with pytest.raises(ValueError):
+            replace(cert, value=Fraction(9))
+
+    def test_wrong_witness_fails_reverify(self):
+        # (4, 1) is the threshold cell of 1-jets on P^2 at p = 2; (3, 1) lies below it
+        cert = BoundCertificate(FROBENIUS, (3, 1), ell=1, p=2)
+        assert cert.value == Fraction(2, 3)
         assert not cert.reverify(projective_space(2))
+        assert not cert.reverify(projective_space(2), method="cobasis")

@@ -609,8 +609,17 @@ class TestMalformedInput:
                 '{"n": 2, "eps_lower_at_point": "0"}',
                 "invalid input: eps_lower_at_point must be positive\n",
             ),
+            # a rational-curve degree below 1 is malformed, not a contradiction (exit 3)
+            (
+                '{"n": 2, "char": 3, "min_rc_degree": -2}',
+                "invalid input: min_rc_degree must be >= 1\n",
+            ),
+            (
+                '{"n": 2, "char": 3, "min_rc_degree": 0, "eps_lower_everywhere": "1"}',
+                "invalid input: min_rc_degree must be >= 1\n",
+            ),
         ],
-        ids=["array", "no-n", "zero-bound"],
+        ids=["array", "no-n", "zero-bound", "negative-rc-degree", "zero-rc-degree"],
     )
     def test_malformed_fano_document(self, capsys, text, err):
         assert run_cli(capsys, ["fano", "--json", text]) == (EXIT_BAD_INPUT, "", err)

@@ -50,15 +50,9 @@ class TestAdjointJetReport:
         report = adjoint_jet_report(n, ell, eps=eps, eps_frob=eps_frob)
         # the threshold implied through the comparison factor is the Seshadri criterion
         implied = None if eps is None else Fraction(ell + 1, ell + n) * eps > ell + 1
-        assert report.frobenius_threshold_implied == implied == report.seshadri_criterion
+        assert implied == report.seshadri_criterion
         either = bool(report.seshadri_criterion) or bool(report.frobenius_criterion)
         assert report.separates == either
-
-    def test_implied_threshold(self):
-        # eps > n + ell makes (ell+1)/(ell+n) * eps > ell + 1 automatically
-        report = adjoint_jet_report(2, 1, eps=Fraction(10, 3))
-        assert report.seshadri_criterion
-        assert report.frobenius_threshold_implied
 
     def test_requires_some_bound(self):
         with pytest.raises(ValueError):
@@ -229,6 +223,19 @@ class TestCharPnVerdict:
         with pytest.raises(ValueError, match="must be an integer"):
             FanoInput.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "char": 3, "min_rc_degree": -2},
+            {"n": 2, "char": 3, "min_rc_degree": 0, "eps_lower_everywhere": "1"},
+        ],
+    )
+    def test_min_rc_degree_below_one_refused(self, doc):
+        # a degree below 1 is malformed input, not data that contradict a bound
+        with pytest.raises(ValueError, match="^min_rc_degree must be >= 1$") as raised:
+            FanoInput.from_json(doc)
+        assert not isinstance(raised.value, DataContradictionError)
+
 
 def _bound(n):
     # a positive rational, with the threshold n + 1 and values just below it over-weighted
@@ -248,7 +255,7 @@ def fano_inputs(draw):
         "antican_selfint": st.one_of(
             st.sampled_from([(n + 1) ** n - 1, (n + 1) ** n]), st.integers(1, 3 * (n + 1) ** n)
         ),
-        "min_rc_degree": st.integers(-2, 2 * n + 4),
+        "min_rc_degree": st.integers(1, 2 * n + 4),
         "curves_through_x": st.lists(
             st.tuples(st.integers(1, 3 * n + 4), st.integers(1, 3)), min_size=1, max_size=2
         ).map(tuple),

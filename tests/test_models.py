@@ -17,14 +17,20 @@ from frobjets.models import (
 )
 
 
+def attained(model, m, side):
+    """The exponents of the box [0, side]^n that the model attains at degree m."""
+    box = itertools.product(range(side + 1), repeat=model.n)
+    return {a for a in box if model.attains(a, m)}
+
+
 class TestProjectiveSpace:
     def test_degree_one_simplex(self):
         model = projective_space(2)
-        assert set(model.attainable_exponents(1)) == {(0, 0), (1, 0), (0, 1)}
+        assert attained(model, 1, 3) == {(0, 0), (1, 0), (0, 1)}
 
     def test_line_segment(self):
         model = projective_space(1)
-        assert model.attainable_exponents(3) == [(0,), (1,), (2,), (3,)]
+        assert sorted(attained(model, 3, 6)) == [(0,), (1,), (2,), (3,)]
 
     def test_membership_is_degree_test(self):
         model = projective_space(2)
@@ -39,9 +45,7 @@ class TestProjectiveSpace:
 class TestProductProjective:
     def test_box(self):
         model = product_projective(1, 1, 1, 1)
-        assert set(model.attainable_exponents(2)) == {
-            (a, b) for a in range(3) for b in range(3)
-        }
+        assert attained(model, 2, 5) == {(a, b) for a in range(3) for b in range(3)}
 
     def test_block_boundary(self):
         model = product_projective(2, 1, 3, 1)
@@ -72,11 +76,9 @@ class TestCustomStaircase:
     def test_weighted_count(self):
         # Oracle: direct lattice enumeration of 2*a1 + a2 <= 3.
         model = custom_staircase(2, [((2, 1), 1)])
-        points = model.attainable_exponents(3)
-        expected = [
-            a for a in itertools.product(range(4), repeat=2) if 2 * a[0] + a[1] <= 3
-        ]
-        assert sorted(points) == sorted(expected)
+        points = attained(model, 3, 6)
+        expected = {a for a in itertools.product(range(7), repeat=2) if 2 * a[0] + a[1] <= 3}
+        assert points == expected
         assert len(points) == 6
 
     def test_unbounded_rejected(self):
@@ -113,7 +115,7 @@ class TestDerivedRows:
 class TestScaledModel:
     def test_scaled_simplex(self):
         model = scaled_model(projective_space(2), 2)
-        assert set(model.attainable_exponents(1)) == {
+        assert attained(model, 1, 4) == {
             a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2
         }
 
@@ -151,14 +153,16 @@ def small_models(draw):
 
 
 class TestModelInvariants:
-    @given(model=small_models(), m=st.integers(1, 12), data=st.data())
+    # each test asks `attains` over the explicit box [0, 6]^n
+    @given(model=small_models(), m=st.integers(1, 12))
     @settings(max_examples=80, deadline=None)
-    def test_downward_closure(self, model, m, data):
-        box = model.coordinate_box(m)
-        a = tuple(data.draw(st.integers(0, min(b, 12))) for b in box)
-        if model.attains(a, m):
-            b = tuple(data.draw(st.integers(0, x)) for x in a)
-            assert model.attains(b, m)
+    def test_downward_closure(self, model, m):
+        points = attained(model, m, 6)
+        # one step down from every attained point is enough: the steps compose
+        for a in points:
+            for i, x in enumerate(a):
+                if x > 0:
+                    assert a[:i] + (x - 1,) + a[i + 1 :] in points
 
     @given(
         model=small_models(),
@@ -168,21 +172,15 @@ class TestModelInvariants:
     )
     @settings(max_examples=80, deadline=None)
     def test_minkowski_superadditivity(self, model, m1, m2, data):
-        box1 = model.coordinate_box(m1)
-        box2 = model.coordinate_box(m2)
-        a = tuple(data.draw(st.integers(0, min(b, 10))) for b in box1)
-        b = tuple(data.draw(st.integers(0, min(x, 10))) for x in box2)
-        if model.attains(a, m1) and model.attains(b, m2):
-            combined = tuple(x + y for x, y in zip(a, b))
-            assert model.attains(combined, m1 + m2)
+        a = data.draw(st.sampled_from(sorted(attained(model, m1, 6))))
+        b = data.draw(st.sampled_from(sorted(attained(model, m2, 6))))
+        combined = tuple(x + y for x, y in zip(a, b))
+        assert model.attains(combined, m1 + m2)
 
-    @given(model=small_models(), m=st.integers(1, 11), data=st.data())
+    @given(model=small_models(), m=st.integers(1, 11))
     @settings(max_examples=60, deadline=None)
-    def test_monotone_in_degree(self, model, m, data):
-        box = model.coordinate_box(m)
-        a = tuple(data.draw(st.integers(0, min(b, 12))) for b in box)
-        if model.attains(a, m):
-            assert model.attains(a, m + 1)
+    def test_monotone_in_degree(self, model, m):
+        assert attained(model, m, 6) <= attained(model, m + 1, 6)
 
 
 class TestConfigRoundTrip:

@@ -22,7 +22,6 @@ from frobjets.monomials import (
     minimalize,
     noncontainment_witness,
     power,
-    render_monomial,
     staircase_max_degree,
     unit_ideal,
     verify_lemma_monomials,
@@ -121,7 +120,6 @@ class TestMinimalize:
     def test_empty_is_zero_ideal(self):
         ideal = minimalize([], 1)
         assert ideal.is_zero()
-        assert str(ideal) == "(0)"
 
     def test_antichain_untouched(self):
         gens = [(1, 1), (2, 0), (0, 2)]
@@ -690,15 +688,6 @@ class TestStructuredMembership:
 
 
 class TestRendering:
-    def test_monomial(self):
-        assert render_monomial((3, 1)) == "x1^3*x2"
-        assert render_monomial((0, 0)) == "1"
-        assert render_monomial((0, 2, 0)) == "x2^2"
-
-    def test_ideal(self):
-        rendered = str(MonomialIdeal(2, ((1, 1), (2, 0))))
-        assert rendered == "(x1*x2, x1^2)"
-
     def test_json(self):
         doc = MonomialIdeal(2, ((1, 1),)).to_json()
         assert doc == {"n": 2, "generators": [[1, 1]]}
