@@ -38,6 +38,7 @@ from .jets import (
     pn_threshold,
     s_frobenius,
     s_jets,
+    separates_by_cobasis,
     separates_frobenius_jets,
     separates_jets,
 )

@@ -46,7 +46,7 @@ from .fano import (
     degree_bound_check,
     seshineq_check,
 )
-from .jets import pn_threshold, s_jets, separates_frobenius_jets, separates_jets
+from .jets import pn_threshold, s_jets, separates_by_cobasis
 from .models import custom_staircase, product_projective, projective_space, scaled_model
 from .monomials import verify_lemma_monomials
 from .principal_parts import det_pp_closed, det_pp_recursive, mori_endgame
@@ -110,9 +110,7 @@ def criterion_1_pn_jet_threshold():
                     threshold = pn_threshold(n, ell, e, p)
                     for m in range(1, 41):
                         cells += 1
-                        brute = separates_frobenius_jets(
-                            model, m, ell, e, p, method="cobasis"
-                        )
+                        brute = separates_by_cobasis(model, m, ell, e, p)
                         if brute != (m >= threshold):
                             yield (n, p, ell, e, m)
     return cells
@@ -348,8 +346,8 @@ def criterion_12_product_model():
         model = product_projective(1, 1, c, d)
         for m in range(1, 9):
             s = s_jets(model, m)
-            separates = separates_jets(model, m, s, method="cobasis")
-            if not separates or separates_jets(model, m, s + 1, method="cobasis"):
+            separates = separates_by_cobasis(model, m, s, 0, 2)
+            if not separates or separates_by_cobasis(model, m, s + 1, 0, 2):
                 yield (c, d, m, "s_jets-oracle")
 
 

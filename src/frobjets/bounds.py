@@ -23,17 +23,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import attrgetter
 
 from .jets import (
     frobenius_threshold,
     pn_threshold,
     s_frobenius,
     s_jets,
+    separates_by_cobasis,
     separates_frobenius_jets,
-    separates_jets,
 )
 from .models import SectionModel, projective_space
+from .monomials import ensure_prime
 from .serialize import format_fraction, parse_fraction, parse_int
 
 SESHADRI = "seshadri"
@@ -57,7 +57,9 @@ class BoundCertificate:
     """An exact rational lower bound together with its finite witness.
 
     The witness is (m, s) for the ordinary kind, (m, e) for the Frobenius
-    kind; `value` is set at construction to what certified_value gives it.
+    kind, exact ints with m >= 1 and s, e >= 0; a Frobenius certificate has
+    ell >= 0 and a prime p, an ordinary one neither. The fields are checked
+    at construction, and `value` is set to what certified_value gives them.
     """
 
     kind: str
@@ -68,15 +70,31 @@ class BoundCertificate:
     derivation: tuple[str, ...] = ("direct",)
 
     def __post_init__(self):
+        if self.kind not in (SESHADRI, FROBENIUS):
+            raise ValueError(f"kind must be {SESHADRI!r} or {FROBENIUS!r}, got {self.kind!r}")
+        try:
+            m, second = self.witness
+        except (TypeError, ValueError):
+            raise ValueError(f"witness must be a pair, got {self.witness!r}") from None
+        parse_int(m, "witness m", 1)
+        parse_int(second, "witness s" if self.kind == SESHADRI else "witness e", 0)
+        if self.kind == FROBENIUS:
+            parse_int(self.ell, "ell", 0)
+            ensure_prime(self.p)
+        elif self.ell is not None or self.p is not None:
+            raise ValueError("an ordinary certificate has no ell or p")
+        object.__setattr__(self, "witness", (m, second))
         value = certified_value(self.kind, self.witness, self.ell, self.p)
         object.__setattr__(self, "value", value)
 
     def reverify(self, model: SectionModel, method: str = "fast") -> bool:
-        """Re-check the witness against the jets engine."""
+        """Re-check the witness by the fast checker or by the cobasis oracle."""
+        checkers = {"fast": separates_frobenius_jets, "cobasis": separates_by_cobasis}
+        if method not in checkers:
+            raise ValueError(f"unknown method {method!r}; expected one of {tuple(checkers)}")
         m, second = self.witness
-        if self.kind == SESHADRI:
-            return separates_jets(model, m, second, method=method)
-        return separates_frobenius_jets(model, m, self.ell, second, self.p, method=method)
+        ell, e, p = (second, 0, 2) if self.kind == SESHADRI else (self.ell, second, self.p)
+        return checkers[method](model, m, ell, e, p)
 
     def to_json(self) -> dict:
         doc = {
@@ -113,8 +131,8 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     exact = exact_seshadri(model)
     if exact.witness[0] <= m_max:
         return exact
-    scan = (BoundCertificate(SESHADRI, (m, s_jets(model, m))) for m in range(1, m_max + 1))
-    return max(scan, key=attrgetter("value"))
+    scan = ((m, s_jets(model, m)) for m in range(1, m_max + 1))
+    return BoundCertificate(SESHADRI, max(scan, key=lambda cell: certified_value(SESHADRI, cell)))
 
 
 def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
@@ -133,8 +151,8 @@ def _best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int):
     maximum over ascending e, so ties go to the smallest e, then the smallest m.
     """
     cells = [(m_e, e) for e, m_e in enumerate(thresholds) if m_e is not None and m_e <= m_max]
-    certificates = (BoundCertificate(FROBENIUS, cell, ell, p) for cell in cells)
-    return max(certificates, key=attrgetter("value"), default=None)
+    best = max(cells, key=lambda cell: certified_value(FROBENIUS, cell, ell, p), default=None)
+    return None if best is None else BoundCertificate(FROBENIUS, best, ell, p)
 
 
 def frobenius_seshadri_lower(

@@ -34,7 +34,7 @@ from .bounds import (
 )
 from .cartier import cartier_report
 from .fano import DataContradictionError, FanoInput, charpn_verdict
-from .jets import missing_exponent, pn_threshold, separates_frobenius_jets
+from .jets import missing_exponent, pn_threshold, separates_by_cobasis
 from .models import model_from_spec
 from .monomials import MonomialIdeal, verify_lemma_monomials
 from .principal_parts import det_pp_recursive, mori_endgame, rank_pp
@@ -69,14 +69,15 @@ def _cmd_inclusion_check(params):
 def _cmd_jets(params):
     model = model_from_spec(params["model"])
     m, ell, e, p = params["m"], params["l"], params["e"], params["p"]
-    separates = separates_frobenius_jets(model, m, ell, e, p)
+    witness = missing_exponent(model, m, ell, e, p)
+    separates = witness is None
     payload = {"separates": separates, "m": m, "l": ell, "e": e, "p": p}
     if model.kind == "pn":
         payload["pn_threshold"] = pn_threshold(model.n, ell, e, p)
     if not separates:
-        payload["witness_missing_exponent"] = list(missing_exponent(model, m, ell, e, p))
+        payload["witness_missing_exponent"] = list(witness)
     if params["oracle"]:
-        oracle = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+        oracle = separates_by_cobasis(model, m, ell, e, p)
         payload["oracle"] = oracle
         payload["methods_agree"] = oracle == separates
         if oracle != separates:

@@ -5,27 +5,27 @@ is attainable at m: on a monomial model the restriction map is diagonal on the
 monomial basis (attainable monomials map to their own residue classes, ideal
 monomials to zero), so surjectivity is staircase coverage.
 
-Separation has two interchangeable checkers, the fast path and its oracle:
+Separation has a fast checker and an independent oracle:
 
-* "fast": per-constraint maximization of <w, a> over the complement of the
-  jet ideal, in closed form.  A monomial x^a lies outside the bracket power
-  by p^e of the (ell+1)-st maximal-ideal power iff
+* missing_exponent, the fast checker, maximizes <w, a> over the complement
+  of the jet ideal per row, in closed form.  A monomial x^a lies outside
+  the bracket power by p^e of the (ell+1)-st maximal-ideal power iff
   sum_i floor(a_i / p^e) <= ell, so with q = p^e the maximum is the load
   _load = ell * q * W + (q - 1) * S of the model's row (s, W, S, i), where
   W = max(w) and S = sum(w) (see SectionModel.rows).  Degree m separates
-  iff m >= frobenius_threshold, the least m with every load <= s * m.
-* "cobasis": ask the model at the maximal points (corners) of the cobasis.
-  They are the staircase corners a with every a + e_i in the ideal: a
-  generator dividing a + e_i but not a has g_i = a_i + 1. An attainable set
-  is downward closed (a model's weights are non-negative), so it covers the
-  cobasis exactly when it covers the corners. No load formula is used.
+  iff every load is <= s * m; frobenius_threshold solves that for m.
+* separates_by_cobasis, the oracle, asks the model at the maximal points
+  (corners) of the cobasis, the staircase corners a with every a + e_i in
+  the ideal (a generator dividing a + e_i but not a has g_i = a_i + 1). An
+  attainable set is downward closed (the weights are non-negative), so it
+  covers the cobasis iff it covers the corners. No load formula is used.
 
 A rank check of the restriction matrix would add nothing: the matrix has at
 most one 1 per row, so its rank counts the attained cobasis monomials, which
-is the "cobasis" check again.
+is the oracle's check again.
 
 The indices need no checker: s(m) is the closed form min over the rows of
-floor(s * m / W), and s_F(m) solves the load inequality for p^e.
+floor(s * m / W), and s_F(m) solves the load inequality for p^e in one pass.
 """
 
 from __future__ import annotations
@@ -70,15 +70,20 @@ def _load(W: int, S: int, ell: int, q: int) -> int:
     return ell * q * W + (q - 1) * S
 
 
+def _check_jets(ell: int, e: int, p: int) -> int:
+    """q = p^e, once ell and e are integers >= 0 and p is a prime."""
+    if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
+        raise ValueError("ell and e must be >= 0")
+    return ensure_prime(p) ** e
+
+
 def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | None:
     """Smallest degree m >= 1 that separates p^e-Frobenius ell-jets, or None.
 
     Each row (s, W, S, i) asks for s * m >= its load; None means that a row
     of slope 0 has a positive load, so that no degree separates.
     """
-    if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
-        raise ValueError("ell and e must be >= 0")
-    q = ensure_prime(p) ** e
+    q = _check_jets(ell, e, p)
     m_e = 1
     for s, W, S, _ in model.rows:
         load = _load(W, S, ell, q)
@@ -99,42 +104,39 @@ def _cobasis_corners(ideal: MonomialIdeal) -> frozenset[Exponent]:
     )
 
 
-def separates_frobenius_jets(
-    model: SectionModel, m: int, ell: int, e: int, p: int, method: str = "fast"
-) -> bool:
-    """Whether degree-m sections separate p^e-Frobenius ell-jets at the point."""
+def separates_by_cobasis(model: SectionModel, m: int, ell: int, e: int, p: int) -> bool:
+    """The oracle: whether the model attains every cobasis corner of the jet ideal at m."""
     parse_int(m, "degree m", 1)
-    # the threshold checks ell, e and p; the cobasis oracle does not use it
-    m_e = frobenius_threshold(model, ell, e, p)
-    if method == "fast":
-        return m_e is not None and m >= m_e
-    if method != "cobasis":
-        raise ValueError(f"unknown method {method!r}; expected one of ('fast', 'cobasis')")
+    _check_jets(ell, e, p)
     # the attainable set is downward closed, so covering the corners covers all
     corners = _cobasis_corners(jet_ideal(model.n, ell, e, p))
     return all(model.attains(a, m) for a in corners)
 
 
-def separates_jets(model: SectionModel, m: int, ell: int, method: str = "fast") -> bool:
-    """Whether degree-m sections separate ordinary ell-jets at the point."""
-    return separates_frobenius_jets(model, m, ell, 0, 2, method=method)
-
-
 def missing_exponent(model: SectionModel, m: int, ell: int, e: int, p: int):
     """A cobasis exponent of the jet ideal that the model misses, or None.
 
-    None iff degree m separates (separates_frobenius_jets checks the arguments).
-    Else the witness maximizes the first violated row's load: all coordinates
-    at p^e - 1, plus ell * p^e on that row's first heaviest coordinate i.
+    None iff degree m separates p^e-Frobenius ell-jets. Else the witness
+    maximizes the first violated row's load: all coordinates at p^e - 1,
+    plus ell * p^e on that row's first heaviest coordinate i.
     """
-    if separates_frobenius_jets(model, m, ell, e, p):
-        return None
-    q = p**e
+    parse_int(m, "degree m", 1)
+    q = _check_jets(ell, e, p)
     for s, W, S, i in model.rows:
         if _load(W, S, ell, q) > s * m:
             a = [q - 1] * model.n
             a[i] += ell * q
             return tuple(a)
+
+
+def separates_frobenius_jets(model: SectionModel, m: int, ell: int, e: int, p: int) -> bool:
+    """Whether degree-m sections separate p^e-Frobenius ell-jets at the point."""
+    return missing_exponent(model, m, ell, e, p) is None
+
+
+def separates_jets(model: SectionModel, m: int, ell: int) -> bool:
+    """Whether degree-m sections separate ordinary ell-jets at the point."""
+    return separates_frobenius_jets(model, m, ell, 0, 2)
 
 
 def s_jets(model: SectionModel, m: int) -> int:
@@ -152,11 +154,14 @@ def s_frobenius(model: SectionModel, m: int, ell: int, p: int) -> int | float:
 
     Returns -inf when even e = 0 fails. With q = p^e, a row (s, W, S, i)
     admits the jets iff its load ell*q*W + (q-1)*S <= s*m, that is iff
-    q <= (s*m + S) // (ell*W + S).
+    q <= (s*m + S) // (ell*W + S). As W >= 1, the bound is 0 exactly when a
+    row fails at q = 1.
     """
-    if not separates_frobenius_jets(model, m, ell, 0, p):
-        return NEG_INF
+    parse_int(m, "degree m", 1)
+    _check_jets(ell, 0, p)
     bound = min((s * m + S) // (ell * W + S) for s, W, S, _ in model.rows)
+    if bound == 0:
+        return NEG_INF
     e, q = 0, p
     while q <= bound:
         e, q = e + 1, q * p

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from frobjets.jets import (
     pn_threshold,
     s_frobenius,
     s_jets,
+    separates_by_cobasis,
     separates_frobenius_jets,
 )
 from frobjets.models import (
@@ -53,7 +55,7 @@ def oracle_sweep_table(model, p, ell, m_max, e_max):
     rows = []
     for e in range(e_max + 1):
         for m in range(1, m_max + 1):
-            separating = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+            separating = separates_by_cobasis(model, m, ell, e, p)
             value = Fraction((p**e - 1) * (ell + 1), m) if separating else None
             rows.append((e, m, separating, value))
     return rows
@@ -592,6 +594,42 @@ class TestCertificateJson:
         assert BoundCertificate(FROBENIUS, (3, 0), ell=1, p=2).to_json()["value"] == "0/1"
 
 
+class TestCertificateFields:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("bogus", (2, 1)), "kind must be 'seshadri' or 'frobenius_seshadri', got 'bogus'"),
+            ((FROBENIUS, (0, 1), 1, 2), "witness m must be >= 1"),
+            ((SESHADRI, (4, 1.0)), "witness s must be an integer, got 1.0"),
+            ((FROBENIUS, (4, 1.0), 1, 2), "witness e must be an integer, got 1.0"),
+            ((SESHADRI, (2, -3)), "witness s must be >= 0"),
+            ((SESHADRI, (2, 1, 0)), "witness must be a pair, got (2, 1, 0)"),
+            ((SESHADRI, 4), "witness must be a pair, got 4"),
+            ((FROBENIUS, (4, 1), -1, 2), "ell must be >= 0"),
+            ((FROBENIUS, (4, 1), 1, 4), "characteristic must be prime, got 4"),
+            ((FROBENIUS, (4, 1), 1, None), "characteristic must be an integer, got None"),
+            ((SESHADRI, (4, 1), 1, None), "an ordinary certificate has no ell or p"),
+            ((SESHADRI, (4, 1), None, 2), "an ordinary certificate has no ell or p"),
+        ],
+    )
+    def test_bad_field_refused(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundCertificate(*args)
+
+    def test_replace_checks_the_fields(self):
+        cert = certificate_at(projective_space(2), 2, 1, 4, 1)
+        with pytest.raises(ValueError, match="witness m must be >= 1"):
+            replace(cert, witness=(0, 1))
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            replace(cert, p=4)
+
+    def test_witness_stored_as_tuple(self):
+        cert = BoundCertificate(SESHADRI, [6, 4])
+        assert cert.witness == (6, 4)
+        assert cert == BoundCertificate(SESHADRI, (6, 4))
+        assert hash(cert) == hash(BoundCertificate(SESHADRI, (6, 4)))
+
+
 class TestDerivedValue:
     def test_value_argument_refused(self):
         # the old call shape, with the value second, no longer fits the signature
@@ -609,6 +647,9 @@ class TestDerivedValue:
     )
     @settings(max_examples=200, deadline=None)
     def test_value_is_certified_value(self, kind, m, second, ell, p):
+        # an ordinary certificate carries no ell or p
+        if kind == SESHADRI:
+            ell = p = None
         cert = BoundCertificate(kind, (m, second), ell, p)
         assert cert.value == certified_value(kind, (m, second), ell, p)
 

@@ -89,11 +89,10 @@ class TestJetsCommand:
 
     def test_oracle_disagreement_exits_1(self, capsys, monkeypatch):
         # an oracle that answers the opposite of the fast checker
-        def flipped(model, m, ell, e, p, method="fast"):
-            fast = separates_frobenius_jets(model, m, ell, e, p)
-            return not fast if method == "cobasis" else fast
+        def flipped(model, m, ell, e, p):
+            return not separates_frobenius_jets(model, m, ell, e, p)
 
-        monkeypatch.setattr(cli, "separates_frobenius_jets", flipped)
+        monkeypatch.setattr(cli, "separates_by_cobasis", flipped)
         argv = ["jets", "--model", "pn:2", "--m", "4", "--l", "1", "--e", "1", "--oracle"]
         assert run_cli(capsys, argv) == (
             EXIT_CHECK_FAILED,

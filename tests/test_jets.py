@@ -1,11 +1,14 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frobjets import jets
+from frobjets.bounds import SESHADRI, BoundCertificate
 from frobjets.cartier import random_primary_ideal
 from frobjets.jets import (
     NEG_INF,
@@ -16,6 +19,7 @@ from frobjets.jets import (
     pn_threshold,
     s_frobenius,
     s_jets,
+    separates_by_cobasis,
     separates_frobenius_jets,
     separates_jets,
 )
@@ -97,21 +101,23 @@ class TestSeparatesFrobeniusJets:
             threshold = pn_threshold(n, ell, e, p)
             for m in range(max(1, threshold - 2), threshold + 3):
                 fast = separates_frobenius_jets(model, m, ell, e, p)
-                oracle = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+                oracle = separates_by_cobasis(model, m, ell, e, p)
                 assert fast == oracle == (m >= threshold)
 
     def test_methods_agree_on_product(self):
         model = product_projective(1, 1, 1, 2)
         for m, ell, e in itertools.product(range(1, 9), range(3), range(3)):
             fast = separates_frobenius_jets(model, m, ell, e, 2)
-            oracle = separates_frobenius_jets(model, m, ell, e, 2, method="cobasis")
+            oracle = separates_by_cobasis(model, m, ell, e, 2)
             assert fast == oracle
 
     def test_unknown_method_rejected(self):
+        # reverify is the one place that picks a checker by name
+        cert = BoundCertificate(SESHADRI, (1, 0))
         with pytest.raises(ValueError, match="unknown method"):
-            separates_frobenius_jets(projective_space(1), 1, 0, 0, 2, method="guess")
+            cert.reverify(projective_space(1), method="guess")
         with pytest.raises(ValueError, match="unknown method"):
-            separates_frobenius_jets(projective_space(1), 1, 0, 0, 2, method="rank")
+            cert.reverify(projective_space(1), method="rank")
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -150,20 +156,20 @@ def models_up_to_three_variables(draw):
 
 def counted_s_jets(model, m):
     """Reference: count ell upward while the cobasis oracle separates ell-jets."""
-    if not separates_jets(model, m, 0, method="cobasis"):
+    if not separates_by_cobasis(model, m, 0, 0, 2):
         return NEG_INF
     ell = 0
-    while separates_jets(model, m, ell + 1, method="cobasis"):
+    while separates_by_cobasis(model, m, ell + 1, 0, 2):
         ell += 1
     return ell
 
 
 def counted_s_frobenius(model, m, ell, p):
     """Reference: count e upward while the cobasis oracle separates Frobenius ell-jets."""
-    if not separates_frobenius_jets(model, m, ell, 0, p, method="cobasis"):
+    if not separates_by_cobasis(model, m, ell, 0, p):
         return NEG_INF
     e = 0
-    while separates_frobenius_jets(model, m, ell, e + 1, p, method="cobasis"):
+    while separates_by_cobasis(model, m, ell, e + 1, p):
         e += 1
     return e
 
@@ -197,7 +203,7 @@ class TestCornerOracle:
     )
     @settings(max_examples=150, deadline=None)
     def test_corners_match_full_scan(self, model, m, ell, e, p):
-        corners = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+        corners = separates_by_cobasis(model, m, ell, e, p)
         assert corners == full_scan(model, m, ell, e, p)
         assert corners == separates_frobenius_jets(model, m, ell, e, p)
 
@@ -254,12 +260,17 @@ class TestMissingExponent:
             ((3, 1, 1, 4), "characteristic must be prime, got 4"),
             ((3, 1.0, 1, 2), "ell must be an integer, got 1.0"),
             ((-5, 1, 1, 2), "degree m must be >= 1"),
+            ((2.0, -1, 1, 2), "degree m must be an integer, got 2.0"),
+            ((3, 1.0, -1, 2), "ell must be an integer, got 1.0"),
+            ((3, -1, 1.0, 4), "ell and e must be >= 0"),
         ],
-        ids=["p-4", "float-ell", "negative-m"],
+        ids=["p-4", "float-ell", "negative-m", "m-first", "ell-type-first", "ell-range-first"],
     )
     def test_arguments_checked(self, args, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            missing_exponent(projective_space(2), *args)
+        # the fast checker and the oracle refuse the first bad argument alike: m, ell, e, p
+        for check in (missing_exponent, separates_by_cobasis):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check(projective_space(2), *args)
 
     def test_witness_iff_not_separating(self):
         for model in (projective_space(2), product_projective(1, 1, 1, 2), SLOPE_ZERO):
@@ -350,7 +361,7 @@ class TestSFrobenius:
             for ell in range(3):
 
                 def oracle(e):
-                    return separates_frobenius_jets(model, m, ell, e, 2, method="cobasis")
+                    return separates_by_cobasis(model, m, ell, e, 2)
 
                 expected = NEG_INF
                 if oracle(0):
@@ -436,7 +447,7 @@ class TestFrobeniusThreshold:
     @settings(max_examples=100, deadline=None)
     def test_smallest_degree_the_oracle_separates(self, model, ell, e, p):
         def oracle(m):
-            return separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+            return separates_by_cobasis(model, m, ell, e, p)
 
         m_e = frobenius_threshold(model, ell, e, p)
         if m_e is None:
@@ -456,7 +467,7 @@ class TestScaledModelThreshold:
             model = scaled_model(projective_space(n), r)
             expected = -(-pn_threshold(n, ell, e, p) // r)
             for m in range(1, expected + 3):
-                oracle = separates_frobenius_jets(model, m, ell, e, p, method="cobasis")
+                oracle = separates_by_cobasis(model, m, ell, e, p)
                 assert oracle == (m >= expected)
 
 
@@ -485,3 +496,126 @@ class TestPropagationRules:
                     if separates_frobenius_jets(model, m, ell, e, p):
                         d_r = (p ** (r * e) - 1) // (p**e - 1)
                         assert separates_frobenius_jets(model, m * d_r, ell, r * e, p)
+
+
+class CountedRows(tuple):
+    """A model's rows that count the passes made over them."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class UnreadableRows(tuple):
+    """A model's rows that refuse to be read."""
+
+    def __iter__(self):
+        raise AssertionError("the oracle read model.rows")
+
+    __getitem__ = __len__ = __iter__
+
+
+def with_rows(model, kind):
+    """A copy of the model whose rows are replaced by kind(model.rows)."""
+    copy = replace(model)
+    rows = kind(model.rows)
+    rows.passes = 0
+    object.__setattr__(copy, "rows", rows)
+    return copy, rows
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this path must not be taken")
+
+
+# P^n, product and custom models, the custom ones with slope-0 and zero rows
+APART_MODELS = (
+    projective_space(2),
+    product_projective(1, 1, 1, 2),
+    SLOPE_ZERO,
+    ZERO_ROW_SLOPE_ZERO,
+    ZERO_ROW_THREE,
+)
+APART_CELLS = tuple(itertools.product(range(1, 9), range(3), range(3), (2, 3)))
+
+
+@st.composite
+def custom_with_edge_rows(draw):
+    """Custom models with n <= 3 that always hold a zero row, often a slope-0 row."""
+    n = draw(st.integers(1, 3))
+    weights = st.tuples(*[st.integers(0, 3)] * n)
+    rows = draw(st.lists(st.tuples(weights, st.integers(0, 3)), max_size=3))
+    rows.append(((0,) * n, draw(st.integers(0, 3))))
+    if draw(st.booleans()):
+        rows.append((draw(weights), 0))
+    # a row with every weight positive bounds every variable
+    rows.append((tuple(draw(st.integers(1, 3)) for _ in range(n)), draw(st.integers(0, 3))))
+    return custom_staircase(n, draw(st.permutations(rows)))
+
+
+class TestCheckersApart:
+    """The fast checker and the cobasis oracle share no code but the argument check."""
+
+    def test_oracle_needs_no_load_formula(self, monkeypatch):
+        expected = {
+            (model, cell): separates_frobenius_jets(model, *cell)
+            for model in APART_MODELS
+            for cell in APART_CELLS
+        }
+        monkeypatch.setattr(jets, "frobenius_threshold", refuse)
+        monkeypatch.setattr(jets, "_load", refuse)
+        for model in APART_MODELS:
+            unread, _ = with_rows(model, UnreadableRows)
+            for cell in APART_CELLS:
+                assert separates_by_cobasis(unread, *cell) == expected[model, cell]
+
+    def test_fast_checker_needs_no_threshold(self, monkeypatch):
+        # the answers of the oracle, and the witnesses, before the threshold goes
+        expected = {
+            model: [
+                (separates_by_cobasis(model, *cell), missing_exponent(model, *cell))
+                for cell in APART_CELLS
+            ]
+            for model in APART_MODELS
+        }
+        ladder = {
+            model: [counted_s_frobenius(model, m, ell, p) for m, ell, _, p in APART_CELLS]
+            for model in APART_MODELS
+        }
+        monkeypatch.setattr(jets, "frobenius_threshold", refuse)
+        for model in APART_MODELS:
+            found = [
+                (separates_frobenius_jets(model, *cell), missing_exponent(model, *cell))
+                for cell in APART_CELLS
+            ]
+            assert found == expected[model]
+            ladder_found = [s_frobenius(model, m, ell, p) for m, ell, _, p in APART_CELLS]
+            assert ladder_found == ladder[model]
+
+    @pytest.mark.parametrize("model", APART_MODELS, ids=lambda model: model.label)
+    def test_one_pass_over_the_rows(self, model):
+        for m, ell, e, p in APART_CELLS:
+            for call in (
+                lambda model: separates_frobenius_jets(model, m, ell, e, p),
+                lambda model: missing_exponent(model, m, ell, e, p),
+                lambda model: s_frobenius(model, m, ell, p),
+            ):
+                counted, rows = with_rows(model, CountedRows)
+                call(counted)
+                assert rows.passes == 1
+
+    @given(
+        model=st.one_of(custom_with_edge_rows(), models_up_to_three_variables()),
+        m=st.integers(1, 300),
+        ell=st.integers(0, 3),
+        e=st.integers(0, 3),
+        p=st.sampled_from([2, 3, 5]),
+    )
+    @example(model=SLOPE_ZERO, m=10**9, ell=0, e=1, p=2)
+    @example(model=ZERO_ROW_SLOPE_ZERO, m=1, ell=0, e=0, p=2)
+    @example(model=SLOPE_ZERO_ONE_VARIABLE, m=4, ell=0, e=0, p=3)
+    @settings(max_examples=300, deadline=None)
+    def test_separation_is_the_threshold(self, model, m, ell, e, p):
+        # the two statements of the row inequality: per degree, and solved for m
+        m_e = frobenius_threshold(model, ell, e, p)
+        assert separates_frobenius_jets(model, m, ell, e, p) == (m_e is not None and m >= m_e)

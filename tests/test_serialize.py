@@ -207,6 +207,15 @@ INTEGER_PARAMETERS = [
     ("ell", lambda v: missing_exponent(_P2, 4, v, 1, 2)),
     ("e", lambda v: missing_exponent(_P2, 4, 1, v, 2)),
     ("characteristic", lambda v: missing_exponent(_P2, 4, 1, 1, v)),
+    ("degree m", lambda v: frobjets.separates_by_cobasis(_P2, v, 1, 1, 2)),
+    ("ell", lambda v: frobjets.separates_by_cobasis(_P2, 4, v, 1, 2)),
+    ("e", lambda v: frobjets.separates_by_cobasis(_P2, 4, 1, v, 2)),
+    ("characteristic", lambda v: frobjets.separates_by_cobasis(_P2, 4, 1, 1, v)),
+    ("witness m", lambda v: frobjets.BoundCertificate("seshadri", (v, 1))),
+    ("witness s", lambda v: frobjets.BoundCertificate("seshadri", (2, v))),
+    ("witness e", lambda v: frobjets.BoundCertificate("frobenius_seshadri", (4, v), 1, 2)),
+    ("ell", lambda v: frobjets.BoundCertificate("frobenius_seshadri", (4, 1), v, 2)),
+    ("characteristic", lambda v: frobjets.BoundCertificate("frobenius_seshadri", (4, 1), 1, v)),
 ]
 
 
