@@ -58,8 +58,9 @@ class BoundCertificate:
 
     The witness is (m, s) for the ordinary kind, (m, e) for the Frobenius
     kind, exact ints with m >= 1 and s, e >= 0; a Frobenius certificate has
-    ell >= 0 and a prime p, an ordinary one neither. The fields are checked
-    at construction, and `value` is set to what certified_value gives them.
+    ell >= 0 and a prime p, an ordinary one neither; the derivation is a
+    tuple of non-empty strings. The fields are checked at construction, and
+    `value` is set to what certified_value gives them.
     """
 
     kind: str
@@ -83,6 +84,9 @@ class BoundCertificate:
             ensure_prime(self.p)
         elif self.ell is not None or self.p is not None:
             raise ValueError("an ordinary certificate has no ell or p")
+        steps = self.derivation
+        if type(steps) is not tuple or not all(type(step) is str and step for step in steps):
+            raise ValueError(f"derivation must be a tuple of non-empty strings, got {steps!r}")
         object.__setattr__(self, "witness", (m, second))
         value = certified_value(self.kind, self.witness, self.ell, self.p)
         object.__setattr__(self, "value", value)

@@ -16,12 +16,12 @@ them once and call the kernel on plain exponents.
 
 The ideal-image check decides bracket-power membership once per q-block:
 x^a is in I^[q] iff x^(q*(a//q)) is (Miller-Sturmfels, Combinatorial
-Commutative Algebra, ch. 1-5), so one test at each block corner covers the
-q^n points of the block. The box is then walked by rows: for each prefix
-a[:-1] the member blocks of its row are looked up once, and only their
-runs of the last coordinate are visited, in the same lexicographic order as
-a plain scan. Non-member runs are skipped whole; every member of the box is
-still traced.
+Commutative Algebra, ch. 1-5), so one test at a block corner covers the
+q^n points of the block. An ideal is an up-set, so on each row of block
+corners the members form a tail, found by one binary search; so does each
+line of the ideal's own targets. The box is then walked by rows: for each
+prefix a[:-1] only the member run of the last coordinate is visited, in the
+same lexicographic order as a plain scan, and every member is still traced.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime, maximal_ideal, power
-from .monomials import _check_exponent
+from .monomials import _check_exponent, _first_member
 from .serialize import parse_int
 
 
@@ -118,14 +118,14 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     exponent in the bracket power against the set of exponents in the ideal;
     also rejects any traced form that escapes the ideal.
 
-    Bracket membership is decided once per q-block: x^a is in the bracket
-    power iff the block corner x^(q*(a//q)) is, so the bracket is asked only
-    at the (box+1)^n corners. The (q*(box+1))^n box is walked by rows: for
-    each prefix a[:-1], in lexicographic order, the row of its block head
-    a[:-1]//q lists the last coordinates of its member blocks, and only
-    those points are visited. Every member of the box is still traced, in
-    the lexicographic order of a plain scan, and the first traced form to
-    escape the ideal is the one returned.
+    Bracket membership is decided once per q-block, at its corner
+    x^(q*(a//q)); on each row of corners the members form a tail, so the
+    bracket is asked by one binary search per row, and the ideal by one per
+    target line. The (q*(box+1))^n box is walked by rows: for each prefix
+    a[:-1], in lexicographic order, the row of its block head a[:-1]//q
+    gives the last coordinates of its member blocks, and only those points
+    are visited. Every member is still traced, in the order of a plain
+    scan, and the first traced form to escape the ideal is returned.
     """
     # bracket_power validates p and e, once for the whole walk
     bracket = bracket_power(ideal, p, e)
@@ -134,13 +134,8 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     # per block head of a prefix, the tails (last,) of its member blocks, in order
     rows = {}
     for head in _box(n - 1, box):
-        start = tuple([q * x for x in head])
-        rows[head] = [
-            (last,)
-            for corner in range(0, q * (box + 1), q)
-            if bracket._has(start + (corner,))
-            for last in range(corner, corner + q)
-        ]
+        first = _first_member(bracket, tuple([q * x for x in head]), range(0, q * (box + 1), q))
+        rows[head] = [(last,) for last in range(q * first, q * (box + 1))]
     image = set()
     for prefix in _box(n - 1, q * (box + 1) - 1):
         for tail in rows[tuple([x // q for x in prefix])]:
@@ -151,7 +146,8 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
                 return traced
             if max(traced) <= box:
                 image.add(traced)
-    target = {b for b in _box(n, box) if ideal._has(b)}
+    lines = {b: _first_member(ideal, b, range(box + 1)) for b in _box(n - 1, box)}
+    target = {b + (last,) for b, first in lines.items() for last in range(first, box + 1)}
     difference = image.symmetric_difference(target)
     return min(difference) if difference else None
 

@@ -19,7 +19,8 @@ Neither shape is re-minimalized: the compositions of k are the minimal
 generators of m^k, and scaling by q keeps an antichain an antichain.
 
 Construction checks all generators at once, and one at a time only to name
-the first bad one; the cobasis is walked, not scanned from a bounding box.
+the first bad one. An ideal is an up-set, so the cobasis and the staircase
+corners are one walk (``_outside``) by binary search, not a scan of a box.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from operator import le
 
 from .serialize import parse_int
@@ -109,7 +110,7 @@ class MonomialIdeal:
     one check as construction (length, then entries; a list is accepted)
     and then asks ``_has``. ``_has(a)`` skips that check, so it is only for
     exponents the package built itself: the points it enumerates (by
-    ``product`` or the cobasis walk), and the generators of another
+    ``product`` or the up-set walk), and the generators of another
     ideal with the same n, which construction has already checked.
     """
 
@@ -271,50 +272,58 @@ def _pure_power_bounds(ideal: MonomialIdeal) -> list[int]:
     return bounds
 
 
+def _first_member(ideal: MonomialIdeal, prefix: Exponent, line, pad=(), lo: int = 0) -> int:
+    """The index in the ascending `line` of the first x with prefix + (x,) + pad in the ideal.
+
+    An ideal is an up-set, so its members on a line form a tail; below `lo` is outside.
+    """
+    return bisect_left(line, True, lo, key=lambda x: ideal._has(prefix + (x,) + pad))
+
+
+def _outside(ideal: MonomialIdeal, values) -> list[Exponent]:
+    """The points of product(*values) outside the ideal, in product order.
+
+    The ascending `values` must have their least point outside. A prefix is
+    kept while its pad by the least remaining values is outside (if it is
+    inside, so is every extension) and takes the values before its first member.
+    """
+    least = tuple(v[0] for v in values)
+    points: list[Exponent] = [()]
+    for i, line in enumerate(values):
+        pad = least[i + 1 :]
+        points = [a + (x,) for a in points for x in line[: _first_member(ideal, a, line, pad, 1)]]
+    return points
+
+
 @lru_cache(maxsize=256)
 def cobasis(ideal: MonomialIdeal) -> frozenset[Exponent]:
     """Exponents of the monomials outside the ideal (the staircase complement).
 
-    Raises if the complement is infinite. The complement is downward closed,
-    so it is built one coordinate at a time: a prefix in it (zero-padded)
-    takes every next coordinate below the first one in the ideal, found by a
-    binary search below the pure power that asks only ``_has``.
+    Raises if the complement is infinite. The complement is the up-set walk
+    below the pure powers, so it asks ``_has`` about one binary search per
+    kept prefix, not about every point of the bounding box.
     """
     if ideal.is_unit():
         return frozenset()
     if ideal.is_zero():
         raise ValueError("not zero-dimensional: zero ideal has infinite complement")
-    points: list[Exponent] = [()]
-    for i, bound in enumerate(_pure_power_bounds(ideal)):
-        pad = (0,) * (ideal.n - i - 1)
-        extended = []
-        for prefix in points:
-            # the first x in the ideal: prefix + pad is outside, x = bound inside
-            first = bisect_left(
-                range(bound), True, 1, key=lambda x: ideal._has(prefix + (x,) + pad)
-            )
-            extended += [prefix + (x,) for x in range(first)]
-        points = extended
-    return frozenset(points)
+    return frozenset(_outside(ideal, [range(b) for b in _pure_power_bounds(ideal)]))
 
 
 def staircase_corners(ideal: MonomialIdeal):
-    """Candidate componentwise-maximal points of the staircase complement.
+    """Candidate componentwise-maximal points of the staircase complement, in product order.
 
     Every maximal point outside the ideal has each coordinate equal to some
-    generator coordinate minus one, so the product of those candidate values
-    covers all corners without enumerating the complement.
+    generator coordinate minus one, so the points of the product of those
+    candidate values that lie outside cover all corners; the up-set walk
+    finds them without testing the whole product.
     """
     if ideal.is_unit():
         return
     _pure_power_bounds(ideal)
-    candidate_coords = []
-    for i in range(ideal.n):
-        values = {g[i] - 1 for g in ideal.gens if g[i] >= 1}
-        candidate_coords.append(sorted(values))
-    for a in product(*candidate_coords):
-        if not ideal._has(a):
-            yield a
+    # the least candidate point is below every nonzero generator in some coordinate
+    values = [sorted({g[i] - 1 for g in ideal.gens if g[i] >= 1}) for i in range(ideal.n)]
+    yield from _outside(ideal, values)
 
 
 def staircase_max_degree(ideal: MonomialIdeal) -> int:

@@ -616,12 +616,21 @@ class TestCertificateFields:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BoundCertificate(*args)
 
+    @pytest.mark.parametrize("derivation", ["direct", None, ["direct"], ("direct", ""), ("a", 3)])
+    def test_bad_derivation_refused(self, derivation):
+        # a string is not a tuple of its characters, and None is no derivation
+        message = f"derivation must be a tuple of non-empty strings, got {derivation!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BoundCertificate(SESHADRI, (2, 1), derivation=derivation)
+
     def test_replace_checks_the_fields(self):
         cert = certificate_at(projective_space(2), 2, 1, 4, 1)
         with pytest.raises(ValueError, match="witness m must be >= 1"):
             replace(cert, witness=(0, 1))
         with pytest.raises(ValueError, match="characteristic must be prime"):
             replace(cert, p=4)
+        with pytest.raises(ValueError, match="derivation must be a tuple of non-empty strings"):
+            replace(cert, derivation="x")
 
     def test_witness_stored_as_tuple(self):
         cert = BoundCertificate(SESHADRI, [6, 4])

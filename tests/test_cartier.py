@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -462,3 +463,33 @@ class TestRowWalk:
             walked = _recorded(ideal_identity_counterexample, wrapped, ideal, p, e, box)
             plain = _recorded(_plain_ideal_identity_counterexample, wrapped, ideal, p, e, box)
             assert walked == plain
+
+
+class TestUpSetQuestions:
+    """Each row of block corners and each target line costs one binary search."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_questions_per_line_are_logarithmic(self, monkeypatch, seed):
+        n, p, e, box = 3, 2, 1, 10
+        ideal = random_primary_ideal(n, random.Random(seed))
+        bracket = bracket_power(ideal, p, e)
+        has, contains = MonomialIdeal._has, MonomialIdeal.__contains__
+        asked = {"bracket": 0, "ideal": 0, "escape checks": 0}
+
+        def counting_has(asked_ideal, a):
+            # the bracket built inside is equal to, not the same object as, this one
+            asked["bracket" if asked_ideal == bracket else "ideal"] += 1
+            return has(asked_ideal, a)
+
+        def counting_contains(asked_ideal, a):
+            asked["escape checks"] += 1
+            return contains(asked_ideal, a)
+
+        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
+        monkeypatch.setattr(MonomialIdeal, "__contains__", counting_contains)
+        assert ideal_identity_counterexample(ideal, p, e, box) is None
+        # every `in` on a traced form asks `_has` once more; those are not target lines
+        target_questions = asked["ideal"] - asked["escape checks"]
+        bound = (box + 1) ** (n - 1) * math.ceil(math.log2(box + 2))
+        assert 0 < asked["bracket"] <= bound
+        assert 0 < target_questions <= bound

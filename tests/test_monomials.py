@@ -22,6 +22,7 @@ from frobjets.monomials import (
     minimalize,
     noncontainment_witness,
     power,
+    staircase_corners,
     staircase_max_degree,
     unit_ideal,
     verify_lemma_monomials,
@@ -459,10 +460,15 @@ class TestCobasisWalk:
     def test_bracket_of_plain_ideal(self, ideal, pe):
         self.assert_walk_matches_scan(bracket_power(ideal, *pe))
 
-    @given(n=st.integers(1, 3), seed=st.integers(0, 10**6))
+    @given(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+        pe=st.sampled_from([(2, 0), (2, 1), (3, 1)]),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_random_primary_ideals(self, n, seed):
-        self.assert_walk_matches_scan(random_primary_ideal(n, random.Random(seed)))
+    def test_random_primary_ideals(self, n, seed, pe):
+        ideal = random_primary_ideal(n, random.Random(seed))
+        self.assert_walk_matches_scan(bracket_power(ideal, *pe))
 
     def test_thin_staircase_asks_few_points(self, monkeypatch):
         # The box scan would ask all N^2 = 10^8 points of this box.
@@ -481,6 +487,64 @@ class TestCobasisWalk:
         assert len(points) == 2 * N - 1
         assert points == {(x, 0) for x in range(N)} | {(0, y) for y in range(N)}
         assert calls <= 40 * N
+
+
+def product_scan_corners(ideal):
+    """Oracle: the points of the corner candidates' whole product outside the ideal.
+
+    A candidate coordinate is a generator coordinate minus one; the points
+    come in ``itertools.product`` order.
+    """
+    if ideal.is_unit():
+        return []
+    candidates = [sorted({g[i] - 1 for g in ideal.gens if g[i] >= 1}) for i in range(ideal.n)]
+    return [a for a in itertools.product(*candidates) if not scan_member(ideal.gens, a)]
+
+
+@st.composite
+def corner_ideals(draw):
+    """random_primary_ideal or m^k in n <= 4 variables, perhaps raised to a bracket power."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        ideal = random_primary_ideal(n, random.Random(draw(st.integers(0, 2**32 - 1))))
+    else:
+        ideal = power(maximal_ideal(n), draw(st.integers(1, 5)))
+    if draw(st.booleans()):
+        ideal = bracket_power(ideal, draw(st.sampled_from([2, 3])), draw(st.integers(1, 2)))
+    return ideal
+
+
+class TestStaircaseCorners:
+    """The up-set walk against a scan of the whole candidate product."""
+
+    @given(ideal=corner_ideals())
+    @settings(max_examples=150, deadline=None)
+    def test_same_sequence_as_product_scan(self, ideal):
+        # the structured ideal answers by its rule, the plain copy by its generators
+        for asked in (ideal, MonomialIdeal(ideal.n, ideal.gens)):
+            assert list(staircase_corners(asked)) == product_scan_corners(ideal)
+
+    def test_unit_ideal_has_no_corners(self):
+        assert list(staircase_corners(unit_ideal(3))) == product_scan_corners(unit_ideal(3)) == []
+
+    def test_infinite_complement_rejected(self):
+        with pytest.raises(ValueError, match="zero-dimensional"):
+            list(staircase_corners(MonomialIdeal(2, ((1, 1),))))
+
+    def test_asks_far_fewer_questions_than_the_product(self, monkeypatch):
+        # the candidate product has 5^5 = 3125 points, of which C(9, 5) = 126 lie outside
+        calls = 0
+        has = MonomialIdeal._has
+
+        def counting_has(ideal, a):
+            nonlocal calls
+            calls += 1
+            return has(ideal, a)
+
+        ideal = bracket_power(power(maximal_ideal(5), 5), 3, 1)
+        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
+        assert len(list(staircase_corners(ideal))) == 126
+        assert calls <= 500
 
 
 class TestStaircaseMaxDegree:
