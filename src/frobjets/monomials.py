@@ -4,10 +4,11 @@ Monomials are exponent tuples; ideals are stored as the divisibility-minimal
 antichain of generators, so ideal equality is plain set equality. Everything
 here is pure, exact (Python integers), and immutable.
 
-Membership defaults to a scan of the generator antichain: x^a is in the ideal
-iff some generator divides it. That scan is also the oracle the tests compare
-against. Two shapes built here answer membership structurally instead
-(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1-5):
+x^a is in the ideal iff some generator divides it. One dominance index
+(``_dominance_index``) answers that for a generator set: it keeps the minimal
+antichain at construction and answers membership in a plain ideal. The scans
+it replaced are the tests' oracles. Two shapes built here answer membership
+structurally instead (Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1-5):
 
 * powers of the maximal ideal, ``power(maximal_ideal(n), k)`` (and the unit
   and maximal ideals themselves, as k = 0 and k = 1):
@@ -25,11 +26,11 @@ corners are one walk (``_outside``) by binary search, not a scan of a box.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
-from operator import le
+from itertools import accumulate, chain, compress, repeat
+from operator import add, and_, or_
 
 from .serialize import parse_int
 
@@ -81,17 +82,43 @@ def _check_exponent(a, n: int) -> Exponent:
     return a
 
 
+_BLOCK = 1024  # generators per block of a dominance index, and bits per mask
+
+
+def _dominance_index(gens: tuple[Exponent, ...] | list[Exponent]) -> list:
+    """Per block of at most _BLOCK generators and per coordinate i, a table (values, below).
+
+    values are the ascending distinct g[i]; below[k] is the bitmask (bit j for
+    the block's j-th generator) of those whose g[i] is among the k least, so
+    the ones dividing x^a are the AND over i of below[bisect_right(values, a_i)].
+    """
+    index = []
+    for start in range(0, len(gens), _BLOCK):
+        block = gens[start : start + _BLOCK]
+        bits = [1 << j for j in range(len(block))]
+        tables = []
+        for column in zip(*block):
+            at = {}  # per distinct entry, the mask of the generators that have it
+            for x, bit in zip(column, bits):
+                at[x] = at.get(x, 0) | bit
+            values = sorted(at)
+            tables.append((values, [0, *accumulate(map(at.__getitem__, values), or_)]))
+        index.append(tables)
+    return index
+
+
 def _minimal_antichain(gens: set[Exponent]) -> list[Exponent]:
-    # Keep only divisibility-minimal elements. A proper divisor has a smaller
-    # total degree, so in degree order each candidate meets only kept ones.
-    kept: list[Exponent] = []
-    for a in sorted(gens, key=sum):
-        for b in kept:
-            if all(map(le, b, a)):
-                break
-        else:
-            kept.append(a)
-    return sorted(kept)
+    # a candidate is minimal iff the only candidate dividing it is itself
+    candidates = list(gens)
+    columns = list(zip(*candidates))
+    divisors = repeat(0)
+    for tables in _dominance_index(candidates):
+        masks = repeat(-1)
+        for (values, below), column in zip(tables, columns):
+            at = {x: below[bisect_right(values, x)] for x in set(column)}  # a search per value
+            masks = map(and_, masks, map(at.__getitem__, column))
+        divisors = list(map(add, divisors, map(int.bit_count, masks)))
+    return sorted(compress(candidates, map((1).__eq__, divisors)))
 
 
 @dataclass(frozen=True)
@@ -101,10 +128,11 @@ class MonomialIdeal:
     The empty generator set is the zero ideal; the all-zero exponent
     generates the unit ideal.
 
-    ``_rule`` says how membership is answered: None scans the generators, an
-    int k means the ideal is m^k, and a pair (base, q) means it is base^[q].
-    Only the constructors below that know the ideal's shape set it; it is
-    not part of equality, hashing or repr.
+    ``_rule`` says how membership is answered: None asks the dominance index
+    of the generators, an int k means the ideal is m^k, and a pair (base, q)
+    means it is base^[q]. Only the constructors below that know the ideal's
+    shape set it. ``_index`` is that index, built on the first question.
+    Neither is part of equality, hashing or repr.
 
     ``a in ideal`` takes any exponent a caller supplies: it runs the same
     one check as construction (length, then entries; a list is accepted)
@@ -119,6 +147,7 @@ class MonomialIdeal:
     _rule: int | tuple[MonomialIdeal, int] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    _index: list | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = parse_int(self.n, "variable count n", 1)
@@ -159,8 +188,13 @@ class MonomialIdeal:
             rule = ideal._rule
         if rule is not None:
             return sum(a) >= rule
-        for g in ideal.gens:
-            if all(map(le, g, a)):
+        if ideal._index is None:
+            object.__setattr__(ideal, "_index", _dominance_index(ideal.gens))
+        for tables in ideal._index:
+            mask = -1
+            for (values, below), x in zip(tables, a):
+                mask &= below[bisect_right(values, x)]
+            if mask:
                 return True
         return False
 
@@ -320,7 +354,9 @@ def staircase_corners(ideal: MonomialIdeal):
     """
     if ideal.is_unit():
         return
-    _pure_power_bounds(ideal)
+    base = ideal._rule[0] if type(ideal._rule) is tuple else ideal
+    if type(base._rule) is not int:  # m^k (k >= 1 here) and its brackets are zero-dimensional
+        _pure_power_bounds(ideal)
     # the least candidate point is below every nonzero generator in some coordinate
     values = [sorted({g[i] - 1 for g in ideal.gens if g[i] >= 1}) for i in range(ideal.n)]
     yield from _outside(ideal, values)

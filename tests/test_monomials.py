@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobjets import monomials
 from frobjets.cartier import random_primary_ideal
 from frobjets.monomials import (
     InclusionReport,
@@ -26,6 +27,7 @@ from frobjets.monomials import (
     staircase_max_degree,
     unit_ideal,
     verify_lemma_monomials,
+    _dominance_index,
 )
 
 
@@ -180,8 +182,35 @@ def generator_lists(draw):
     return n, [list(g) if draw(st.booleans()) else g for g in gens]
 
 
+@st.composite
+def raw_generator_lists(draw):
+    """n and up to 200 raw generators with repeats; perhaps one coordinate near
+    10**12, perhaps the unit generator among them."""
+    n = draw(st.integers(1, 4))
+    entries = [st.integers(0, 6)] * n
+    if draw(st.booleans()):
+        entries[draw(st.integers(0, n - 1))] = st.one_of(
+            st.integers(0, 6), st.integers(10**12 - 2, 10**12 + 2)
+        )
+    pool = draw(st.lists(st.tuples(*entries), min_size=1, max_size=120))
+    gens = pool + draw(st.lists(st.sampled_from(pool), max_size=80))
+    if draw(st.booleans()):
+        gens.append((0,) * n)
+    return n, draw(st.permutations(gens))
+
+
+def antichain_with_dominated_extras(size):
+    """The antichain {(i, size - i)} and, shuffled among it, generators it divides."""
+    antichain = [(i, size - i) for i in range(size + 1)]
+    extras = [(i + 1 + i % 3, size - i) for i in range(0, size + 1, 2)]
+    extras += [(i, size - i + 1 + i % 5) for i in range(1, size + 1, 3)]
+    gens = antichain + extras
+    random.Random(size).shuffle(gens)
+    return antichain, gens
+
+
 class TestConstruction:
-    """The batched generator check and the degree-sorted antichain."""
+    """The batched generator check and the minimal antichain."""
 
     @given(data=generator_lists())
     @settings(max_examples=150, deadline=None)
@@ -189,6 +218,17 @@ class TestConstruction:
         n, gens = data
         assert minimalize(gens, n).gens == pairwise_minimal(gens)
         assert MonomialIdeal(n, tuple(gens)).gens == pairwise_minimal(gens)
+
+    @given(data=raw_generator_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_many_raw_generators_match_pairwise_oracle(self, data):
+        n, gens = data
+        assert minimalize(gens, n).gens == pairwise_minimal(gens)
+
+    def test_antichain_larger_than_a_block(self):
+        # 2501 generators fill three blocks of the dominance index
+        antichain, gens = antichain_with_dominated_extras(2500)
+        assert minimalize(gens, 2).gens == tuple(antichain)
 
     # The first bad generator in list order decides the exception and its
     # text, also when an equal valid one, such as (2,) for (2.0,), is present.
@@ -531,6 +571,32 @@ class TestStaircaseCorners:
         with pytest.raises(ValueError, match="zero-dimensional"):
             list(staircase_corners(MonomialIdeal(2, ((1, 1),))))
 
+    @pytest.mark.parametrize(
+        "ideal,missing",
+        [
+            (MonomialIdeal(2, ((1, 1),)), "x1, x2"),
+            (MonomialIdeal(3, ((2, 0, 0), (0, 1, 1))), "x2, x3"),
+            (bracket_power(MonomialIdeal(2, ((3, 0), (1, 1))), 2, 1), "x2"),
+            (MonomialIdeal(2, ()), "x1, x2"),
+        ],
+    )
+    def test_infinite_complement_message(self, ideal, missing):
+        message = f"not zero-dimensional: no pure power of variable(s) {missing}"
+        with pytest.raises(ValueError) as info:
+            list(staircase_corners(ideal))
+        assert str(info.value) == message
+
+    def test_maximal_powers_and_their_brackets_skip_the_pure_power_check(self, monkeypatch):
+        def refuse(ideal):
+            raise AssertionError("pure powers checked")
+
+        monkeypatch.setattr(monomials, "_pure_power_bounds", refuse)
+        for ideal in (power(maximal_ideal(4), 2), bracket_power(power(maximal_ideal(4), 2), 3, 2)):
+            assert list(staircase_corners(ideal)) == product_scan_corners(ideal)
+        # a plain ideal with the same generators is still checked
+        with pytest.raises(AssertionError, match="pure powers checked"):
+            list(staircase_corners(MonomialIdeal(4, power(maximal_ideal(4), 2).gens)))
+
     def test_asks_far_fewer_questions_than_the_product(self, monkeypatch):
         # the candidate product has 5^5 = 3125 points, of which C(9, 5) = 126 lie outside
         calls = 0
@@ -751,6 +817,73 @@ class TestStructuredMembership:
             assert [1, 1] in ideal
 
 
+@st.composite
+def plain_ideals_and_points(draw):
+    """A plain ideal (zero, unit, or random, perhaps with entries near 10**12) and
+    points to ask it: random ones, one above every generator entry and one below."""
+    n = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([6, 10**12]))
+    shape = draw(st.sampled_from(["zero", "unit", "random"]))
+    if shape == "zero":
+        gens = []
+    elif shape == "unit":
+        gens = [(0,) * n] + draw(st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=5))
+    else:
+        entry = st.one_of(st.integers(0, 6), st.integers(top - 3, top))
+        gens = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=40))
+    entries = [x for g in gens for x in g] or [0]
+    points = draw(st.lists(st.tuples(*[st.integers(0, top + 1)] * n), max_size=20))
+    points += [(max(entries) + 1,) * n, (max(min(entries) - 1, 0),) * n, (0,) * n]
+    return MonomialIdeal(n, tuple(gens)), points
+
+
+def assert_index_matches_scan(ideal, points, pe):
+    bracket = bracket_power(ideal, *pe)
+    q = pe[0] ** pe[1]
+    for a in points:
+        assert ideal._has(a) == scan_member(ideal.gens, a)
+        for b in (tuple(q * x for x in a), tuple(q * x + q - 1 for x in a), a):
+            assert bracket._has(b) == scan_member(bracket.gens, b)
+
+
+class TestDominanceIndex:
+    """Membership in a plain ideal asks the dominance index, not a scan."""
+
+    @given(data=plain_ideals_and_points(), pe=st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_has_matches_scan(self, data, pe):
+        ideal, points = data
+        assert_index_matches_scan(ideal, points, pe)
+
+    def test_more_than_a_block_of_generators(self):
+        _, gens = antichain_with_dominated_extras(2500)
+        ideal = MonomialIdeal(2, tuple(gens))
+        rng = random.Random(0)
+        points = [(rng.randrange(2600), rng.randrange(2600)) for _ in range(60)]
+        points += [(i, 2500 - i) for i in range(0, 2501, 250)]
+        points += [(i - 1, 2500 - i) for i in range(1, 2501, 250)]
+        assert_index_matches_scan(ideal, points, (3, 1))
+
+    def test_index_is_not_part_of_equality_hash_or_repr(self):
+        asked, fresh = MonomialIdeal(2, ((2, 0), (1, 1))), MonomialIdeal(2, ((2, 0), (1, 1)))
+        assert (1, 3) in asked and asked._index is not None and fresh._index is None
+        assert asked == fresh and hash(asked) == hash(fresh) and repr(asked) == repr(fresh)
+
+    @pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2500, 5000])
+    def test_blocks_keep_the_index_linear(self, count):
+        # ceil(count / 1024) blocks, each with one table entry per distinct value
+        # and masks of at most 1024 bits, so the index grows linearly
+        gens = [(i, count - i, 10**12) for i in range(count)]
+        index = _dominance_index(gens)
+        assert len(index) == -(-count // 1024)
+        for start, tables in zip(range(0, count, 1024), index):
+            block = gens[start : start + 1024]
+            for column, (values, below) in zip(zip(*block), tables):
+                assert values == sorted(set(column))
+                assert len(below) == len(values) + 1
+                assert max(mask.bit_length() for mask in below) == len(block) <= 1024
+
+
 class TestRendering:
     def test_json(self):
         doc = MonomialIdeal(2, ((1, 1),)).to_json()
@@ -759,7 +892,7 @@ class TestRendering:
 
 @st.composite
 def ideals_of_every_shape(draw):
-    """A plain (scanned), an m^k or a bracket ideal, with its variable count."""
+    """A plain (indexed), an m^k or a bracket ideal, with its variable count."""
     shape = draw(st.sampled_from(["plain", "maximal-power", "bracket"]))
     if shape == "maximal-power":
         return power(maximal_ideal(draw(st.integers(1, 4))), draw(st.integers(0, 6)))
