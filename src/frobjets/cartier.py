@@ -22,12 +22,17 @@ corners the members form a tail, found by one binary search; so does each
 line of the ideal's own targets. The box is then walked by rows: for each
 prefix a[:-1] only the member run of the last coordinate is visited, in the
 same lexicographic order as a plain scan, and every member is still traced.
+
+Both walks refuse, before they allocate, a box of more than WORK_LIMIT
+points. The samplers draw each exponent field for all samples in one call;
+coefficients stay one exact randrange(1, p) each.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime, maximal_ideal, power
@@ -44,6 +49,29 @@ class MonomialForm(NamedTuple):
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
+
+
+def _form(fields: tuple[int, Exponent]) -> MonomialForm:
+    # a MonomialForm from a checked (coeff, exponent) pair, without the Python-level __new__
+    return tuple.__new__(MonomialForm, fields)
+
+
+# the most points one walk over a box may visit; a larger request is refused
+WORK_LIMIT = 10**6
+
+
+def _check_work(walk: str, side: int, n: int) -> None:
+    """Refuse a walk over side^n points when that is more than WORK_LIMIT.
+
+    side^n >= 2^(n*(side.bit_length()-1)), so a huge n is refused by bit
+    lengths alone, before any power is computed.
+    """
+    if side > 1 and (
+        n * (side.bit_length() - 1) >= WORK_LIMIT.bit_length() or side**n > WORK_LIMIT
+    ):
+        raise ValueError(
+            f"the {walk} walk would visit {side}^{n} points, over the work limit of {WORK_LIMIT}"
+        )
 
 
 def _trace_exponent(exponent: Exponent, q: int) -> Exponent | None:
@@ -75,19 +103,21 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
 
 def _trace(w: MonomialForm, p: int, q: int) -> MonomialForm:
     """The trace at q = p^e, unvalidated: callers check p, e and the form."""
-    c = w.coeff % p
-    exponent = _trace_exponent(w.exponent, q) if c else None
-    if exponent is None:
-        return MonomialForm(0, (0,) * len(w.exponent))
+    c, exponent = w
+    c %= p
+    image = _trace_exponent(exponent, q) if c else None
+    if image is None:
+        return _form((0, (0,) * len(exponent)))
     # c^(p^e) == c on F_p, so c is its own p^e-th root
-    return MonomialForm(c, exponent)
+    return _form((c, image))
 
 
 def monomial_times(w: MonomialForm, c: Exponent) -> MonomialForm:
     """Multiply a form by the monomial x^c."""
-    if w.is_zero:
+    coeff, exponent = w
+    if coeff == 0:
         return w
-    return MonomialForm(w.coeff, tuple(a + x for a, x in zip(w.exponent, c)))
+    return _form((coeff, tuple(map(add, exponent, c))))
 
 
 def _box(n: int, top: int):
@@ -98,12 +128,14 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     """A target exponent within the box whose canonical preimage fails, or None.
 
     For each target b the form x^(p^e*(b+1)-1) dx must trace to x^b dx.
+    Refused when the (box+1)^n targets are more than WORK_LIMIT.
     """
     # bad input is reported in the order n, p, box, e
     parse_int(n, "n", 1)
     ensure_prime(p)
     targets = _box(n, box)
     q = p ** parse_int(e, "e", 0)
+    _check_work("surjectivity", box + 1, n)
     preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
     for b, a in zip(targets, preimages):
         if _trace_exponent(a, q) != b:
@@ -126,14 +158,17 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     gives the last coordinates of its member blocks, and only those points
     are visited. Every member is still traced, in the order of a plain
     scan, and the first traced form to escape the ideal is returned.
+    Refused when the (q*(box+1))^n points are more than WORK_LIMIT.
     """
     # bracket_power validates p and e, once for the whole walk
     bracket = bracket_power(ideal, p, e)
     n = ideal.n
     q = p**e
+    heads = _box(n - 1, box)  # validates box before its cost is estimated
+    _check_work("ideal identity", q * (box + 1), n)
     # per block head of a prefix, the tails (last,) of its member blocks, in order
     rows = {}
-    for head in _box(n - 1, box):
+    for head in heads:
         first = _first_member(bracket, tuple([q * x for x in head]), range(0, q * (box + 1), q))
         rows[head] = [(last,) for last in range(q * first, q * (box + 1))]
     image = set()
@@ -157,7 +192,7 @@ def semilinearity_counterexample(p: int, e: int, samples):
     ensure_prime(p)
     q = p ** parse_int(e, "e", 0)
     for c, w in samples:
-        shifted = monomial_times(w, tuple(q * x for x in c))
+        shifted = monomial_times(w, tuple(map(q.__mul__, c)))
         lhs = _trace(shifted, p, q)
         rhs = monomial_times(_trace(w, p, q), c)
         if lhs != rhs:
@@ -165,27 +200,36 @@ def semilinearity_counterexample(p: int, e: int, samples):
     return None
 
 
+def _tuples(rng: random.Random, top: int, n: int, count: int):
+    """`count` n-tuples of entries uniform in [0, top), drawn in one batch."""
+    return zip(*[iter(rng.choices(range(top), k=count * n))] * n)
+
+
+def _coefficients(rng: random.Random, p: int, count: int) -> list[int]:
+    # exact for any p: choices(range(1, p)) overflows past sys.maxsize and is not uniform past 2^53
+    return [rng.randrange(1, p) for _ in range(count)]
+
+
 def random_forms(n: int, p: int, count: int, seed: int = 0):
-    """`count` forms with nonzero coefficients and exponent entries in [0, 24]."""
+    """`count` forms with nonzero coefficients and exponent entries in [0, 24].
+
+    Each field is drawn for all forms at once: the coefficients, then the exponents.
+    """
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        coeff = rng.randrange(1, p)
-        exponent = tuple(rng.randrange(25) for _ in range(n))
-        out.append(MonomialForm(coeff, exponent))
-    return out
+    coeffs = _coefficients(rng, p, count)
+    return list(map(_form, zip(coeffs, _tuples(rng, 25, n, count))))
 
 
 def random_semilinearity_samples(n: int, p: int, count: int, seed: int = 0):
-    """`count` pairs (c, form): c in [0, 3]^n, form exponent entries in [0, 16]."""
+    """`count` pairs (c, form): c in [0, 3]^n, form exponent entries in [0, 16].
+
+    Each field is drawn for all pairs at once: the shifts c, the
+    coefficients, then the exponents.
+    """
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        c = tuple(rng.randrange(4) for _ in range(n))
-        coeff = rng.randrange(1, p)
-        exponent = tuple(rng.randrange(17) for _ in range(n))
-        out.append((c, MonomialForm(coeff, exponent)))
-    return out
+    shifts = list(_tuples(rng, 4, n, count))
+    coeffs = _coefficients(rng, p, count)
+    return list(zip(shifts, map(_form, zip(coeffs, _tuples(rng, 17, n, count)))))
 
 
 def random_primary_ideal(n: int, rng: random.Random) -> MonomialIdeal:
@@ -203,8 +247,9 @@ def iteration_counterexample(p: int, e1: int, e2: int, forms):
     """A form where the (e1+e2)-fold trace differs from the composite, or None."""
     ensure_prime(p)
     q1, q2 = p ** parse_int(e1, "e1", 0), p ** parse_int(e2, "e2", 0)
+    q = q1 * q2
     for w in forms:
-        if _trace(w, p, q1 * q2) != _trace(_trace(w, p, q1), p, q2):
+        if _trace(w, p, q) != _trace(_trace(w, p, q1), p, q2):
             return w
     return None
 
@@ -212,15 +257,24 @@ def iteration_counterexample(p: int, e1: int, e2: int, forms):
 def cartier_report(
     n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None = None, seed: int = 0
 ) -> dict:
-    """Run the verification battery into one JSON-able report (ideal identity on min(box, 8))."""
+    """Run the verification battery into one JSON-able report (ideal identity on min(box, 8)).
+
+    Every argument and both walks' costs are checked before the default ideal m^2 is built.
+    """
+    parse_int(n, "variable count n", 1)
+    if ideal is not None and ideal.n != n:
+        raise ValueError(f"ideal has {ideal.n} variables, expected n = {n}")
+    ensure_prime(p)
+    ideal_box = min(parse_int(box, "box", 0), 8)
+    q = p ** parse_int(e, "e", 0)
+    _check_work("surjectivity", box + 1, n)
+    _check_work("ideal identity", q * (ideal_box + 1), n)
     if ideal is None:
         ideal = power(maximal_ideal(n), 2)
-    elif ideal.n != n:
-        raise ValueError(f"ideal has {ideal.n} variables, expected n = {n}")
     # each check's counterexample or None, in the order the checks run
     found = {
         "surjective": surjectivity_counterexample(n, p, e, box),
-        "ideal_identity": ideal_identity_counterexample(ideal, p, e, min(box, 8)),
+        "ideal_identity": ideal_identity_counterexample(ideal, p, e, ideal_box),
         "semilinear": semilinearity_counterexample(
             p, e, random_semilinearity_samples(n, p, 200, seed=seed)
         ),

@@ -107,18 +107,24 @@ def _dominance_index(gens: tuple[Exponent, ...] | list[Exponent]) -> list:
     return index
 
 
-def _minimal_antichain(gens: set[Exponent]) -> list[Exponent]:
+def _minimal_antichain(gens: set[Exponent]) -> tuple[list[Exponent], list | None]:
+    """The sorted minimal candidates, and their index if all are kept (else None).
+
+    Membership asks only whether a mask is nonzero, so that index serves the ideal.
+    """
     # a candidate is minimal iff the only candidate dividing it is itself
     candidates = list(gens)
     columns = list(zip(*candidates))
+    index = _dominance_index(candidates)
     divisors = repeat(0)
-    for tables in _dominance_index(candidates):
+    for tables in index:
         masks = repeat(-1)
         for (values, below), column in zip(tables, columns):
             at = {x: below[bisect_right(values, x)] for x in set(column)}  # a search per value
             masks = map(and_, masks, map(at.__getitem__, column))
         divisors = list(map(add, divisors, map(int.bit_count, masks)))
-    return sorted(compress(candidates, map((1).__eq__, divisors)))
+    kept = sorted(compress(candidates, map((1).__eq__, divisors)))
+    return kept, index if len(kept) == len(candidates) else None
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,9 @@ class MonomialIdeal:
     ``_rule`` says how membership is answered: None asks the dominance index
     of the generators, an int k means the ideal is m^k, and a pair (base, q)
     means it is base^[q]. Only the constructors below that know the ideal's
-    shape set it. ``_index`` is that index, built on the first question.
-    Neither is part of equality, hashing or repr.
+    shape set it. ``_index`` is that index: construction keeps the one it
+    minimalized with when no candidate was dropped, and otherwise the first
+    question builds it. Neither is part of equality, hashing or repr.
 
     ``a in ideal`` takes any exponent a caller supplies: it runs the same
     one check as construction (length, then entries; a list is accepted)
@@ -164,15 +171,19 @@ class MonomialIdeal:
             and min(chain.from_iterable(gens), default=0) >= 0
         ):
             gens = [_check_exponent(g, n) for g in raw]
-        object.__setattr__(self, "gens", tuple(_minimal_antichain(set(gens))))
+        kept, index = _minimal_antichain(set(gens))
+        object.__setattr__(self, "gens", tuple(kept))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
-    def _structured(cls, n: int, gens: tuple[Exponent, ...], rule) -> MonomialIdeal:
-        # gens must already be the sorted minimal antichain of the ideal
+    def _structured(cls, n: int, gens: tuple[Exponent, ...], rule, index=None) -> MonomialIdeal:
+        # gens must already be the sorted minimal antichain of the ideal, and
+        # index None or a dominance index of those generators in any order
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "n", n)
         object.__setattr__(ideal, "gens", gens)
         object.__setattr__(ideal, "_rule", rule)
+        object.__setattr__(ideal, "_index", index)
         return ideal
 
     def __contains__(self, a) -> bool:
@@ -237,7 +248,8 @@ def maximal_ideal(n: int) -> MonomialIdeal:
 
 def _minkowski(a_gens, b_gens, n: int) -> MonomialIdeal:
     sums = {tuple(x + y for x, y in zip(a, b)) for a in a_gens for b in b_gens}
-    return MonomialIdeal._structured(n, tuple(_minimal_antichain(sums)), None)
+    kept, index = _minimal_antichain(sums)
+    return MonomialIdeal._structured(n, tuple(kept), None, index)
 
 
 def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:

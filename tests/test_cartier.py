@@ -493,3 +493,134 @@ class TestUpSetQuestions:
         bound = (box + 1) ** (n - 1) * math.ceil(math.log2(box + 2))
         assert 0 < asked["bracket"] <= bound
         assert 0 < target_questions <= bound
+
+
+_BIG_PRIME = 1000000000000000003
+
+
+def _randrange_calls(monkeypatch):
+    """A list that grows by one on every Random.randrange call."""
+    calls = []
+    randrange = random.Random.randrange
+
+    def counting(rng, *args):
+        calls.append(args)
+        return randrange(rng, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counting)
+    return calls
+
+
+class TestSamplers:
+    """Each field of the Cartier samples is drawn for all samples in one batch."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p", [2, 5, _BIG_PRIME])
+    def test_seeded_shapes_and_ranges(self, n, p):
+        forms = random_forms(n, p, 200, seed=9)
+        pairs = random_semilinearity_samples(n, p, 200, seed=9)
+        assert forms == random_forms(n, p, 200, seed=9)
+        assert pairs == random_semilinearity_samples(n, p, 200, seed=9)
+        assert len(forms) == len(pairs) == 200
+        for w in forms:
+            assert type(w) is MonomialForm and type(w.coeff) is int and 1 <= w.coeff <= p - 1
+            assert type(w.exponent) is tuple and len(w.exponent) == n
+            assert all(type(x) is int and 0 <= x <= 24 for x in w.exponent)
+        for c, w in pairs:
+            assert type(c) is tuple and len(c) == n and all(type(x) is int for x in c)
+            assert all(0 <= x <= 3 for x in c)
+            assert type(w) is MonomialForm and 1 <= w.coeff <= p - 1
+            assert len(w.exponent) == n and all(0 <= x <= 16 for x in w.exponent)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_value_of_each_range_is_drawn(self, seed):
+        forms = random_forms(3, 7, 200, seed=seed)
+        pairs = random_semilinearity_samples(3, 7, 200, seed=seed)
+        for i in range(3):
+            assert {w.exponent[i] for w in forms} == set(range(25))
+            assert {c[i] for c, _ in pairs} == set(range(4))
+            assert {w.exponent[i] for _, w in pairs} == set(range(17))
+        assert {w.coeff for w in forms} == {w.coeff for _, w in pairs} == set(range(1, 7))
+
+    def test_one_randrange_per_sample(self, monkeypatch):
+        # the coefficient only: at n = 3 a draw per coordinate made 800 and 1,400 calls
+        calls = _randrange_calls(monkeypatch)
+        random_forms(3, 5, 200, seed=1)
+        assert len(calls) <= 200
+        calls.clear()
+        random_semilinearity_samples(3, 5, 200, seed=1)
+        assert len(calls) <= 200
+
+    # At q = 9 a drawn form traces to nonzero only when every entry is 8 mod 9,
+    # a few forms in 200 at n = 2. Over 300 seeds the lossy kernel then slips
+    # past both sampled checks on about 4 seeds in 5 and the reversed one on
+    # about 1 in 3, with per-coordinate draws as with batched ones, so only the
+    # lowered kernel is pinned there.
+    @pytest.mark.parametrize(
+        "wrong, p, e",
+        [
+            *[
+                (wrong, p, e)
+                for wrong in (_lowered_trace, _lossy_trace, _reversed_trace)
+                for p, e in ((2, 1), (2, 2), (3, 1))
+            ],
+            (_lowered_trace, 3, 2),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_wrong_kernel_is_still_caught(self, monkeypatch, wrong, p, e, seed):
+        # the report's own draws: 200 of each, iteration over e = 1 + max(e - 1, 0)
+        pairs = random_semilinearity_samples(2, p, 200, seed=seed)
+        forms = random_forms(2, p, 200, seed=seed)
+        monkeypatch.setattr(cartier, "_trace_exponent", wrong)
+        found = (
+            semilinearity_counterexample(p, e, pairs),
+            iteration_counterexample(p, 1, max(e - 1, 0), forms),
+        )
+        assert found != (None, None)
+
+
+class TestWorkLimit:
+    """A walk over more than WORK_LIMIT points is refused before it allocates."""
+
+    def test_estimate_at_the_limit(self):
+        limit = cartier.WORK_LIMIT
+        assert limit == 10**6
+        for side, n in [(1000, 2), (10, 6), (31, 4), (0, 5), (1, 10**12)]:
+            cartier._check_work("surjectivity", side, n)
+        for side, n in [(1001, 2), (31, 5), (2, 20), (2, 10**12), (_BIG_PRIME, 1)]:
+            message = (
+                rf"^the surjectivity walk would visit {side}\^{n} points, "
+                rf"over the work limit of {limit}$"
+            )
+            with pytest.raises(ValueError, match=message):
+                cartier._check_work("surjectivity", side, n)
+
+    def test_surjectivity_box_over_the_limit(self):
+        with pytest.raises(ValueError, match=r"^the surjectivity walk would visit 31\^5 points"):
+            surjectivity_counterexample(5, 2, 1, 30)
+
+    def test_ideal_walk_over_the_limit(self):
+        # q * (box + 1) = 3 * 10^18 per coordinate: refused before any row is built
+        message = rf"^the ideal identity walk would visit {3 * _BIG_PRIME}\^2 points"
+        with pytest.raises(ValueError, match=message):
+            ideal_identity_counterexample(power(maximal_ideal(2), 2), _BIG_PRIME, 1, 2)
+        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit \d+\^1 points"):
+            ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), 101, 4, 2)
+
+    def test_report_checks_both_costs_before_the_default_ideal(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("the default ideal was built")
+
+        monkeypatch.setattr(cartier, "power", unbuilt)
+        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit"):
+            cartier_report(2, _BIG_PRIME, 1, 2)
+        with pytest.raises(ValueError, match=r"^the surjectivity walk would visit 31\^5 points"):
+            cartier_report(5, 2, 1, 30)
+        # the ideal identity runs on min(box, 8): 16^5 > 10^6 but the full box is refused first
+        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit 18\^5 points"):
+            cartier_report(5, 2, 1, 10)
+
+    def test_large_prime_with_e_zero_is_allowed(self):
+        report = cartier_report(3, 99999999999999997, 0, 3)
+        assert report == dict.fromkeys(["surjective", "ideal_identity", "semilinear", "iteration"], True)

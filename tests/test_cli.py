@@ -763,6 +763,25 @@ class TestRunFuzz:
             assert diagnostics.count("\n") == 1 and diagnostics.endswith("\n")
 
 
+class TestCartierWorkLimit:
+    """A cartier request whose walk is over the work limit exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (["--n", "2", "--p", "1000000000000000003", "--e", "1", "--box", "2"],
+             "the ideal identity walk would visit 3000000000000000009^2 points"),
+            (["--n", "1", "--p", "101", "--e", "4", "--box", "2"],
+             "the ideal identity walk would visit 312181203^1 points"),
+            (["--n", "5", "--p", "2", "--e", "1", "--box", "30"],
+             "the surjectivity walk would visit 31^5 points"),
+        ],
+    )
+    def test_refused(self, capsys, argv, estimate):
+        err = f"invalid input: {estimate}, over the work limit of 1000000\n"
+        assert run_cli(capsys, ["cartier", *argv]) == (EXIT_BAD_INPUT, "", err)
+
+
 class TestVerifyAll:
     def test_table_format_streams_lines(self, capsys):
         code, out, _ = run_cli(capsys, ["verify-all", "--format", "table"])

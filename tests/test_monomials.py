@@ -865,7 +865,9 @@ class TestDominanceIndex:
         assert_index_matches_scan(ideal, points, (3, 1))
 
     def test_index_is_not_part_of_equality_hash_or_repr(self):
-        asked, fresh = MonomialIdeal(2, ((2, 0), (1, 1))), MonomialIdeal(2, ((2, 0), (1, 1)))
+        # (2, 1) is dropped, so construction keeps no index and the first question builds it
+        gens = ((2, 0), (1, 1), (2, 1))
+        asked, fresh = MonomialIdeal(2, gens), MonomialIdeal(2, gens)
         assert (1, 3) in asked and asked._index is not None and fresh._index is None
         assert asked == fresh and hash(asked) == hash(fresh) and repr(asked) == repr(fresh)
 
@@ -882,6 +884,51 @@ class TestDominanceIndex:
                 assert values == sorted(set(column))
                 assert len(below) == len(values) + 1
                 assert max(mask.bit_length() for mask in below) == len(block) <= 1024
+
+
+class TestIndexedOnce:
+    """An ideal whose candidates are all minimal keeps the index it minimalized with."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+
+        def counting(gens):
+            calls.append(len(gens))
+            return _dominance_index(gens)
+
+        monkeypatch.setattr(monomials, "_dominance_index", counting)
+        return calls
+
+    def test_minimalize_then_ask_builds_one_index(self, built):
+        ideal = random_primary_ideal(3, random.Random(4))
+        built.clear()
+        again = minimalize(ideal.gens, 3)
+        assert (8, 8, 8) in again and (0, 0, 0) not in again
+        assert built == [len(ideal.gens)]
+
+    def test_minkowski_of_an_antichain_builds_one_index(self, built):
+        # every sum of (2, 0), (0, 3) with itself is minimal: (4, 0), (2, 3), (0, 6)
+        squared = power(MonomialIdeal(2, ((2, 0), (0, 3))), 2)
+        built.clear()
+        for a in [(4, 0), (2, 3), (0, 6), (3, 2), (1, 5)]:
+            assert (a in squared) == scan_member(squared.gens, a)
+        assert built == []
+
+    def test_a_dropped_candidate_leaves_the_index_to_the_first_question(self, built):
+        ideal = MonomialIdeal(2, ((2, 0), (1, 1), (2, 1)))
+        assert built == [3] and ideal._index is None
+        assert (2, 1) in ideal and (0, 5) not in ideal
+        assert built == [3, 2]
+
+    @given(data=plain_ideals_and_points())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_index_answers_like_the_scan(self, data):
+        ideal, points = data
+        again = minimalize(ideal.gens, ideal.n)
+        assert again._index is not None
+        for a in points:
+            assert again._has(a) == scan_member(again.gens, a)
 
 
 class TestRendering:
