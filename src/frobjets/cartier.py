@@ -24,19 +24,19 @@ prefix a[:-1] only the member run of the last coordinate is visited, in the
 same lexicographic order as a plain scan, and every member is still traced.
 
 Both walks refuse, before they allocate, a box of more than WORK_LIMIT
-points. The samplers draw each exponent field for all samples in one call;
-coefficients stay one exact randrange(1, p) each.
+points. Semilinearity and iteration are checked on one fixed design of
+residue classes: the trace of x^a dx depends only on a mod q and a // q
+(Blickle-Schwede, p^(-1)-linear maps in algebra and geometry, 2013).
 """
 
 from __future__ import annotations
 
-import random
-from itertools import product
+from itertools import cycle, product
 from operator import add
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime, maximal_ideal, power
-from .monomials import _check_exponent, _first_member
+from .monomials import WORK_LIMIT, _check_exponent, _check_work, _first_member, _over_limit
 from .serialize import parse_int
 
 
@@ -54,24 +54,6 @@ class MonomialForm(NamedTuple):
 def _form(fields: tuple[int, Exponent]) -> MonomialForm:
     # a MonomialForm from a checked (coeff, exponent) pair, without the Python-level __new__
     return tuple.__new__(MonomialForm, fields)
-
-
-# the most points one walk over a box may visit; a larger request is refused
-WORK_LIMIT = 10**6
-
-
-def _check_work(walk: str, side: int, n: int) -> None:
-    """Refuse a walk over side^n points when that is more than WORK_LIMIT.
-
-    side^n >= 2^(n*(side.bit_length()-1)), so a huge n is refused by bit
-    lengths alone, before any power is computed.
-    """
-    if side > 1 and (
-        n * (side.bit_length() - 1) >= WORK_LIMIT.bit_length() or side**n > WORK_LIMIT
-    ):
-        raise ValueError(
-            f"the {walk} walk would visit {side}^{n} points, over the work limit of {WORK_LIMIT}"
-        )
 
 
 def _trace_exponent(exponent: Exponent, q: int) -> Exponent | None:
@@ -200,40 +182,32 @@ def semilinearity_counterexample(p: int, e: int, samples):
     return None
 
 
-def _tuples(rng: random.Random, top: int, n: int, count: int):
-    """`count` n-tuples of entries uniform in [0, top), drawn in one batch."""
-    return zip(*[iter(rng.choices(range(top), k=count * n))] * n)
+def residue_class_cases(n: int, p: int, q: int) -> list[tuple[Exponent, MonomialForm]]:
+    """The semilinearity check's (c, form) pairs at q = p^e: at most 1 + 7n of them.
 
-
-def _coefficients(rng: random.Random, p: int, count: int) -> list[int]:
-    # exact for any p: choices(range(1, p)) overflows past sys.maxsize and is not uniform past 2^53
-    return [rng.randrange(1, p) for _ in range(count)]
-
-
-def random_forms(n: int, p: int, count: int, seed: int = 0):
-    """`count` forms with nonzero coefficients and exponent entries in [0, 24].
-
-    Each field is drawn for all forms at once: the coefficients, then the exponents.
+    Each shift c in 0, k*e_i (k = 1, 2, 3) and e_i + e_(i+1 mod n) on the top
+    residue (q-1)*1, which traces to dx; then, at c = e_1, the top residue
+    with one coordinate lowered to each of range(q - 1) when q <= 4, else to
+    each of 0, 1 and q - 2, which trace to zero. Coefficients alternate 1, p - 1.
     """
-    rng = random.Random(seed)
-    coeffs = _coefficients(rng, p, count)
-    return list(map(_form, zip(coeffs, _tuples(rng, 25, n, count))))
+    units = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]
+    shifts = [(0,) * n] + [tuple([k * x for x in u]) for k in (1, 2, 3) for u in units]
+    # at n = 1 the pair is 2*e_1, and at n = 2 both pairs are e_1 + e_2
+    pairs = [tuple(map(add, u, v)) for u, v in zip(units, units[1:] + units[:1])]
+    top = (q - 1,) * n
+    lowered = range(q - 1) if q <= 4 else (0, 1, q - 2)
+    cross = [(units[0], top[:i] + (r,) + top[i + 1 :]) for i in range(n) for r in lowered]
+    cases = [(c, top) for c in shifts + pairs[: n if n > 2 else n - 1]] + cross
+    return [(c, _form((coeff, r))) for (c, r), coeff in zip(cases, cycle((1, p - 1)))]
 
 
-def random_semilinearity_samples(n: int, p: int, count: int, seed: int = 0):
-    """`count` pairs (c, form): c in [0, 3]^n, form exponent entries in [0, 16].
-
-    Each field is drawn for all pairs at once: the shifts c, the
-    coefficients, then the exponents.
-    """
-    rng = random.Random(seed)
-    shifts = list(_tuples(rng, 4, n, count))
-    coeffs = _coefficients(rng, p, count)
-    return list(zip(shifts, map(_form, zip(coeffs, _tuples(rng, 17, n, count)))))
+def residue_class_forms(n: int, p: int, q: int) -> list[MonomialForm]:
+    """The iteration check's forms x^(q*c + r) over the same design, at q = p^(e1+e2)."""
+    return [monomial_times(w, tuple([q * x for x in c])) for c, w in residue_class_cases(n, p, q)]
 
 
-def random_primary_ideal(n: int, rng: random.Random) -> MonomialIdeal:
-    """A random monomial ideal with finite complement: each x_i^8, 1 to 5 gens in [0, 8]^n."""
+def random_primary_ideal(n: int, rng) -> MonomialIdeal:
+    """A monomial ideal with finite complement: each x_i^8, and 1 to 5 gens in [0, 8]^n from rng."""
     gens = [
         tuple(8 if i == j else 0 for i in range(n))
         for j in range(n)
@@ -254,12 +228,10 @@ def iteration_counterexample(p: int, e1: int, e2: int, forms):
     return None
 
 
-def cartier_report(
-    n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None = None, seed: int = 0
-) -> dict:
+def cartier_report(n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None = None) -> dict:
     """Run the verification battery into one JSON-able report (ideal identity on min(box, 8)).
 
-    Every argument and both walks' costs are checked before the default ideal m^2 is built.
+    Every argument and every cost is checked before the default ideal m^2 is built.
     """
     parse_int(n, "variable count n", 1)
     if ideal is not None and ideal.n != n:
@@ -269,17 +241,17 @@ def cartier_report(
     q = p ** parse_int(e, "e", 0)
     _check_work("surjectivity", box + 1, n)
     _check_work("ideal identity", q * (ideal_box + 1), n)
+    if (1 + 7 * n) * n > WORK_LIMIT:
+        raise _over_limit(f"the Cartier design would hold up to {1 + 7 * n} forms of {n} entries")
     if ideal is None:
         ideal = power(maximal_ideal(n), 2)
     # each check's counterexample or None, in the order the checks run
     found = {
         "surjective": surjectivity_counterexample(n, p, e, box),
         "ideal_identity": ideal_identity_counterexample(ideal, p, e, ideal_box),
-        "semilinear": semilinearity_counterexample(
-            p, e, random_semilinearity_samples(n, p, 200, seed=seed)
-        ),
+        "semilinear": semilinearity_counterexample(p, e, residue_class_cases(n, p, q)),
         "iteration": iteration_counterexample(
-            p, 1, max(e - 1, 0), random_forms(n, p, 200, seed=seed)
+            p, 1, max(e - 1, 0), residue_class_forms(n, p, max(q, p))
         ),
     }
     report = {check: cex is None for check, cex in found.items()}

@@ -20,8 +20,9 @@ Neither shape is re-minimalized: the compositions of k are the minimal
 generators of m^k, and scaling by q keeps an antichain an antichain.
 
 Construction checks all generators at once, and one at a time only to name
-the first bad one. An ideal is an up-set, so the cobasis and the staircase
-corners are one walk (``_outside``) by binary search, not a scan of a box.
+the first bad one; m^k over WORK_LIMIT generator entries is refused unbuilt.
+An ideal is an up-set, so the cobasis and the staircase corners are one
+walk (``_outside``) by binary search, not a scan of a box.
 """
 
 from __future__ import annotations
@@ -29,13 +30,33 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, compress, repeat
-from operator import add, and_, or_
+from itertools import accumulate, chain, combinations_with_replacement, compress, repeat
+from operator import add, and_, or_, sub
 
 from .serialize import parse_int
 
 
 Exponent = tuple[int, ...]
+
+
+# the most points one walk may visit, or generator entries one m^k may hold
+WORK_LIMIT = 10**6
+
+
+def _over_limit(estimate: str) -> ValueError:
+    return ValueError(f"{estimate}, over the work limit of {WORK_LIMIT}")
+
+
+def _check_work(walk: str, side: int, n: int) -> None:
+    """Refuse a walk over side^n points when that is more than WORK_LIMIT.
+
+    side^n >= 2^(n*(side.bit_length()-1)), so a huge n is refused by bit
+    lengths alone, before any power is computed.
+    """
+    if side > 1 and (
+        n * (side.bit_length() - 1) >= WORK_LIMIT.bit_length() or side**n > WORK_LIMIT
+    ):
+        raise _over_limit(f"the {walk} walk would visit {side}^{n} points")
 
 
 # Miller-Rabin with the 13 prime bases 2..41 is exact below this bound, the
@@ -224,17 +245,23 @@ def minimalize(gens, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
-def _compositions(k: int, n: int) -> list[Exponent]:
-    """All exponents of total degree k in n variables, in ascending order."""
-    if n == 1:
-        return [(k,)]
-    return [(i,) + rest for i in range(k + 1) for rest in _compositions(k - i, n - 1)]
-
-
 def _maximal_ideal_power(n: int, k: int) -> MonomialIdeal:
-    # The degree-k monomials are exactly the minimal generators of m^k.
+    # The degree-k monomials are exactly the minimal generators of m^k, with
+    # n * C(n+k-1, k) entries. n * C(n+k-1, i) grows with i up to min(n-1, k), from
+    # at least n^2 at i = 1, so it is given up once over WORK_LIMIT, never huge.
     parse_int(n, "variable count n", 1)
-    return MonomialIdeal._structured(n, tuple(_compositions(k, n)), k)
+    entries = n
+    for i in range(1, min(n - 1, k) + 1):
+        if entries > WORK_LIMIT:
+            break
+        entries = entries * (n + k - i) // i
+    if entries > WORK_LIMIT:
+        raise _over_limit(f"m^{k} in {n} variables has {n}*C({n + k - 1}, {k}) generator entries")
+    # stars and bars, in ascending order: each cut list c_1 <= ... <= c_(n-1) in
+    # [0, k], in lexicographic order, gives the parts c_1, c_2 - c_1, ..., k - c_(n-1)
+    cut_lists = combinations_with_replacement(range(k + 1), n - 1)
+    gens = tuple([tuple(map(sub, cuts + (k,), (0,) + cuts)) for cuts in cut_lists])
+    return MonomialIdeal._structured(n, gens, k)
 
 
 def unit_ideal(n: int) -> MonomialIdeal:

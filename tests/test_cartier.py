@@ -13,9 +13,9 @@ from frobjets.cartier import (
     ideal_identity_counterexample,
     iteration_counterexample,
     monomial_times,
-    random_forms,
     random_primary_ideal,
-    random_semilinearity_samples,
+    residue_class_cases,
+    residue_class_forms,
     semilinearity_counterexample,
     surjectivity_counterexample,
     trace,
@@ -325,10 +325,11 @@ class TestSemilinearity:
         assert lhs == rhs == MonomialForm(1, (2,))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_random_samples(self, p):
-        for e in (1, 2):
-            samples = random_semilinearity_samples(2, p, 200, seed=11)
-            assert semilinearity_counterexample(p, e, samples) is None
+    def test_residue_class_design(self, p):
+        for n in (1, 2, 3):
+            for e in (0, 1, 2):
+                cases = residue_class_cases(n, p, p**e)
+                assert semilinearity_counterexample(p, e, cases) is None
 
     @given(
         a=st.tuples(st.integers(0, 20), st.integers(0, 20)),
@@ -356,11 +357,11 @@ class TestIteration:
                 w = MonomialForm(1, a)
                 assert trace(w, p, e1 + e2) == trace(trace(w, p, e1), p, e2)
 
-    def test_random_forms(self):
+    def test_residue_class_forms(self):
         for p in (2, 3, 5):
-            forms = random_forms(2, p, 200, seed=3)
-            assert iteration_counterexample(p, 1, 1, forms) is None
-            assert iteration_counterexample(p, 1, 2, forms) is None
+            for e1, e2 in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
+                forms = residue_class_forms(2, p, p ** (e1 + e2))
+                assert iteration_counterexample(p, e1, e2, forms) is None
 
 
 class TestReport:
@@ -498,86 +499,69 @@ class TestUpSetQuestions:
 _BIG_PRIME = 1000000000000000003
 
 
-def _randrange_calls(monkeypatch):
-    """A list that grows by one on every Random.randrange call."""
-    calls = []
-    randrange = random.Random.randrange
+class TestResidueClassDesign:
+    """The semilinearity and iteration checks run on one fixed design of at most 1 + 7n cases."""
 
-    def counting(rng, *args):
-        calls.append(args)
-        return randrange(rng, *args)
+    def test_cases_at_n_2_and_q_9(self):
+        top, e_1 = (8, 8), (1, 0)
+        shifts = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1)]
+        cross = [(0, 8), (1, 8), (7, 8), (8, 0), (8, 1), (8, 7)]
+        pairs = [(c, top) for c in shifts] + [(e_1, r) for r in cross]
+        coeffs = [1, 2] * 7
+        expected = [(c, MonomialForm(k, r)) for (c, r), k in zip(pairs, coeffs)]
+        assert residue_class_cases(2, 3, 9) == expected
+        forms = [
+            MonomialForm(k, tuple(9 * x + y for x, y in zip(c, r)))
+            for (c, r), k in zip(pairs, coeffs)
+        ]
+        assert residue_class_forms(2, 3, 9) == forms
 
-    monkeypatch.setattr(random.Random, "randrange", counting)
-    return calls
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_shifts_and_residues(self, n):
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        pairs = {tuple(map(sum, zip(units[i], units[(i + 1) % n]))) for i in range(n)}
+        shifts = {(0,) * n} | {tuple(k * x for x in u) for k in (1, 2, 3) for u in units} | pairs
+        for p, q, lowered in [
+            (2, 1, set()), (2, 2, {0}), (3, 3, {0, 1}), (2, 4, {0, 1, 2}), (3, 9, {0, 1, 7})
+        ]:
+            cases = residue_class_cases(n, p, q)
+            top = (q - 1,) * n
+            on_top = [c for c, w in cases if w.exponent == top]
+            assert len(on_top) == len(set(on_top)) and set(on_top) == shifts
+            cross = [(c, w.exponent) for c, w in cases if w.exponent != top]
+            assert all(c == units[0] for c, _ in cross)
+            assert sorted(r for _, r in cross) == sorted(
+                top[:i] + (r,) + top[i + 1 :] for i in range(n) for r in lowered
+            )
 
-
-class TestSamplers:
-    """Each field of the Cartier samples is drawn for all samples in one batch."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
     @pytest.mark.parametrize("p", [2, 5, _BIG_PRIME])
-    def test_seeded_shapes_and_ranges(self, n, p):
-        forms = random_forms(n, p, 200, seed=9)
-        pairs = random_semilinearity_samples(n, p, 200, seed=9)
-        assert forms == random_forms(n, p, 200, seed=9)
-        assert pairs == random_semilinearity_samples(n, p, 200, seed=9)
-        assert len(forms) == len(pairs) == 200
-        for w in forms:
-            assert type(w) is MonomialForm and type(w.coeff) is int and 1 <= w.coeff <= p - 1
-            assert type(w.exponent) is tuple and len(w.exponent) == n
-            assert all(type(x) is int and 0 <= x <= 24 for x in w.exponent)
-        for c, w in pairs:
-            assert type(c) is tuple and len(c) == n and all(type(x) is int for x in c)
-            assert all(0 <= x <= 3 for x in c)
-            assert type(w) is MonomialForm and 1 <= w.coeff <= p - 1
-            assert len(w.exponent) == n and all(0 <= x <= 16 for x in w.exponent)
+    def test_size_is_linear_in_n_for_every_p(self, n, p):
+        for e in (0, 1, 2, 3):
+            q = p**e
+            cases, forms = residue_class_cases(n, p, q), residue_class_forms(n, p, q)
+            assert len(cases) == len(forms) <= 1 + 7 * n
+            assert [w.coeff for _, w in cases] == [(1, p - 1)[i % 2] for i in range(len(cases))]
+            assert all(type(x) is int for _, w in cases for x in w.exponent)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_every_value_of_each_range_is_drawn(self, seed):
-        forms = random_forms(3, 7, 200, seed=seed)
-        pairs = random_semilinearity_samples(3, 7, 200, seed=seed)
-        for i in range(3):
-            assert {w.exponent[i] for w in forms} == set(range(25))
-            assert {c[i] for c, _ in pairs} == set(range(4))
-            assert {w.exponent[i] for _, w in pairs} == set(range(17))
-        assert {w.coeff for w in forms} == {w.coeff for _, w in pairs} == set(range(1, 7))
-
-    def test_one_randrange_per_sample(self, monkeypatch):
-        # the coefficient only: at n = 3 a draw per coordinate made 800 and 1,400 calls
-        calls = _randrange_calls(monkeypatch)
-        random_forms(3, 5, 200, seed=1)
-        assert len(calls) <= 200
-        calls.clear()
-        random_semilinearity_samples(3, 5, 200, seed=1)
-        assert len(calls) <= 200
-
-    # At q = 9 a drawn form traces to nonzero only when every entry is 8 mod 9,
-    # a few forms in 200 at n = 2. Over 300 seeds the lossy kernel then slips
-    # past both sampled checks on about 4 seeds in 5 and the reversed one on
-    # about 1 in 3, with per-coordinate draws as with batched ones, so only the
-    # lowered kernel is pinned there.
+    # at n = 1 the reversed kernel is the true one
+    @pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 1), (3, 2)])
     @pytest.mark.parametrize(
-        "wrong, p, e",
-        [
-            *[
-                (wrong, p, e)
-                for wrong in (_lowered_trace, _lossy_trace, _reversed_trace)
-                for p, e in ((2, 1), (2, 2), (3, 1))
-            ],
-            (_lowered_trace, 3, 2),
-        ],
+        "wrong, n",
+        [(wrong, n) for wrong in (_lowered_trace, _lossy_trace) for n in (1, 2, 3)]
+        + [(_reversed_trace, 2), (_reversed_trace, 3)],
     )
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_a_wrong_kernel_is_still_caught(self, monkeypatch, wrong, p, e, seed):
-        # the report's own draws: 200 of each, iteration over e = 1 + max(e - 1, 0)
-        pairs = random_semilinearity_samples(2, p, 200, seed=seed)
-        forms = random_forms(2, p, 200, seed=seed)
+    def test_every_test_kernel_is_caught(self, monkeypatch, wrong, n, p, e):
         monkeypatch.setattr(cartier, "_trace_exponent", wrong)
-        found = (
-            semilinearity_counterexample(p, e, pairs),
-            iteration_counterexample(p, 1, max(e - 1, 0), forms),
-        )
-        assert found != (None, None)
+        report = cartier_report(n, p, e, 0)
+        assert not (report["semilinear"] and report["iteration"])
+        assert report["counterexample"]["check"] in ("semilinear", "iteration")
+
+    def test_first_counterexample_at_q_9(self, monkeypatch):
+        # the first shift of degree 2 mod 3, on the top residue with the fourth coefficient
+        monkeypatch.setattr(cartier, "_trace_exponent", _lossy_trace)
+        cases = residue_class_cases(2, 3, 9)
+        assert semilinearity_counterexample(3, 2, cases) == ((2, 0), MonomialForm(2, (8, 8)))
 
 
 class TestWorkLimit:
@@ -620,6 +604,16 @@ class TestWorkLimit:
         # the ideal identity runs on min(box, 8): 16^5 > 10^6 but the full box is refused first
         with pytest.raises(ValueError, match=r"^the ideal identity walk would visit 18\^5 points"):
             cartier_report(5, 2, 1, 10)
+
+    def test_design_over_the_limit(self, monkeypatch):
+        # (1 + 7n) * n entries: n = 377 holds 995,280, n = 378 holds 1,000,566
+        monkeypatch.setattr(cartier, "residue_class_cases", lambda *args: [])
+        monkeypatch.setattr(cartier, "residue_class_forms", lambda *args: [])
+        ideal = MonomialIdeal(377, ((1,) + (0,) * 376,))
+        assert cartier_report(377, 2, 0, 0, ideal=ideal)["semilinear"]
+        message = r"^the Cartier design would hold up to 2647 forms of 378 entries, over"
+        with pytest.raises(ValueError, match=message):
+            cartier_report(378, 2, 0, 0, ideal=MonomialIdeal(378, ((1,) + (0,) * 377,)))
 
     def test_large_prime_with_e_zero_is_allowed(self):
         report = cartier_report(3, 99999999999999997, 0, 3)

@@ -782,6 +782,36 @@ class TestCartierWorkLimit:
         assert run_cli(capsys, ["cartier", *argv]) == (EXIT_BAD_INPUT, "", err)
 
 
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (["cartier", "--n", "2000", "--p", "2", "--e", "0", "--box", "0"],
+             "the Cartier design would hold up to 14001 forms of 2000 entries"),
+            (["inclusion-check", "--n", "1500", "--l", "0", "--e", "0", "--p", "2"],
+             "m^1 in 1500 variables has 1500*C(1500, 1) generator entries"),
+            (["inclusion-check", "--n", "1500", "--l", "1", "--e", "0", "--p", "2"],
+             "m^1 in 1500 variables has 1500*C(1500, 1) generator entries"),
+            (["cartier", "--n", "200", "--p", "2", "--e", "0", "--box", "0"],
+             "m^2 in 200 variables has 200*C(201, 2) generator entries"),
+        ],
+    )
+    def test_many_variables_refused(self, capsys, argv, estimate):
+        # these raised RecursionError, or would build millions of generator entries
+        err = f"invalid input: {estimate}, over the work limit of 1000000\n"
+        assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+
+
+class TestCartierSeed:
+    def test_seed_is_accepted_and_ignored(self, capsys):
+        argv = ["cartier", "--n", "2", "--p", "3", "--e", "2", "--box", "2"]
+        runs = [run_cli(capsys, argv + extra) for extra in ([], ["--seed", "0"], ["--seed", "99"])]
+        assert runs[0][0] == EXIT_OK
+        assert json.loads(runs[0][1]) == dict.fromkeys(
+            ["ideal_identity", "iteration", "semilinear", "surjective"], True
+        )
+        assert runs[1] == runs[2] == runs[0]
+
+
 class TestVerifyAll:
     def test_table_format_streams_lines(self, capsys):
         code, out, _ = run_cli(capsys, ["verify-all", "--format", "table"])

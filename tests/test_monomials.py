@@ -314,6 +314,67 @@ class TestPower:
             assert power(ideal, k) == oracle
 
 
+def recursive_compositions(k, n):
+    """Oracle: the compositions of k into n parts, by the first part, in ascending order."""
+    if n == 1:
+        return [(k,)]
+    return [(i,) + rest for i in range(k + 1) for rest in recursive_compositions(k - i, n - 1)]
+
+
+class _Built(Exception):
+    pass
+
+
+class TestMaximalPowerBudget:
+    """m^k is built without recursion, and refused over WORK_LIMIT generator entries."""
+
+    def test_generators_in_the_recursive_order(self):
+        for n in range(1, 7):
+            for k in range(9):
+                assert power(maximal_ideal(n), k).gens == tuple(recursive_compositions(k, n))
+
+    def test_generators_in_many_variables(self):
+        # a recursion per variable passed the interpreter's depth limit near 1000
+        assert unit_ideal(5000).gens == ((0,) * 5000,)
+        assert maximal_ideal(1000).gens[:2] == ((0,) * 999 + (1,), (0,) * 998 + (1, 0))
+
+    @pytest.mark.parametrize(
+        "n, k", [(1000, 1), (10**6, 0), (2, 499999), (125, 2), (1, 10**30), (8, 6)]
+    )
+    def test_at_or_under_the_limit_is_built(self, monkeypatch, n, k):
+        def built(*args):
+            raise _Built
+
+        monkeypatch.setattr(monomials, "combinations_with_replacement", built)
+        with pytest.raises(_Built):
+            monomials._maximal_ideal_power(n, k)
+
+    @pytest.mark.parametrize(
+        "n, k",
+        [
+            (1001, 1), (10**6 + 1, 0), (2, 500000), (126, 2),
+            (10**12, 1), (3, 10**30), (10**9, 10**9),
+        ],
+    )
+    def test_over_the_limit_is_refused(self, n, k):
+        message = (
+            rf"^m\^{k} in {n} variables has {n}\*C\({n + k - 1}, {k}\) "
+            rf"generator entries, over the work limit of {monomials.WORK_LIMIT}$"
+        )
+        with pytest.raises(ValueError, match=message):
+            monomials._maximal_ideal_power(n, k)
+
+    def test_public_constructors_are_refused(self):
+        for build in (
+            lambda: maximal_ideal(1500),
+            lambda: unit_ideal(10**7),
+            lambda: power(maximal_ideal(100), 3),
+            lambda: power(maximal_ideal(2), 10**40),
+        ):
+            with pytest.raises(ValueError, match=r"generator entries, over the work limit"):
+                build()
+
+
 class TestBracketPower:
     def test_scaling_rule(self):
         assert bracket_power(maximal_ideal(2), 2, 1).gens == ((0, 2), (2, 0))
