@@ -248,7 +248,7 @@ def criterion_8_cartier_suite():
             yield ("ideal-identity", ideal, p, e, box)
     for p in (2, 3):
         for e1, e2 in ((1, 1), (1, 2), (2, 1)):
-            forms = residue_class_forms(2, p, p ** (e1 + e2))
+            forms = residue_class_forms(2, p ** (e1 + e2))
             if iteration_counterexample(p, e1, e2, forms) is not None:
                 yield ("iteration", p, e1, e2)
 

@@ -328,10 +328,17 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line, like every other bad input."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of `COMMANDS`, built once per process."""
-    parser = argparse.ArgumentParser(
+    """The argparse tree of `COMMANDS`, built once per process; subparsers share its class."""
+    parser = _OneLineParser(
         prog="frobjets",
         description="Exact jet-separation and Seshadri-bound computations "
         "on monomial section models.",

@@ -12,10 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .monomials import Exponent
+from .monomials import WORK_LIMIT, Exponent, _over_limit
 from .serialize import parse_int, parse_text_int
 
 Constraint = tuple[tuple[int, ...], int]
+
+
+def _check_size(n: int, count: int) -> None:
+    """Refuse, before any weight is built, a model of more than WORK_LIMIT weights."""
+    if n * count > WORK_LIMIT:
+        raise _over_limit(f"the model would hold {count} x {n} constraint weights")
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,7 @@ class SectionModel:
     rows: tuple[tuple[int, int, int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        parse_int(self.n, "model dimension n", 1)
+        _check_size(parse_int(self.n, "model dimension n", 1), len(self.constraints))
         cleaned = []
         for constraint in self.constraints:
             try:
@@ -86,7 +92,7 @@ class SectionModel:
 
 def projective_space(n: int) -> SectionModel:
     """Degree-m sections hit every monomial of total degree at most m."""
-    parse_int(n, "n", 1)
+    _check_size(parse_int(n, "n", 1), 1)
     return SectionModel(
         n=n,
         constraints=(((1,) * n, 1),),
@@ -100,6 +106,7 @@ def product_projective(n1: int, n2: int, c: int, d: int) -> SectionModel:
     """Bidegree-(c*m, d*m) box model on a product of two projective factors."""
     for name, value in zip(("n1", "n2", "c", "d"), (n1, n2, c, d)):
         parse_int(value, name, 1)
+    _check_size(n1 + n2, 2)
     w1 = (1,) * n1 + (0,) * n2
     w2 = (0,) * n1 + (1,) * n2
     return SectionModel(

@@ -12,7 +12,6 @@ from frobjets.cartier import (
     cartier_report,
     ideal_identity_counterexample,
     iteration_counterexample,
-    monomial_times,
     random_primary_ideal,
     residue_class_cases,
     residue_class_forms,
@@ -42,6 +41,13 @@ def brute_trace_one_var(a: int, p: int) -> int | None:
     if j == p - 1:
         return c
     return None
+
+
+def _times(w: MonomialForm, c) -> MonomialForm:
+    """The form x^c * w; the zero form stays as it is."""
+    if w.is_zero:
+        return w
+    return MonomialForm(w.coeff, tuple(x + y for x, y in zip(w.exponent, c)))
 
 
 class TestTraceFormula:
@@ -315,20 +321,19 @@ class TestCounterexampleOrder:
 
 class TestSemilinearity:
     def test_plain_trace_at_c_zero(self):
-        samples = [((0,), MonomialForm(1, (3,)))]
-        assert semilinearity_counterexample(2, 1, samples) is None
+        assert semilinearity_counterexample(2, 1, [((0,), (3,))]) is None
 
     def test_reference_instance(self):
         # both sides equal x^2 dx
         lhs = trace(MonomialForm(1, (5,)), 2, 1)
-        rhs = monomial_times(trace(MonomialForm(1, (3,)), 2, 1), (1,))
+        rhs = _times(trace(MonomialForm(1, (3,)), 2, 1), (1,))
         assert lhs == rhs == MonomialForm(1, (2,))
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_residue_class_design(self, p):
         for n in (1, 2, 3):
             for e in (0, 1, 2):
-                cases = residue_class_cases(n, p, p**e)
+                cases = residue_class_cases(n, p**e)
                 assert semilinearity_counterexample(p, e, cases) is None
 
     @given(
@@ -341,8 +346,8 @@ class TestSemilinearity:
         for p, e in [(2, 1), (5, 1), (3, 2)]:
             w = MonomialForm(coeff % p, a)
             q = p**e
-            lhs = trace(monomial_times(w, tuple(q * x for x in c)), p, e)
-            rhs = monomial_times(trace(w, p, e), c)
+            lhs = trace(_times(w, tuple(q * x for x in c)), p, e)
+            rhs = _times(trace(w, p, e), c)
             if rhs.is_zero:
                 assert lhs.is_zero
             else:
@@ -360,7 +365,7 @@ class TestIteration:
     def test_residue_class_forms(self):
         for p in (2, 3, 5):
             for e1, e2 in ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1)):
-                forms = residue_class_forms(2, p, p ** (e1 + e2))
+                forms = residue_class_forms(2, p ** (e1 + e2))
                 assert iteration_counterexample(p, e1, e2, forms) is None
 
 
@@ -507,28 +512,21 @@ class TestResidueClassDesign:
         shifts = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (3, 0), (0, 3), (1, 1)]
         cross = [(0, 8), (1, 8), (7, 8), (8, 0), (8, 1), (8, 7)]
         pairs = [(c, top) for c in shifts] + [(e_1, r) for r in cross]
-        coeffs = [1, 2] * 7
-        expected = [(c, MonomialForm(k, r)) for (c, r), k in zip(pairs, coeffs)]
-        assert residue_class_cases(2, 3, 9) == expected
-        forms = [
-            MonomialForm(k, tuple(9 * x + y for x, y in zip(c, r)))
-            for (c, r), k in zip(pairs, coeffs)
-        ]
-        assert residue_class_forms(2, 3, 9) == forms
+        assert residue_class_cases(2, 9) == pairs
+        forms = [tuple(9 * x + y for x, y in zip(c, r)) for c, r in pairs]
+        assert residue_class_forms(2, 9) == forms
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_shifts_and_residues(self, n):
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         pairs = {tuple(map(sum, zip(units[i], units[(i + 1) % n]))) for i in range(n)}
         shifts = {(0,) * n} | {tuple(k * x for x in u) for k in (1, 2, 3) for u in units} | pairs
-        for p, q, lowered in [
-            (2, 1, set()), (2, 2, {0}), (3, 3, {0, 1}), (2, 4, {0, 1, 2}), (3, 9, {0, 1, 7})
-        ]:
-            cases = residue_class_cases(n, p, q)
+        for q, lowered in [(1, set()), (2, {0}), (3, {0, 1}), (4, {0, 1, 2}), (9, {0, 1, 7})]:
+            cases = residue_class_cases(n, q)
             top = (q - 1,) * n
-            on_top = [c for c, w in cases if w.exponent == top]
+            on_top = [c for c, a in cases if a == top]
             assert len(on_top) == len(set(on_top)) and set(on_top) == shifts
-            cross = [(c, w.exponent) for c, w in cases if w.exponent != top]
+            cross = [(c, a) for c, a in cases if a != top]
             assert all(c == units[0] for c, _ in cross)
             assert sorted(r for _, r in cross) == sorted(
                 top[:i] + (r,) + top[i + 1 :] for i in range(n) for r in lowered
@@ -539,10 +537,10 @@ class TestResidueClassDesign:
     def test_size_is_linear_in_n_for_every_p(self, n, p):
         for e in (0, 1, 2, 3):
             q = p**e
-            cases, forms = residue_class_cases(n, p, q), residue_class_forms(n, p, q)
+            cases, forms = residue_class_cases(n, q), residue_class_forms(n, q)
             assert len(cases) == len(forms) <= 1 + 7 * n
-            assert [w.coeff for _, w in cases] == [(1, p - 1)[i % 2] for i in range(len(cases))]
-            assert all(type(x) is int for _, w in cases for x in w.exponent)
+            assert all(type(x) is int for c, a in cases for x in c + a)
+            assert all(type(x) is int for a in forms for x in a)
 
     # at n = 1 the reversed kernel is the true one
     @pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -558,10 +556,69 @@ class TestResidueClassDesign:
         assert report["counterexample"]["check"] in ("semilinear", "iteration")
 
     def test_first_counterexample_at_q_9(self, monkeypatch):
-        # the first shift of degree 2 mod 3, on the top residue with the fourth coefficient
+        # the first shift of degree 2 mod 3, on the top residue
         monkeypatch.setattr(cartier, "_trace_exponent", _lossy_trace)
-        cases = residue_class_cases(2, 3, 9)
-        assert semilinearity_counterexample(3, 2, cases) == ((2, 0), MonomialForm(2, (8, 8)))
+        cases = residue_class_cases(2, 9)
+        assert semilinearity_counterexample(3, 2, cases) == ((2, 0), (8, 8))
+
+
+def _reference_semilinearity(p, e, cases):
+    """Oracle: the first (c, form) where the public trace breaks semilinearity, or None.
+
+    It checks trace(x^(q*c) * w) == x^c * trace(w) on forms, with the design's
+    exponents and coefficients that alternate 1 and p - 1.
+    """
+    q = p**e
+    for (c, a), coeff in zip(cases, itertools.cycle((1, p - 1))):
+        w = MonomialForm(coeff, a)
+        if trace(_times(w, tuple(q * x for x in c)), p, e) != _times(trace(w, p, e), c):
+            return (c, w)
+    return None
+
+
+def _reference_iteration(p, e1, e2, exponents):
+    """Oracle: the first form where the public trace breaks the iteration law, or None."""
+    for a, coeff in zip(exponents, itertools.cycle((1, p - 1))):
+        w = MonomialForm(coeff, a)
+        if trace(w, p, e1 + e2) != trace(trace(w, p, e1), p, e2):
+            return w
+    return None
+
+
+class TestExponentChecksMatchForms:
+    """The exponent-level checks find a counterexample exactly where the form-level ones do.
+
+    The scalar of a form never changes which exponents break a law: on F_p,
+    lambda^(p^e) == lambda, so both sides carry the same nonzero coefficient.
+    """
+
+    @pytest.mark.parametrize("p, e", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])
+    @pytest.mark.parametrize(
+        "kernel",
+        [_TRUE_KERNEL, _lowered_trace, _lossy_trace, _reversed_trace],
+        ids=["true", "lowered", "lossy", "reversed"],
+    )
+    def test_same_counterexamples(self, monkeypatch, kernel, p, e):
+        monkeypatch.setattr(cartier, "_trace_exponent", kernel)
+        for n in (1, 2, 3):
+            cases = residue_class_cases(n, p**e)
+            found = semilinearity_counterexample(p, e, cases)
+            reference = _reference_semilinearity(p, e, cases)
+            assert found == (None if reference is None else (reference[0], reference[1].exponent))
+            for e1 in range(e + 1):
+                exponents = residue_class_forms(n, p**e)
+                found = iteration_counterexample(p, e1, e - e1, exponents)
+                reference = _reference_iteration(p, e1, e - e1, exponents)
+                assert found == (None if reference is None else reference.exponent)
+
+    def test_the_reference_catches_every_test_kernel(self, monkeypatch):
+        # so that the comparison above is not between two checks that never fire
+        for kernel in (_lowered_trace, _lossy_trace, _reversed_trace):
+            monkeypatch.setattr(cartier, "_trace_exponent", kernel)
+            cases, exponents = residue_class_cases(3, 4), residue_class_forms(3, 4)
+            assert _reference_semilinearity(2, 2, cases) or _reference_iteration(
+                2, 1, 1, exponents
+            )
 
 
 class TestWorkLimit:

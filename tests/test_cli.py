@@ -674,6 +674,48 @@ class TestMalformedInput:
         assert exc.value.code == EXIT_BAD_INPUT
         assert "--parallelism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["seshadri", "--model", "pn:2", "--m-max", "5", "--parallelism", "2"],
+                "frobjets: error: unrecognized arguments: --parallelism 2",
+            ),
+            (
+                ["pp", "--n", "1_0", "--l", "1"],
+                "frobjets pp: error: argument --n: invalid int value: '1_0'",
+            ),
+            (
+                ["jets", "--m", "3", "--l", "1"],
+                "frobjets jets: error: the following arguments are required: --model",
+            ),
+            (
+                ["seshadri", "--model", "pn:2", "--m-max", "5", "--kind", "bogus"],
+                "frobjets seshadri: error: argument --kind: invalid choice: 'bogus' "
+                "(choose from 'ordinary', 'frobenius')",
+            ),
+            (
+                ["pp", "--l", "1", "--n"],
+                "frobjets pp: error: argument --n: expected one argument",
+            ),
+        ],
+        ids=["unknown-flag", "bad-integer", "missing-flag", "bad-choice", "no-value"],
+    )
+    def test_argparse_errors_are_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert capsys.readouterr() == ("", message + "\n")
+
+    @pytest.mark.parametrize("model", ["pn:100000000", '{"kind": "pn", "n": 100000000}'])
+    def test_oversized_model_refused_unbuilt(self, capsys, model):
+        code, out, err = run_cli(capsys, ["jets", "--model", model, "--m", "3", "--l", "1"])
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err == (
+            "invalid input: the model would hold 1 x 100000000 constraint weights, "
+            "over the work limit of 1000000\n"
+        )
+
     @pytest.mark.parametrize("value", ["1_0", "٢"], ids=["underscore", "non-ascii"])
     def test_integer_flags_take_ascii_digits_only(self, capsys, value):
         # int() reads these as 10 and 2

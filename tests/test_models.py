@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frobjets import models
 from frobjets.models import (
     SectionModel,
     custom_staircase,
@@ -15,6 +16,7 @@ from frobjets.models import (
     projective_space,
     scaled_model,
 )
+from frobjets.monomials import WORK_LIMIT
 
 
 def attained(model, m, side):
@@ -270,3 +272,49 @@ class TestConfigRoundTrip:
             model_from_config({"kind": "mystery"})
         with pytest.raises(ValueError):
             model_from_spec("weird:1")
+
+
+class TestSizeLimit:
+    """A model of more than WORK_LIMIT weights (n times its constraints) is refused unbuilt."""
+
+    def test_at_the_limit_the_model_builds(self):
+        assert WORK_LIMIT == 10**6
+        row = ((1,) * 1000, 1)
+        assert custom_staircase(1000, [row] * 1000).n == 1000
+        with pytest.raises(ValueError, match=r"^the model would hold 1001 x 1000 constraint"):
+            custom_staircase(1000, [row] * 1001)
+
+    def test_boundary_of_each_constructor(self, monkeypatch):
+        monkeypatch.setattr(models, "WORK_LIMIT", 12)
+        assert projective_space(12).n == 12
+        assert product_projective(3, 3, 1, 2).n == 6
+        assert SectionModel(4, (((1,) * 4, 1),) * 3).n == 4
+        for call, estimate in [
+            (lambda: projective_space(13), "1 x 13"),
+            (lambda: product_projective(3, 4, 1, 2), "2 x 7"),
+            (lambda: SectionModel(4, (((1,) * 4, 1),) * 4), "4 x 4"),
+        ]:
+            with pytest.raises(ValueError, match=rf"^the model would hold {estimate} constraint"):
+                call()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: projective_space(10**18),
+            lambda: product_projective(1, 10**18, 1, 1),
+            lambda: model_from_config({"kind": "pn", "n": 10**18}),
+            lambda: model_from_config({"kind": "custom", "n": 10**18, "constraints": [[[1], 1]]}),
+        ],
+        ids=["pn", "product", "pn-config", "custom-config"],
+    )
+    def test_refused_before_any_tuple_is_built(self, build):
+        # (1,) * 10**18 cannot be built, so only a refusal made first returns at all
+        message = r"^the model would hold \d+ x \d+ constraint weights, over the work limit of "
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_type_errors_come_first(self):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 1e\+18$"):
+            projective_space(1e18)
+        with pytest.raises(ValueError, match=r"^d must be an integer, got 'x'$"):
+            product_projective(10**18, 1, 1, "x")

@@ -95,7 +95,7 @@ class _Two(IntEnum):
 _P2 = frobjets.projective_space(2)
 _M2 = maximal_ideal(2)
 _CERT = frobjets.certificate_at(_P2, 2, 1, 4, 1)
-_FORMS = [MonomialForm(1, (3, 1))]
+_FORMS = [(3, 1)]
 
 # every integer parameter of the public functions: (name in the diagnostic,
 # the call with the value v in that parameter and valid values elsewhere)
