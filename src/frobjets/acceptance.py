@@ -242,7 +242,10 @@ def criterion_8_cartier_suite():
         p = rng.choice([2, 3])
         e = rng.randrange(1, 3)
         q = p**e
-        box = max(2, min(10, int(round(40000 ** (1 / n))) // q - 1))
+        # the largest box in [2, 10] whose side s = q*(box+1) is at most round(40000 ** (1/n)),
+        # in integers: s - 1/2 <= 40000 ** (1/n) iff (2s - 1)^n <= 2^n * 40000
+        fits = [b for b in range(3, 11) if (2 * q * (b + 1) - 1) ** n <= 2**n * 40000]
+        box = max(fits, default=2)
         ideal = random_primary_ideal(n, rng)
         if ideal_identity_counterexample(ideal, p, e, box) is not None:
             yield ("ideal-identity", ideal, p, e, box)

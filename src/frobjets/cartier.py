@@ -13,14 +13,12 @@ Only the public trace handles forms, validating p, e and the form on every
 call. The four verifiers validate p and e once and call the kernel on plain
 exponents: lambda^(p^e) == lambda puts one scalar on both sides of each law.
 
-The ideal-image check decides bracket-power membership once per q-block:
-x^a is in I^[q] iff x^(q*(a//q)) is (Miller-Sturmfels, Combinatorial
-Commutative Algebra, ch. 1-5), so one test at a block corner covers the
-q^n points of the block. An ideal is an up-set, so on each row of block
-corners the members form a tail, found by one binary search; so does each
-line of the ideal's own targets. The box is then walked by rows: for each
-prefix a[:-1] only the member run of the last coordinate is visited, in the
-same lexicographic order as a plain scan, and every member is still traced.
+The ideal-image check asks the ideal by one binary search per line b of its
+box: an ideal is an up-set, so its members on b form a tail, and x^a is in
+I^[q] iff x^(a//q) is in I (Miller-Sturmfels, Combinatorial Commutative
+Algebra, ch. 1-5), so the first member on b, scaled by q, starts the bracket's
+members on every prefix a[:-1] with a[:-1]//q == b. The box is walked by rows
+over those runs only, in the order of a plain scan, and every member is traced.
 
 Both walks refuse, before they allocate, a box of more than WORK_LIMIT
 points. Semilinearity and iteration are checked on one fixed design of
@@ -34,7 +32,7 @@ from itertools import product
 from operator import add
 from typing import NamedTuple
 
-from .monomials import Exponent, MonomialIdeal, bracket_power, ensure_prime, maximal_ideal, power
+from .monomials import Exponent, MonomialIdeal, ensure_prime, maximal_ideal, power
 from .monomials import WORK_LIMIT, _check_exponent, _check_work, _first_member, _over_limit
 from .serialize import parse_int
 
@@ -111,39 +109,31 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
     exponent in the bracket power against the set of exponents in the ideal;
     also rejects any traced form that escapes the ideal.
 
-    Bracket membership is decided once per q-block, at its corner
-    x^(q*(a//q)); on each row of corners the members form a tail, so the
-    bracket is asked by one binary search per row, and the ideal by one per
-    target line. The (q*(box+1))^n box is walked by rows: for each prefix
-    a[:-1], in lexicographic order, the row of its block head a[:-1]//q
-    gives the last coordinates of its member blocks, and only those points
-    are visited. Every member is still traced, in the order of a plain
-    scan, and the first traced form to escape the ideal is returned.
+    The ideal is asked by one binary search per line b of the target box:
+    its members on b start at an index first[b], so the targets on b are
+    the x >= first[b], and x^(prefix + (x,)) is in the bracket iff
+    x >= q * first[prefix // q]. The (q*(box+1))^n box is walked by rows,
+    visiting only those members, in the order of a plain scan; every member
+    is traced, and the first traced form to escape the ideal is returned.
     Refused when the (q*(box+1))^n points are more than WORK_LIMIT.
     """
-    # bracket_power validates p and e, once for the whole walk
-    bracket = bracket_power(ideal, p, e)
+    # p, then e, once for the whole walk
+    q = ensure_prime(p) ** parse_int(e, "Frobenius exponent e", 0)
     n = ideal.n
-    q = p**e
     heads = _box(n - 1, box)  # validates box before its cost is estimated
     _check_work("ideal identity", q * (box + 1), n)
-    # per block head of a prefix, the tails (last,) of its member blocks, in order
-    rows = {}
-    for head in heads:
-        first = _first_member(bracket, tuple([q * x for x in head]), range(0, q * (box + 1), q))
-        rows[head] = [(last,) for last in range(q * first, q * (box + 1))]
+    firsts = {b: _first_member(ideal, b, range(box + 1)) for b in heads}
     image = set()
     for prefix in _box(n - 1, q * (box + 1) - 1):
-        for tail in rows[tuple([x // q for x in prefix])]:
-            traced = _trace_exponent(prefix + tail, q)
+        for last in range(q * firsts[tuple([x // q for x in prefix])], q * (box + 1)):
+            traced = _trace_exponent(prefix + (last,), q)
             if traced is None:
                 continue
             if traced not in ideal:
                 return traced
             if max(traced) <= box:
                 image.add(traced)
-    lines = {b: _first_member(ideal, b, range(box + 1)) for b in _box(n - 1, box)}
-    target = {b + (last,) for b, first in lines.items() for last in range(first, box + 1)}
+    target = {b + (x,) for b, first in firsts.items() for x in range(first, box + 1)}
     difference = image.symmetric_difference(target)
     return min(difference) if difference else None
 

@@ -59,11 +59,12 @@ class SectionModel:
             if len(weights) != self.n:
                 raise ValueError(f"constraint weights {weights} have wrong length")
             cleaned.append((weights, slope))
-        for i in range(self.n):
-            if not any(w[i] > 0 for w, _ in cleaned):
-                raise ValueError(
-                    f"unbounded staircase: no constraint bounds variable x{i + 1}"
-                )
+        # with no constraints there are no weight columns, and x1 is the first unbounded
+        bounded = [any(column) for column in zip(*[w for w, _ in cleaned])] or [False]
+        if not all(bounded):
+            raise ValueError(
+                f"unbounded staircase: no constraint bounds variable x{bounded.index(False) + 1}"
+            )
         object.__setattr__(self, "constraints", tuple(cleaned))
         rows = tuple((s, max(w), sum(w), w.index(max(w))) for w, s in cleaned if max(w) > 0)
         object.__setattr__(self, "rows", rows)

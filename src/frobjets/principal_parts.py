@@ -31,11 +31,9 @@ class PicClass:
 def rank_pp(n: int, ell: int) -> int:
     """Rank of the ell-th principal-parts bundle in dimension n.
 
-    Telescopes the defining exact sequences: 1 + sum of symmetric-power ranks.
+    Its filtration by the Sym^k(Omega) tensor L makes its rank the L exponent of its determinant.
     """
-    if parse_int(n, "n") < 1 or parse_int(ell, "ell") < 0:
-        raise ValueError("need n >= 1 and ell >= 0")
-    return 1 + sum(comb(n + k - 1, n - 1) for k in range(1, ell + 1))
+    return det_pp_recursive(n, ell).l_exp
 
 
 def det_pp_recursive(n: int, ell: int) -> PicClass:

@@ -87,6 +87,20 @@ class TestCustomStaircase:
         with pytest.raises(ValueError, match="unbounded"):
             custom_staircase(2, [((1, 0), 1)])
 
+    @pytest.mark.parametrize(
+        "n, constraints, name",
+        [
+            (3, [((1, 0, 0), 1), ((0, 0, 2), 1)], "x2"),
+            (3, [((0, 0, 0), 4), ((2, 0, 1), 1)], "x2"),
+            (4, [((1, 1, 0, 0), 1), ((0, 3, 0, 1), 2)], "x3"),
+            (2, [], "x1"),
+        ],
+    )
+    def test_first_unbounded_variable_is_named(self, n, constraints, name):
+        message = rf"^unbounded staircase: no constraint bounds variable {name}$"
+        with pytest.raises(ValueError, match=message):
+            custom_staircase(n, constraints)
+
 
 class TestDerivedRows:
     def test_rows_summarize_the_weighted_constraints(self):
