@@ -17,8 +17,11 @@ The ideal-image check asks the ideal by one binary search per line b of its
 box: an ideal is an up-set, so its members on b form a tail, and x^a is in
 I^[q] iff x^(a//q) is in I (Miller-Sturmfels, Combinatorial Commutative
 Algebra, ch. 1-5), so the first member on b, scaled by q, starts the bracket's
-members on every prefix a[:-1] with a[:-1]//q == b. The box is walked by rows
-over those runs only, in the order of a plain scan, and every member is traced.
+members on every prefix a[:-1] with a[:-1]//q == b. Ideals that share a box
+share one walk over the members of their sum's bracket, which starts on b at
+the least of their first members: the box is walked by rows over those runs
+only, in the order of a plain scan, and each member is traced once, for
+every ideal whose bracket holds it.
 
 Both walks refuse, before they allocate, a box of more than WORK_LIMIT
 points. Semilinearity and iteration are checked on one fixed design of
@@ -107,35 +110,70 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int
 
     Compares, within the box, the set of exponents hit by tracing forms with
     exponent in the bracket power against the set of exponents in the ideal;
-    also rejects any traced form that escapes the ideal.
-
-    The ideal is asked by one binary search per line b of the target box:
-    its members on b start at an index first[b], so the targets on b are
-    the x >= first[b], and x^(prefix + (x,)) is in the bracket iff
-    x >= q * first[prefix // q]. The (q*(box+1))^n box is walked by rows,
-    visiting only those members, in the order of a plain scan; every member
-    is traced, and the first traced form to escape the ideal is returned.
-    Refused when the (q*(box+1))^n points are more than WORK_LIMIT.
+    also rejects any traced form that escapes the ideal, and returns the first
+    one that the walk of ideal_identity_counterexamples meets.
     """
-    # p, then e, once for the whole walk
+    return ideal_identity_counterexamples([ideal], p, e, box)[0]
+
+
+def ideal_identity_counterexamples(
+    ideals: list[MonomialIdeal], p: int, e: int, box: int
+) -> list:
+    """What ideal_identity_counterexample returns for each ideal, from one shared walk.
+
+    Each ideal is asked one binary search per line b of the target box for its
+    first member first[b]: its targets on b are the x >= first[b], and its
+    bracket holds prefix + (x,) iff x >= q * first[prefix // q]. The ideals' sum
+    starts on b at the least first[b], and the members of its bracket are
+    walked by rows, in the order of a plain scan, each traced once. A nonzero
+    trace goes to every ideal with no escape yet whose bracket holds the point,
+    and the first trace to escape an ideal is its answer; the walk stops once
+    every ideal has one. Refused, after p, e and box are checked, for mixed
+    variable counts or a walk over more than WORK_LIMIT points.
+    """
+    # p, then e, then box, once for the whole walk
     q = ensure_prime(p) ** parse_int(e, "Frobenius exponent e", 0)
-    n = ideal.n
-    heads = _box(n - 1, box)  # validates box before its cost is estimated
-    _check_work("ideal identity", q * (box + 1), n)
-    firsts = {b: _first_member(ideal, b, range(box + 1)) for b in heads}
-    image = set()
-    for prefix in _box(n - 1, q * (box + 1) - 1):
-        for last in range(q * firsts[tuple([x // q for x in prefix])], q * (box + 1)):
+    side = q * (parse_int(box, "box", 0) + 1)
+    counts = {ideal.n for ideal in ideals}
+    if len(counts) > 1:
+        raise ValueError(f"a shared walk needs one variable count, got {sorted(counts)}")
+    if not counts:
+        return []
+    (n,) = counts
+    _check_work("ideal identity", side, n)
+    heads = list(_box(n - 1, box))
+    firsts = [[_first_member(ideal, b, range(box + 1)) for b in heads] for ideal in ideals]
+    # per line b of the target box: where the sum's bracket members start on
+    # the prefixes over b, and where each ideal's do
+    starts = {
+        b: (q * min(line), [q * first for first in line]) for b, line in zip(heads, zip(*firsts))
+    }
+    found = [None] * len(ideals)
+    images = [set() for _ in ideals]
+    undecided = list(range(len(ideals)))
+    for prefix in _box(n - 1, side - 1):
+        low, begins = starts[tuple([x // q for x in prefix])]
+        for last in range(low, side):
             traced = _trace_exponent(prefix + (last,), q)
             if traced is None:
                 continue
-            if traced not in ideal:
-                return traced
-            if max(traced) <= box:
-                image.add(traced)
-    target = {b + (x,) for b, first in firsts.items() for x in range(first, box + 1)}
-    difference = image.symmetric_difference(target)
-    return min(difference) if difference else None
+            inside, escaped = max(traced) <= box, False
+            for j in undecided:
+                if last < begins[j]:
+                    continue
+                if traced not in ideals[j]:
+                    found[j], escaped = traced, True
+                elif inside:
+                    images[j].add(traced)
+            if escaped:
+                undecided = [j for j in undecided if found[j] is None]
+                if not undecided:
+                    return found
+    for j in undecided:
+        target = {b + (x,) for b, first in zip(heads, firsts[j]) for x in range(first, box + 1)}
+        difference = images[j].symmetric_difference(target)
+        found[j] = min(difference) if difference else None
+    return found
 
 
 def semilinearity_counterexample(p: int, e: int, samples):

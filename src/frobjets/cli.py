@@ -36,7 +36,7 @@ from .cartier import cartier_report
 from .fano import DataContradictionError, FanoInput, charpn_verdict
 from .jets import missing_exponent, pn_threshold, separates_by_cobasis
 from .models import model_from_spec
-from .monomials import MonomialIdeal, verify_lemma_monomials
+from .monomials import WORK_LIMIT, MonomialIdeal, _over_limit, verify_lemma_monomials
 from .principal_parts import det_pp_recursive, mori_endgame, rank_pp
 from .serialize import (
     dumps_report,
@@ -115,6 +115,9 @@ def _cmd_seshadri(params):
     if p is None:
         raise ValueError("missing parameters: ['p']")
     thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
+    # the table has a row per cell; a table too large is refused before its file is opened
+    if params["sweep_csv"] and m_max * (e_max + 1) > WORK_LIMIT:
+        raise _over_limit(f"the sweep table would hold {m_max}*{e_max + 1} rows")
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
     payload = _certificate_payload(_best_frobenius_certificate(thresholds, p, ell, m_max), closed)

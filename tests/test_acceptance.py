@@ -5,11 +5,14 @@ imports is patched to answer wrongly, and the criterion must then fail with
 its exact line, without raising.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from frobjets import acceptance
+from frobjets import acceptance, cartier
+from test_cartier import _lossy_trace, _lowered_trace
 
 
 @pytest.mark.parametrize(
@@ -108,3 +111,57 @@ def test_criterion_fails_on_a_wrong_fast_path(number, fast_path, corrupt, line, 
     result = acceptance.CRITERIA[number - 1]()
     assert result.passed is False
     assert result.line() == line
+
+
+def test_criterion_8_traces_each_kernel_input_once(monkeypatch):
+    # the kernel calls made inside each walk, by walk
+    calls = {"surjectivity": [], "ideal identity": []}
+    walk = []
+    kernel = cartier._trace_exponent
+
+    def recording(exponent, q):
+        if walk:
+            calls[walk[-1]].append((exponent, q))
+        return kernel(exponent, q)
+
+    def tagged(name, check):
+        def call(*args):
+            walk.append(name)
+            try:
+                return check(*args)
+            finally:
+                walk.pop()
+
+        return call
+
+    monkeypatch.setattr(cartier, "_trace_exponent", recording)
+    for name, check in [
+        ("surjectivity", "surjectivity_counterexample"),
+        ("ideal identity", "ideal_identity_counterexamples"),
+    ]:
+        monkeypatch.setattr(acceptance, check, tagged(name, getattr(acceptance, check)))
+    assert acceptance.criterion_8_cartier_suite().passed
+    for traced in calls.values():
+        assert len(traced) == len(set(traced))
+    # 184,698 and 380,456 when p = 3 repeated e = 0 and every ideal walked its own box
+    assert {name: len(traced) for name, traced in calls.items()} == {
+        "surjectivity": 153915,
+        "ideal identity": 82479,
+    }
+
+
+_RECORDED = json.loads((Path(__file__).parent / "criterion_8_failures.json").read_text())
+
+
+@pytest.mark.parametrize("kernel", ["lowered", "lossy"])
+def test_criterion_8_failures_keep_draw_order(kernel, monkeypatch):
+    # recorded when every ideal had its own walk: the shared walks keep them, in draw order
+    wrong = {"lowered": _lowered_trace, "lossy": _lossy_trace}[kernel]
+    monkeypatch.setattr(cartier, "_trace_exponent", wrong)
+    found = [
+        [f[0], [list(g) for g in f[1].gens], *f[2:]] if f[0] == "ideal-identity" else list(f)
+        for f in acceptance.criterion_8_cartier_suite.__wrapped__()
+    ]
+    # surjectivity no longer runs at (p, e) = (3, 0), which repeated (2, 0)
+    expected = [f for f in _RECORDED[kernel] if f[0] != "surjectivity" or f[2:] != [3, 0]]
+    assert found == expected

@@ -11,6 +11,7 @@ from frobjets.cartier import (
     MonomialForm,
     cartier_report,
     ideal_identity_counterexample,
+    ideal_identity_counterexamples,
     iteration_counterexample,
     random_primary_ideal,
     residue_class_cases,
@@ -507,6 +508,46 @@ class TestUpSetQuestions:
         bound = (box + 1) ** (n - 1) * math.ceil(math.log2(box + 2))
         assert asked["other ideals"] == 0
         assert 0 < line_questions <= bound
+
+
+class TestSharedWalk:
+    """Ideals that share a box share one walk over their sum's bracket members."""
+
+    @given(
+        n=st.integers(1, 3),
+        pe=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
+        box=st.integers(0, 3),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_each_answer_is_its_own_plain_scan(self, n, pe, box, seeds):
+        p, e = pe
+        # small boxes: at most 1000 points for each plain scan
+        while box and (p**e * (box + 1)) ** n > 1000:
+            box -= 1
+        ideals = [random_primary_ideal(n, random.Random(seed)) for seed in seeds]
+        for kernel in (_TRUE_KERNEL, _lowered_trace, _lossy_trace, _reversed_trace, _phantom_trace):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cartier, "_trace_exponent", kernel)
+                shared = ideal_identity_counterexamples(ideals, p, e, box)
+                plain = [_plain_ideal_identity_counterexample(ideal, p, e, box) for ideal in ideals]
+            assert shared == plain
+        # under the true kernel no ideal escapes, so the walk traces every member of the sum
+        total = MonomialIdeal(n, tuple(g for ideal in ideals for g in ideal.gens))
+        walked = _recorded(ideal_identity_counterexamples, _TRUE_KERNEL, ideals, p, e, box)
+        summed = _recorded(_plain_ideal_identity_counterexample, _TRUE_KERNEL, total, p, e, box)
+        assert walked == ([None] * len(ideals), summed[1])
+
+    def test_mixed_variable_counts_refused(self):
+        message = r"^a shared walk needs one variable count, got \[1, 2\]$"
+        with pytest.raises(ValueError, match=message):
+            ideal_identity_counterexamples([maximal_ideal(2), maximal_ideal(1)], 2, 1, 2)
+
+    def test_no_ideals(self):
+        assert ideal_identity_counterexamples([], 2, 1, 2) == []
+        # p, e and box are checked even so
+        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
+            ideal_identity_counterexamples([], 2, 1, -1)
 
 
 _BIG_PRIME = 1000000000000000003

@@ -163,6 +163,25 @@ class TestSeshadriCommand:
         assert lines[0] == "m,e,separates,value"
         assert len(lines) == 1 + 4 * 3
 
+    def test_sweep_csv_over_the_work_limit_refused(self, capsys, tmp_path):
+        # 2,000,000 * 4 rows once wrote 46 MB before a timeout killed the run
+        target = tmp_path / "huge.csv"
+        argv = [
+            "seshadri", "--model", "pn:1", "--p", "2", "--e-max", "3", "--sweep-csv", str(target),
+        ]
+        assert run_cli(capsys, argv + ["--m-max", "2000000"]) == (
+            EXIT_BAD_INPUT,
+            "",
+            "invalid input: the sweep table would hold 2000000*4 rows, "
+            "over the work limit of 1000000\n",
+        )
+        assert not target.exists()
+        # four rows over the limit are refused too
+        code, _, err = run_cli(capsys, argv + ["--m-max", "250001"])
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("invalid input: the sweep table would hold 250001*4 rows, ")
+        assert not target.exists()
+
     def test_sweep_csv_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
         # one threshold per e decides every cell of its row; no cell asks separation
         calls = {"threshold": 0, "separates": 0}
