@@ -21,7 +21,10 @@ members on every prefix a[:-1] with a[:-1]//q == b. Ideals that share a box
 share one walk over the members of their sum's bracket, which starts on b at
 the least of their first members: the box is walked by rows over those runs
 only, in the order of a plain scan, and each member is traced once, for
-every ideal whose bracket holds it.
+every ideal whose bracket holds it. The same first members answer whether a
+trace escapes an ideal: a trace t in the box is in it iff t[-1] is on or past
+the first member on t[:-1], so only a trace out of the box asks the ideal.
+Under the true kernel none is out: a < q*(box+1) gives a//q <= box.
 
 Both walks refuse, before they allocate, a box of more than WORK_LIMIT
 points. Semilinearity and iteration are checked on one fixed design of
@@ -31,8 +34,8 @@ residue classes: the trace of x^a dx depends only on a mod q and a // q
 
 from __future__ import annotations
 
-from itertools import product
-from operator import add
+from itertools import compress, product, repeat
+from operator import add, ne
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, ensure_prime, maximal_ideal, power
@@ -99,10 +102,9 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     q = p ** parse_int(e, "e", 0)
     _check_work("surjectivity", box + 1, n)
     preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
-    for b, a in zip(targets, preimages):
-        if _trace_exponent(a, q) != b:
-            return b
-    return None
+    # lazy, so the kernel stops at the first mismatch; each side has its own targets
+    images = map(_trace_exponent, preimages, repeat(q))
+    return next(compress(targets, map(ne, images, _box(n, box))), None)
 
 
 def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int):
@@ -128,8 +130,11 @@ def ideal_identity_counterexamples(
     walked by rows, in the order of a plain scan, each traced once. A nonzero
     trace goes to every ideal with no escape yet whose bracket holds the point,
     and the first trace to escape an ideal is its answer; the walk stops once
-    every ideal has one. Refused, after p, e and box are checked, for mixed
-    variable counts or a walk over more than WORK_LIMIT points.
+    every ideal has one. The trace's entries are checked once, before its first
+    escape check. A trace t in the box escapes ideal j iff t[-1] < first[t[:-1]],
+    read from the firsts; only a trace out of the box asks the ideal. Refused,
+    after p, e and box are checked, for mixed variable counts or a walk over
+    more than WORK_LIMIT points.
     """
     # p, then e, then box, once for the whole walk
     q = ensure_prime(p) ** parse_int(e, "Frobenius exponent e", 0)
@@ -144,24 +149,31 @@ def ideal_identity_counterexamples(
     heads = list(_box(n - 1, box))
     firsts = [[_first_member(ideal, b, range(box + 1)) for b in heads] for ideal in ideals]
     # per line b of the target box: where the sum's bracket members start on
-    # the prefixes over b, and where each ideal's do
+    # the prefixes over b, where each ideal's do, and each ideal's first member on b
     starts = {
-        b: (q * min(line), [q * first for first in line]) for b, line in zip(heads, zip(*firsts))
+        b: (q * min(line), [q * first for first in line], line)
+        for b, line in zip(heads, zip(*firsts))
     }
     found = [None] * len(ideals)
     images = [set() for _ in ideals]
     undecided = list(range(len(ideals)))
     for prefix in _box(n - 1, side - 1):
-        low, begins = starts[tuple([x // q for x in prefix])]
+        low, begins, _ = starts[tuple([x // q for x in prefix])]
         for last in range(low, side):
             traced = _trace_exponent(prefix + (last,), q)
             if traced is None:
                 continue
-            inside, escaped = max(traced) <= box, False
+            inside, escaped, line = max(traced) <= box, False, None
             for j in undecided:
                 if last < begins[j]:
                     continue
-                if traced not in ideals[j]:
+                if line is None:
+                    # checked once, before its first escape check
+                    traced = _check_exponent(traced, n)
+                    line = starts[traced[:-1]][2] if inside else ()
+                # in the box, ideal j holds the trace iff it is on or past j's first member
+                held = traced[-1] >= line[j] if inside else ideals[j]._has(traced)
+                if not held:
                     found[j], escaped = traced, True
                 elif inside:
                     images[j].add(traced)

@@ -114,6 +114,11 @@ def _cmd_seshadri(params):
     e_max = 4 if params["e_max"] is None else params["e_max"]
     if p is None:
         raise ValueError("missing parameters: ['p']")
+    # each threshold computes a load per model row from p^e, of at most the
+    # 64-bit words of p^e_max, so the sweep grows as e_max^2
+    loads, words = len(model.rows) * (e_max + 1), e_max * (p - 1).bit_length() // 64 + 1
+    if loads * words > WORK_LIMIT:
+        raise _over_limit(f"the Frobenius sweep would compute {loads} loads of up to {words} words")
     thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
     # the table has a row per cell; a table too large is refused before its file is opened
     if params["sweep_csv"] and m_max * (e_max + 1) > WORK_LIMIT:

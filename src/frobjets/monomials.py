@@ -245,16 +245,24 @@ def minimalize(gens, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(gens))
 
 
+def _capped_binomial(top: int, k: int, scale: int = 1) -> int:
+    """scale * C(top, k) if at most WORK_LIMIT, else some number over it; k <= top / 2.
+
+    scale * C(top, i) grows with i up to k, so it is given up once over the limit.
+    """
+    value = scale
+    for i in range(1, k + 1):
+        if value > WORK_LIMIT:
+            break
+        value = value * (top - i + 1) // i
+    return value
+
+
 def _maximal_ideal_power(n: int, k: int) -> MonomialIdeal:
     # The degree-k monomials are exactly the minimal generators of m^k, with
-    # n * C(n+k-1, k) entries. n * C(n+k-1, i) grows with i up to min(n-1, k), from
-    # at least n^2 at i = 1, so it is given up once over WORK_LIMIT, never huge.
+    # n * C(n+k-1, k) = n * C(n+k-1, min(n-1, k)) entries.
     parse_int(n, "variable count n", 1)
-    entries = n
-    for i in range(1, min(n - 1, k) + 1):
-        if entries > WORK_LIMIT:
-            break
-        entries = entries * (n + k - i) // i
+    entries = _capped_binomial(n + k - 1, min(n - 1, k), n)
     if entries > WORK_LIMIT:
         raise _over_limit(f"m^{k} in {n} variables has {n}*C({n + k - 1}, {k}) generator entries")
     # stars and bars, in ascending order: each cut list c_1 <= ... <= c_(n-1) in

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+from .monomials import WORK_LIMIT, _capped_binomial, _over_limit
 from .serialize import parse_int
 
 
@@ -86,6 +87,9 @@ def mori_endgame(a) -> MoriEndgameReport:
     if not a:
         raise ValueError("need at least one summand degree")
     n = len(a)
+    # refused before the enumeration, which yields C(2n, n+1) = C(2n, n-1) degrees
+    if _capped_binomial(2 * n, n - 1) > WORK_LIMIT:
+        raise _over_limit(f"{n} summands have C({2 * n}, {n + 1}) quotient degrees")
     b = sum(a)
     # (Sym^(n+1) of the dual)^dual tensor O(-b): sums of n+1 summand degrees, shifted by -b
     quotient_degrees = tuple(sorted(sum(c) - b for c in combinations_with_replacement(a, n + 1)))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -272,6 +273,15 @@ def _phantom_trace(exponent, q):
     return t
 
 
+def _outward_trace(exponent, q):
+    # wrong on purpose: sends every image of odd total degree to x1^(t1 + 5), which
+    # is out of every box of side at most 5, and in n >= 2 variables may be out of the ideal
+    t = _TRUE_KERNEL(exponent, q)
+    if t is not None and sum(t) % 2:
+        return (t[0] + 5,) + (0,) * (len(t) - 1)
+    return t
+
+
 _PRINCIPAL = (1, ((0,),))
 _AXES = (3, ((0, 0, 2), (0, 8, 0), (8, 0, 0)))
 _MIXED = (3, ((0, 0, 8), (0, 8, 0), (1, 1, 0), (8, 0, 0)))
@@ -475,7 +485,7 @@ class TestRowWalk:
     @settings(max_examples=60, deadline=None)
     def test_same_trace_calls_as_plain_scan(self, n, p, e, box, seed):
         ideal = random_primary_ideal(n, random.Random(seed))
-        for wrapped in (_TRUE_KERNEL, _lowered_trace):
+        for wrapped in (_TRUE_KERNEL, _lowered_trace, _outward_trace):
             walked = _recorded(ideal_identity_counterexample, wrapped, ideal, p, e, box)
             plain = _recorded(_plain_ideal_identity_counterexample, wrapped, ideal, p, e, box)
             assert walked == plain
@@ -503,11 +513,30 @@ class TestUpSetQuestions:
         monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
         monkeypatch.setattr(MonomialIdeal, "__contains__", counting_contains)
         assert ideal_identity_counterexample(ideal, p, e, box) is None
-        # every `in` on a traced form asks `_has` once more; those are not line questions
-        line_questions = asked["ideal"] - asked["escape checks"]
+        # every trace of the true kernel is in the box, so the line firsts answer
+        # each escape check and the ideal is asked the line questions only
         bound = (box + 1) ** (n - 1) * math.ceil(math.log2(box + 2))
-        assert asked["other ideals"] == 0
-        assert 0 < line_questions <= bound
+        assert asked["other ideals"] == asked["escape checks"] == 0
+        assert 0 < asked["ideal"] <= bound
+
+    def test_only_traces_out_of_the_box_ask_the_ideal(self, monkeypatch):
+        ideal, p, e, box = MonomialIdeal(2, ((0, 2), (2, 1), (6, 0))), 2, 1, 3
+        has, asked = MonomialIdeal._has, []
+
+        def counting_has(asked_ideal, a):
+            if max(a) > box:
+                asked.append(a)
+            return has(asked_ideal, a)
+
+        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
+        for kernel, answer in [(_TRUE_KERNEL, None), (_outward_trace, (5, 0))]:
+            asked.clear()
+            found, calls = _recorded(ideal_identity_counterexample, kernel, ideal, p, e, box)
+            traced = [t for t in (kernel(a, q) for a, q in calls) if t is not None]
+            # the walk stops at the escape, so each trace out of the box asks once
+            assert asked == [t for t in traced if max(t) > box]
+            assert found == answer
+        assert asked
 
 
 class TestSharedWalk:
@@ -526,7 +555,8 @@ class TestSharedWalk:
         while box and (p**e * (box + 1)) ** n > 1000:
             box -= 1
         ideals = [random_primary_ideal(n, random.Random(seed)) for seed in seeds]
-        for kernel in (_TRUE_KERNEL, _lowered_trace, _lossy_trace, _reversed_trace, _phantom_trace):
+        kernels = (_lowered_trace, _lossy_trace, _reversed_trace, _phantom_trace, _outward_trace)
+        for kernel in (_TRUE_KERNEL, *kernels):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cartier, "_trace_exponent", kernel)
                 shared = ideal_identity_counterexamples(ideals, p, e, box)
@@ -548,6 +578,58 @@ class TestSharedWalk:
         # p, e and box are checked even so
         with pytest.raises(ValueError, match=r"^box must be >= 0$"):
             ideal_identity_counterexamples([], 2, 1, -1)
+
+
+def _negative_trace(exponent, q):
+    # malformed on purpose: every nonzero image starts with -1
+    t = _TRUE_KERNEL(exponent, q)
+    return None if t is None else (-1,) + t[1:]
+
+
+def _float_trace(exponent, q):
+    # malformed on purpose: every nonzero image starts with a float
+    t = _TRUE_KERNEL(exponent, q)
+    return None if t is None else (float(t[0]),) + t[1:]
+
+
+def _raised(scan, kernel, *args):
+    """The ValueError message the scan raises under the kernel, and the kernel calls before it."""
+    calls = []
+
+    def recording(exponent, q):
+        calls.append((exponent, q))
+        return kernel(exponent, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cartier, "_trace_exponent", recording)
+        with pytest.raises(ValueError) as raised:
+            scan(*args)
+    return str(raised.value), calls
+
+
+class TestMalformedTraces:
+    """A kernel image that is no exponent is refused at its first escape check."""
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            (_negative_trace, r"^exponent entries must be >= 0, got \(-1, "),
+            (_float_trace, r"^exponent entries must be integers, got \(\d+\.0, "),
+        ],
+        ids=["negative", "float"],
+    )
+    @pytest.mark.parametrize("p, e, box", [(2, 1, 3), (3, 1, 2), (2, 2, 1)])
+    def test_same_error_after_the_same_calls_as_the_plain_scan(self, kernel, message, p, e, box):
+        gens = [((1, 1),), ((0, 1), (2, 0)), ((1, 0), (0, 1))]
+        ideals = [MonomialIdeal(2, g) for g in gens]
+        for ideal in ideals:
+            walked = _raised(ideal_identity_counterexample, kernel, ideal, p, e, box)
+            assert walked == _raised(_plain_ideal_identity_counterexample, kernel, ideal, p, e, box)
+            assert re.match(message, walked[0])
+        # a shared walk raises at the first nonzero trace of the sum's bracket
+        total = MonomialIdeal(2, tuple(g for ideal in ideals for g in ideal.gens))
+        shared = _raised(ideal_identity_counterexamples, kernel, ideals, p, e, box)
+        assert shared == _raised(_plain_ideal_identity_counterexample, kernel, total, p, e, box)
 
 
 _BIG_PRIME = 1000000000000000003

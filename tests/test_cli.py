@@ -862,6 +862,55 @@ class TestCartierWorkLimit:
         assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
 
 
+class TestWorkBudgets:
+    """A Frobenius sweep or a mori-endgame list over the work limit exits 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            (["seshadri", "--model", "pn:1", "--p", "2", "--m-max", "5", "--e-max", "100000"],
+             "the Frobenius sweep would compute 100001 loads of up to 1563 words"),
+            (["mori-endgame", "--a", ",".join(["1"] * 13)],
+             "13 summands have C(26, 14) quotient degrees"),
+        ],
+        ids=["e-max", "mori-endgame"],
+    )
+    def test_refused_with_one_line(self, capsys, argv, estimate):
+        # both were killed at 8 s before they had a budget
+        err = f"invalid input: {estimate}, over the work limit of 1000000\n"
+        assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+
+    def test_sweep_at_the_limit_answers(self, capsys):
+        # pn:1 has one row and 2^e fits in e // 64 + 1 words: 8000 * 125 is the limit
+        argv = ["seshadri", "--model", "pn:1", "--p", "2", "--m-max", "5", "--e-max"]
+        for e_max in ("5000", "7999"):
+            code, out, _ = run_cli(capsys, argv + [e_max])
+            assert code == EXIT_OK and json.loads(out)["witness"] == [1, 1]
+        code, _, err = run_cli(capsys, argv + ["8000"])
+        assert code == EXIT_BAD_INPUT
+        estimate = "the Frobenius sweep would compute 8001 loads of up to 126 words"
+        assert err.startswith(f"invalid input: {estimate}, over")
+
+    def test_sweep_refused_before_any_threshold(self, capsys, monkeypatch):
+        computed = []
+
+        def recording(*args):
+            computed.append(args)
+            return bounds.frobenius_thresholds(*args)
+
+        monkeypatch.setattr(cli, "WORK_LIMIT", 12)
+        monkeypatch.setattr(cli, "frobenius_thresholds", recording)
+        # product:1,1,1,2 has two rows: 2 * (5 + 1) loads of one word are at the limit
+        argv = ["seshadri", "--model", "product:1,1,1,2", "--p", "3", "--m-max", "5", "--e-max"]
+        assert run_cli(capsys, argv + ["5"])[0] == EXIT_OK
+        assert len(computed) == 1
+        code, _, err = run_cli(capsys, argv + ["6"])
+        assert code == EXIT_BAD_INPUT
+        estimate = "the Frobenius sweep would compute 14 loads of up to 1 words"
+        assert err.startswith(f"invalid input: {estimate}, over")
+        assert len(computed) == 1
+
+
 class TestCartierSeed:
     def test_seed_is_accepted_and_ignored(self, capsys):
         argv = ["cartier", "--n", "2", "--p", "3", "--e", "2", "--box", "2"]

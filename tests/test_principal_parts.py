@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from frobjets import principal_parts
 from frobjets.principal_parts import (
     PicClass,
     det_pp_closed,
@@ -133,3 +134,34 @@ class TestMoriEndgame:
     def test_json(self):
         doc = to_jsonable(mori_endgame((2, 1, 1)))
         assert doc["b"] == 4 and doc["gg"] is True
+
+
+class TestMoriWorkLimit:
+    """The quotient-degree list is refused unbuilt when it would be over WORK_LIMIT."""
+
+    def test_at_the_limit_the_list_is_built(self):
+        assert principal_parts.WORK_LIMIT == 10**6
+        # 11 summands have C(22, 12) = 646,646 quotient degrees, 12 have 2,496,144
+        assert len(mori_endgame((1,) * 11).quotient_degrees) == comb(22, 12)
+        message = r"^12 summands have C\(24, 13\) quotient degrees, over the work limit of 1000000$"
+        with pytest.raises(ValueError, match=message):
+            mori_endgame((1,) * 12)
+
+    def test_refused_before_the_enumeration(self, monkeypatch):
+        enumerated = []
+
+        def recording(a, k):
+            enumerated.append(k)
+            return itertools.combinations_with_replacement(a, k)
+
+        monkeypatch.setattr(principal_parts, "WORK_LIMIT", 15)
+        monkeypatch.setattr(principal_parts, "combinations_with_replacement", recording)
+        assert len(mori_endgame((2, 1, 1)).quotient_degrees) == 15
+        with pytest.raises(ValueError, match=r"^4 summands have C\(8, 5\) quotient degrees"):
+            mori_endgame((2, 1, 1, 1))
+        assert enumerated == [4]
+
+    def test_many_summands_refused_at_once(self):
+        # C(2 * 10^5, 10^5 + 1) has about 60,000 digits; the estimate stops at its second factor
+        with pytest.raises(ValueError, match=r"^100000 summands have C\(200000, 100001\)"):
+            mori_endgame((1,) * 10**5)
