@@ -33,11 +33,11 @@ from .bounds import (
     tensor_power_scale,
 )
 from .cartier import (
-    ideal_identity_counterexamples,
+    ideal_identity_counterexample,
     iteration_counterexample,
     random_primary_ideal,
     residue_class_forms,
-    surjectivity_counterexample,
+    residue_table_counterexample,
 )
 from .fano import (
     DataContradictionError,
@@ -229,36 +229,22 @@ def criterion_7_derived_certificates():
 
 
 @criterion(8, "trace-map verification suite",
-           "surjectivity on 30-boxes, 100 ideal identities, iteration on the residue-class design")
+           "surjectivity and 100 ideal identities on the residue-complete design, "
+           "iteration on the residue-class design")
 def criterion_8_cartier_suite():
     for n in (1, 2, 3):
         # at e = 0 the trace is the identity whatever p is, so p = 2 stands for p = 3
         for p, e in ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2)):
-            if surjectivity_counterexample(n, p, e, 30) is not None:
+            if residue_table_counterexample(n, p, e) is not None:
                 yield ("surjectivity", n, p, e)
     rng = random.Random(2024)
-    cases = []
     for _ in range(100):
         n = rng.randrange(1, 4)
         p = rng.choice([2, 3])
         e = rng.randrange(1, 3)
-        q = p**e
-        # the largest box in [2, 10] whose side s = q*(box+1) is at most round(40000 ** (1/n)),
-        # in integers: s - 1/2 <= 40000 ** (1/n) iff (2s - 1)^n <= 2^n * 40000
-        fits = [b for b in range(3, 11) if (2 * q * (b + 1) - 1) ** n <= 2**n * 40000]
-        box = max(fits, default=2)
-        cases.append((random_primary_ideal(n, rng), p, e, box))
-    # the ideals drawn with one (n, p, e, box) share one walk; failures come in draw order
-    groups = {}
-    for ideal, p, e, box in cases:
-        groups.setdefault((ideal.n, p, e, box), []).append(ideal)
-    answers = {
-        key: iter(ideal_identity_counterexamples(ideals, *key[1:]))
-        for key, ideals in groups.items()
-    }
-    for ideal, p, e, box in cases:
-        if next(answers[ideal.n, p, e, box]) is not None:
-            yield ("ideal-identity", ideal, p, e, box)
+        ideal = random_primary_ideal(n, rng)
+        if ideal_identity_counterexample(ideal, p, e) is not None:
+            yield ("ideal-identity", ideal, p, e)
     for p in (2, 3):
         for e1, e2 in ((1, 1), (1, 2), (2, 1)):
             forms = residue_class_forms(2, p ** (e1 + e2))

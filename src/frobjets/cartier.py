@@ -10,26 +10,20 @@ its correctness is pinned down by the verification suite in this module
 (explicit surjectivity preimages, the ideal-image identity, semilinearity
 over p^e-th powers, and the iteration law), not derived from duality theory.
 Only the public trace handles forms, validating p, e and the form on every
-call. The four verifiers validate p and e once and call the kernel on plain
+call. The verifiers validate p and e once and call the kernel on plain
 exponents: lambda^(p^e) == lambda puts one scalar on both sides of each law.
 
-The ideal-image check asks the ideal by one binary search per line b of its
-box: an ideal is an up-set, so its members on b form a tail, and x^a is in
-I^[q] iff x^(a//q) is in I (Miller-Sturmfels, Combinatorial Commutative
-Algebra, ch. 1-5), so the first member on b, scaled by q, starts the bracket's
-members on every prefix a[:-1] with a[:-1]//q == b. Ideals that share a box
-share one walk over the members of their sum's bracket, which starts on b at
-the least of their first members: the box is walked by rows over those runs
-only, in the order of a plain scan, and each member is traced once, for
-every ideal whose bracket holds it. The same first members answer whether a
-trace escapes an ideal: a trace t in the box is in it iff t[-1] is on or past
-the first member on t[:-1], so only a trace out of the box asks the ideal.
-Under the true kernel none is out: a < q*(box+1) gives a//q <= box.
-
-Both walks refuse, before they allocate, a box of more than WORK_LIMIT
-points. Semilinearity and iteration are checked on one fixed design of
-residue classes: the trace of x^a dx depends only on a mod q and a // q
-(Blickle-Schwede, p^(-1)-linear maps in algebra and geometry, 2013).
+The trace of x^a dx depends only on a mod q and a // q (Blickle-Schwede,
+p^(-1)-linear maps in algebra and geometry, 2013), so every check but
+surjectivity_counterexample's walk over a box runs on a fixed design of
+residues r under shifts c: x^(q*c + r) dx must trace to x^c dx on the top
+residue r = (q-1)*1 and to zero on every other r. The residue table puts all
+of [0, q)^n under the shifts of residue_class_cases and the far corner 30*1.
+The ideal identity takes each generator g of the ideal as a shift: the top
+residue, in I^[q], traces onto g, and residue_class_cases' lowered residues
+trace to zero, so every generator of I is hit and no class near one leaves I.
+q = p^e over WORK_LIMIT is refused from bit lengths before it is computed,
+and no walk or design over WORK_LIMIT is built.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from operator import add, ne
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, ensure_prime, maximal_ideal, power
-from .monomials import WORK_LIMIT, _check_exponent, _check_work, _first_member, _over_limit
+from .monomials import WORK_LIMIT, _check_exponent, _check_work, _over_limit, _power_over_limit
 from .serialize import parse_int
 
 
@@ -85,6 +79,26 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
     return MonomialForm(coeff, image)
 
 
+def _frobenius_power(p: int, e: int) -> int:
+    """q = p^e, refused before it is computed when over WORK_LIMIT."""
+    if _power_over_limit(p, e):
+        raise _over_limit(f"q = {p}^{e} has at least {e * (p.bit_length() - 1) + 1} bits")
+    return p**e
+
+
+def _check_design(n: int, q: int, gens: int) -> None:
+    """Refuse, before it is built, a design of more than WORK_LIMIT exponent entries.
+
+    residue_class_cases holds up to 1 + 7n forms; the ideal identity adds,
+    for each of `gens` generators, the n * min(q - 1, 3) lowered residues.
+    """
+    if (1 + 7 * n) * n > WORK_LIMIT:
+        raise _over_limit(f"the Cartier design would hold up to {1 + 7 * n} forms of {n} entries")
+    lowered = gens * n * min(q - 1, 3)
+    if lowered * n > WORK_LIMIT:
+        raise _over_limit(f"the ideal design would trace {lowered} lowered forms of {n} entries")
+
+
 def _box(n: int, top: int):
     return product(range(parse_int(top, "box", 0) + 1), repeat=n)
 
@@ -93,13 +107,13 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     """A target exponent within the box whose canonical preimage fails, or None.
 
     For each target b the form x^(p^e*(b+1)-1) dx must trace to x^b dx.
-    Refused when the (box+1)^n targets are more than WORK_LIMIT.
+    Refused when q = p^e or the (box+1)^n targets are more than WORK_LIMIT.
     """
     # bad input is reported in the order n, p, box, e
     parse_int(n, "n", 1)
     ensure_prime(p)
     targets = _box(n, box)
-    q = p ** parse_int(e, "e", 0)
+    q = _frobenius_power(p, parse_int(e, "e", 0))
     _check_work("surjectivity", box + 1, n)
     preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
     # lazy, so the kernel stops at the first mismatch; each side has its own targets
@@ -107,85 +121,54 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     return next(compress(targets, map(ne, images, _box(n, box))), None)
 
 
-def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int, box: int):
-    """A box exponent violating trace(bracket-power forms) == ideal forms, or None.
+def _design_counterexample(q: int, shifts, residues) -> Exponent | None:
+    """The first exponent q*c + r, by shift c and then residue r, whose trace is wrong, or None.
 
-    Compares, within the box, the set of exponents hit by tracing forms with
-    exponent in the bracket power against the set of exponents in the ideal;
-    also rejects any traced form that escapes the ideal, and returns the first
-    one that the walk of ideal_identity_counterexamples meets.
+    x^(q*c + r) dx must trace to x^c dx on the top residue r = (q-1)*1 and to
+    zero otherwise. The image must be c itself, int entries included, since
+    (2.0,) == (2,).
     """
-    return ideal_identity_counterexamples([ideal], p, e, box)[0]
+    top = (q - 1,) * len(residues[0])
+    for c in shifts:
+        base = [q * x for x in c]
+        for r in residues:
+            a = tuple(map(add, base, r))
+            image = _trace_exponent(a, q)
+            if image != (c if r == top else None) or r == top and {*map(type, image)} != {int}:
+                return a
+    return None
 
 
-def ideal_identity_counterexamples(
-    ideals: list[MonomialIdeal], p: int, e: int, box: int
-) -> list:
-    """What ideal_identity_counterexample returns for each ideal, from one shared walk.
+def residue_table_counterexample(n: int, p: int, e: int):
+    """An exponent where the trace fails on the residue-complete design, or None.
 
-    Each ideal is asked one binary search per line b of the target box for its
-    first member first[b]: its targets on b are the x >= first[b], and its
-    bracket holds prefix + (x,) iff x >= q * first[prefix // q]. The ideals' sum
-    starts on b at the least first[b], and the members of its bracket are
-    walked by rows, in the order of a plain scan, each traced once. A nonzero
-    trace goes to every ideal with no escape yet whose bracket holds the point,
-    and the first trace to escape an ideal is its answer; the walk stops once
-    every ideal has one. The trace's entries are checked once, before its first
-    escape check. A trace t in the box escapes ideal j iff t[-1] < first[t[:-1]],
-    read from the firsts; only a trace out of the box asks the ideal. Refused,
-    after p, e and box are checked, for mixed variable counts or a walk over
-    more than WORK_LIMIT points.
+    Every residue in [0, q)^n under each top-residue shift c of
+    residue_class_cases, and under the far corner 30*1. Refused when q, or the
+    up to 2 + 4n shifts of q^n residues of n entries, are over WORK_LIMIT.
     """
-    # p, then e, then box, once for the whole walk
-    q = ensure_prime(p) ** parse_int(e, "Frobenius exponent e", 0)
-    side = q * (parse_int(box, "box", 0) + 1)
-    counts = {ideal.n for ideal in ideals}
-    if len(counts) > 1:
-        raise ValueError(f"a shared walk needs one variable count, got {sorted(counts)}")
-    if not counts:
-        return []
-    (n,) = counts
-    _check_work("ideal identity", side, n)
-    heads = list(_box(n - 1, box))
-    firsts = [[_first_member(ideal, b, range(box + 1)) for b in heads] for ideal in ideals]
-    # per line b of the target box: where the sum's bracket members start on
-    # the prefixes over b, where each ideal's do, and each ideal's first member on b
-    starts = {
-        b: (q * min(line), [q * first for first in line], line)
-        for b, line in zip(heads, zip(*firsts))
-    }
-    found = [None] * len(ideals)
-    images = [set() for _ in ideals]
-    undecided = list(range(len(ideals)))
-    for prefix in _box(n - 1, side - 1):
-        low, begins, _ = starts[tuple([x // q for x in prefix])]
-        for last in range(low, side):
-            traced = _trace_exponent(prefix + (last,), q)
-            if traced is None:
-                continue
-            inside, escaped, line = max(traced) <= box, False, None
-            for j in undecided:
-                if last < begins[j]:
-                    continue
-                if line is None:
-                    # checked once, before its first escape check
-                    traced = _check_exponent(traced, n)
-                    line = starts[traced[:-1]][2] if inside else ()
-                # in the box, ideal j holds the trace iff it is on or past j's first member
-                held = traced[-1] >= line[j] if inside else ideals[j]._has(traced)
-                if not held:
-                    found[j], escaped = traced, True
-                elif inside:
-                    images[j].add(traced)
-            if escaped:
-                undecided = [j for j in undecided if found[j] is None]
-                if not undecided:
-                    return found
-    for j in undecided:
-        target = {b + (x,) for b, first in zip(heads, firsts[j]) for x in range(first, box + 1)}
-        difference = images[j].symmetric_difference(target)
-        found[j] = min(difference) if difference else None
-    return found
+    parse_int(n, "n", 1)
+    ensure_prime(p)
+    q = _frobenius_power(p, parse_int(e, "e", 0))
+    if _power_over_limit(q, n) or (2 + 4 * n) * q**n * n > WORK_LIMIT:
+        raise _over_limit(f"the residue table would trace up to {2 + 4 * n} shifts of {q}^{n} residues")
+    top = (q - 1,) * n
+    shifts = [c for c, a in residue_class_cases(n, q) if a == top] + [(30,) * n]
+    return _design_counterexample(q, shifts, list(product(range(q), repeat=n)))
+
+
+def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int):
+    """An exponent where the trace fails on the ideal's generator design, or None.
+
+    Each generator g is a shift: x^(q*g + (q-1)*1) dx, in I^[q], must trace
+    to x^g dx, and the lowered residues of residue_class_cases under g must
+    trace to zero. Refused when q or the design is over WORK_LIMIT.
+    """
+    q = _frobenius_power(ensure_prime(p), parse_int(e, "e", 0))
+    n = ideal.n
+    _check_design(n, q, len(ideal.gens))
+    top = (q - 1,) * n
+    residues = [top] + [a for _, a in residue_class_cases(n, q) if a != top]
+    return _design_counterexample(q, ideal.gens, residues)
 
 
 def semilinearity_counterexample(p: int, e: int, samples):
@@ -247,26 +230,27 @@ def iteration_counterexample(p: int, e1: int, e2: int, exponents):
 
 
 def cartier_report(n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None = None) -> dict:
-    """Run the verification battery into one JSON-able report (ideal identity on min(box, 8)).
+    """Run the verification battery into one JSON-able report.
 
-    Every argument and every cost is checked before the default ideal m^2 is built.
+    Surjectivity is walked over the box; the ideal identity runs on the
+    ideal's generator design. Every argument and every cost is checked before
+    the default ideal m^2 is built.
     """
     parse_int(n, "variable count n", 1)
     if ideal is not None and ideal.n != n:
         raise ValueError(f"ideal has {ideal.n} variables, expected n = {n}")
     ensure_prime(p)
-    ideal_box = min(parse_int(box, "box", 0), 8)
-    q = p ** parse_int(e, "e", 0)
+    parse_int(box, "box", 0)
+    q = _frobenius_power(p, parse_int(e, "e", 0))
     _check_work("surjectivity", box + 1, n)
-    _check_work("ideal identity", q * (ideal_box + 1), n)
-    if (1 + 7 * n) * n > WORK_LIMIT:
-        raise _over_limit(f"the Cartier design would hold up to {1 + 7 * n} forms of {n} entries")
+    # m^2 has C(n + 1, 2) generators
+    _check_design(n, q, n * (n + 1) // 2 if ideal is None else len(ideal.gens))
     if ideal is None:
         ideal = power(maximal_ideal(n), 2)
     # each check's counterexample or None, in the order the checks run
     found = {
         "surjective": surjectivity_counterexample(n, p, e, box),
-        "ideal_identity": ideal_identity_counterexample(ideal, p, e, ideal_box),
+        "ideal_identity": ideal_identity_counterexample(ideal, p, e),
         "semilinear": semilinearity_counterexample(p, e, residue_class_cases(n, q)),
         "iteration": iteration_counterexample(
             p, 1, max(e - 1, 0), residue_class_forms(n, max(q, p))

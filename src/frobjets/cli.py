@@ -321,11 +321,11 @@ def run(config: RunConfig) -> tuple[int, str, str]:
         return EXIT_BAD_INPUT, "", f"unknown command {config.command!r}\n"
     try:
         payload, code = command.handler(_typed_parameters(command.params, config.parameters))
+        return code, render(payload, config.output_format), ""
     except DataContradictionError as exc:
         return EXIT_CONTRADICTION, "", f"data contradiction: {exc}\n"
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         return EXIT_BAD_INPUT, "", f"invalid input: {exc}\n"
-    return code, render(payload, config.output_format), ""
 
 
 def _int_flag(text: str) -> int:

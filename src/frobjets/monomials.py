@@ -47,15 +47,20 @@ def _over_limit(estimate: str) -> ValueError:
     return ValueError(f"{estimate}, over the work limit of {WORK_LIMIT}")
 
 
-def _check_work(walk: str, side: int, n: int) -> None:
-    """Refuse a walk over side^n points when that is more than WORK_LIMIT.
+def _power_over_limit(side: int, n: int) -> bool:
+    """Whether side^n is more than WORK_LIMIT.
 
-    side^n >= 2^(n*(side.bit_length()-1)), so a huge n is refused by bit
+    side^n >= 2^(n*(side.bit_length()-1)), so a huge n is decided by bit
     lengths alone, before any power is computed.
     """
-    if side > 1 and (
+    return side > 1 and (
         n * (side.bit_length() - 1) >= WORK_LIMIT.bit_length() or side**n > WORK_LIMIT
-    ):
+    )
+
+
+def _check_work(walk: str, side: int, n: int) -> None:
+    """Refuse a walk over side^n points when that is more than WORK_LIMIT."""
+    if _power_over_limit(side, n):
         raise _over_limit(f"the {walk} walk would visit {side}^{n} points")
 
 

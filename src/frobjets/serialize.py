@@ -9,13 +9,30 @@ enters the package.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+
+# the interpreter's limit on the digits of an int converted to text; 0, or no
+# such function (before Python 3.10.7), means no limit
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _check_digits(value: int) -> int:
+    """The int `value`, refused when its decimal text would pass the digit limit.
+
+    An int of at most 3*limit bits is below 8^limit, so only a longer one is
+    compared with 10^limit.
+    """
+    limit = _max_str_digits()
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise ValueError(f"the report holds an integer of more than {limit} digits")
+    return value
 
 
 def format_fraction(value: Fraction) -> str:
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_check_digits(value.numerator)}/{_check_digits(value.denominator)}"
 
 
 def parse_int(value, name: str, low: int | None = None) -> int:
@@ -77,9 +94,9 @@ def to_jsonable(obj):
         if obj == float("-inf"):
             return "-inf"
         raise ValueError(f"refusing to serialize inexact float {obj!r}")
-    if isinstance(obj, bool) or isinstance(obj, int) or obj is None:
-        return obj
-    if isinstance(obj, str):
+    if isinstance(obj, int):
+        return _check_digits(obj)
+    if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}

@@ -5,14 +5,12 @@ imports is patched to answer wrongly, and the criterion must then fail with
 its exact line, without raising.
 """
 
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 from frobjets import acceptance, cartier
-from test_cartier import _lossy_trace, _lowered_trace
+from test_cartier import _WRONG_KERNELS
 
 
 @pytest.mark.parametrize(
@@ -88,7 +86,7 @@ FAILURE_PATHS = [
     (7, "gg_twist_extend", changed(witness=lambda cert: (cert.witness[0], cert.witness[1] + 1)),
      "FAIL  criterion  7  derivation-rule soundness: "
      "7/162 derived certificates re-verified (need >= 100)"),
-    (8, "surjectivity_counterexample", lambda fast: lambda *args: (0,),
+    (8, "residue_table_counterexample", lambda fast: lambda *args: (0,),
      "FAIL  criterion  8  trace-map verification suite: failed at ('surjectivity', 1, 2, 0)"),
     (9, "det_pp_closed", changed(l_exp=lambda pic: pic.l_exp + 1),
      "FAIL  criterion  9  principal-parts determinants: failed at (1, 0)"),
@@ -114,54 +112,63 @@ def test_criterion_fails_on_a_wrong_fast_path(number, fast_path, corrupt, line, 
 
 
 def test_criterion_8_traces_each_kernel_input_once(monkeypatch):
-    # the kernel calls made inside each walk, by walk
-    calls = {"surjectivity": [], "ideal identity": []}
-    walk = []
+    # the kernel inputs of each check's calls, one list per call
+    calls = {"residue table": [], "ideal identity": [], "iteration": []}
+    check_call = []
     kernel = cartier._trace_exponent
 
     def recording(exponent, q):
-        if walk:
-            calls[walk[-1]].append((exponent, q))
+        check_call[-1].append((exponent, q))
         return kernel(exponent, q)
 
     def tagged(name, check):
         def call(*args):
-            walk.append(name)
+            calls[name].append([])
+            check_call.append(calls[name][-1])
             try:
                 return check(*args)
             finally:
-                walk.pop()
+                check_call.pop()
 
         return call
 
     monkeypatch.setattr(cartier, "_trace_exponent", recording)
     for name, check in [
-        ("surjectivity", "surjectivity_counterexample"),
-        ("ideal identity", "ideal_identity_counterexamples"),
+        ("residue table", "residue_table_counterexample"),
+        ("ideal identity", "ideal_identity_counterexample"),
+        ("iteration", "iteration_counterexample"),
     ]:
         monkeypatch.setattr(acceptance, check, tagged(name, getattr(acceptance, check)))
     assert acceptance.criterion_8_cartier_suite().passed
-    for traced in calls.values():
-        assert len(traced) == len(set(traced))
-    # 184,698 and 380,456 when p = 3 repeated e = 0 and every ideal walked its own box
-    assert {name: len(traced) for name, traced in calls.items()} == {
-        "surjectivity": 153915,
-        "ideal identity": 82479,
+    # the iteration law traces the images of its forms again, so only the designs are pinned
+    designs = calls["residue table"] + calls["ideal identity"]
+    assert all(len(inputs) == len(set(inputs)) for inputs in designs)
+    assert {name: len(lists) for name, lists in calls.items()} == {
+        "residue table": 15,
+        "ideal identity": 100,
+        "iteration": 6,
     }
+    traced = {name: sum(map(len, lists)) for name, lists in calls.items()}
+    assert traced == {"residue table": 12700, "ideal identity": 1697, "iteration": 220}
 
 
-_RECORDED = json.loads((Path(__file__).parent / "criterion_8_failures.json").read_text())
+# criterion 8's failures under each wrong kernel: (surjectivity, ideal identity,
+# iteration) of 15 residue tables, 100 ideal designs and 6 iteration designs
+_CRITERION_8_FAILURES = {
+    "lowered": (15, 90, 6),
+    "lossy": (15, 65, 2),
+    # at n = 1 the reversed kernel is the true one
+    "reversed": (10, 59, 6),
+    # at e = 0 every residue is the top one, so the phantom kernel is the true one
+    "phantom": (12, 90, 6),
+    "outward": (15, 62, 3),
+}
 
 
-@pytest.mark.parametrize("kernel", ["lowered", "lossy"])
-def test_criterion_8_failures_keep_draw_order(kernel, monkeypatch):
-    # recorded when every ideal had its own walk: the shared walks keep them, in draw order
-    wrong = {"lowered": _lowered_trace, "lossy": _lossy_trace}[kernel]
-    monkeypatch.setattr(cartier, "_trace_exponent", wrong)
-    found = [
-        [f[0], [list(g) for g in f[1].gens], *f[2:]] if f[0] == "ideal-identity" else list(f)
-        for f in acceptance.criterion_8_cartier_suite.__wrapped__()
-    ]
-    # surjectivity no longer runs at (p, e) = (3, 0), which repeated (2, 0)
-    expected = [f for f in _RECORDED[kernel] if f[0] != "surjectivity" or f[2:] != [3, 0]]
-    assert found == expected
+@pytest.mark.parametrize("kernel", list(_CRITERION_8_FAILURES))
+def test_criterion_8_fails_on_every_wrong_kernel(kernel, monkeypatch):
+    monkeypatch.setattr(cartier, "_trace_exponent", _WRONG_KERNELS[kernel])
+    assert acceptance.criterion_8_cartier_suite().passed is False
+    failures = list(acceptance.criterion_8_cartier_suite.__wrapped__())
+    kinds = ("surjectivity", "ideal-identity", "iteration")
+    assert tuple(sum(f[0] == kind for f in failures) for kind in kinds) == _CRITERION_8_FAILURES[kernel]

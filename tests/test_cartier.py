@@ -1,7 +1,5 @@
 import itertools
-import math
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +10,11 @@ from frobjets.cartier import (
     MonomialForm,
     cartier_report,
     ideal_identity_counterexample,
-    ideal_identity_counterexamples,
     iteration_counterexample,
     random_primary_ideal,
     residue_class_cases,
     residue_class_forms,
+    residue_table_counterexample,
     semilinearity_counterexample,
     surjectivity_counterexample,
     trace,
@@ -134,23 +132,29 @@ class TestTraceFormula:
                 with pytest.raises(ValueError):
                     trace(bad, 3, 1)
 
-    def test_walks_validate_p_and_e(self):
-        # bad input is reported in the order p, box, e by surjectivity, and p,
-        # e, box by the ideal identity, whose e message is bracket_power's
+    def test_verifiers_validate_p_and_e(self):
+        # bad input is reported in the order p, box, e by surjectivity, p, e by
+        # the ideal identity and n, p, e by the residue table
         for p in (0, 1, 4, 9):
             message = rf"^characteristic must be prime, got {p}$"
             for e in (1, -1):
                 with pytest.raises(ValueError, match=message):
                     surjectivity_counterexample(2, p, e, 2)
                 with pytest.raises(ValueError, match=message):
-                    ideal_identity_counterexample(maximal_ideal(2), p, e, 2)
-        with pytest.raises(ValueError, match=r"^e must be >= 0$"):
-            surjectivity_counterexample(2, 2, -1, 2)
+                    ideal_identity_counterexample(maximal_ideal(2), p, e)
+                with pytest.raises(ValueError, match=message):
+                    residue_table_counterexample(2, p, e)
+        for check in (
+            lambda: surjectivity_counterexample(2, 2, -1, 2),
+            lambda: ideal_identity_counterexample(maximal_ideal(2), 2, -1),
+            lambda: residue_table_counterexample(2, 2, -1),
+        ):
+            with pytest.raises(ValueError, match=r"^e must be >= 0$"):
+                check()
         with pytest.raises(ValueError, match=r"^box must be >= 0$"):
             surjectivity_counterexample(2, 2, -1, -1)
-        for box in (2, -1):
-            with pytest.raises(ValueError, match=r"^Frobenius exponent e must be >= 0$"):
-                ideal_identity_counterexample(maximal_ideal(2), 2, -1, box)
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            residue_table_counterexample(0, 4, -1)
 
 
 class TestMonomialForm:
@@ -195,12 +199,9 @@ class TestSurjectivity:
         # an empty box would verify vacuously
         with pytest.raises(ValueError, match=r"^box must be >= 0$"):
             surjectivity_counterexample(n, 2, 1, box)
-        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
-            ideal_identity_counterexample(power(maximal_ideal(n), 2), 2, 1, box)
 
     def test_box_zero_checks_the_origin(self):
         assert surjectivity_counterexample(2, 3, 1, 0) is None
-        assert ideal_identity_counterexample(maximal_ideal(2), 3, 1, 0) is None
 
     @given(
         n=st.integers(1, 3),
@@ -219,23 +220,35 @@ class TestSurjectivity:
 
 class TestIdealIdentity:
     def test_principal_one_var(self):
-        assert ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), 2, 1, 12) is None
+        assert ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), 2, 1) is None
 
     def test_unit_ideal_reduces_to_surjectivity(self):
-        assert ideal_identity_counterexample(unit_ideal(2), 3, 1, 4) is None
+        assert ideal_identity_counterexample(unit_ideal(2), 3, 1) is None
 
     def test_square_of_maximal(self):
-        assert ideal_identity_counterexample(power(maximal_ideal(2), 2), 3, 1, 10) is None
+        assert ideal_identity_counterexample(power(maximal_ideal(2), 2), 3, 1) is None
 
     def test_random_ideals(self):
         rng = random.Random(7)
         for _ in range(25):
             n = rng.randrange(1, 4)
             p = rng.choice([2, 3])
-            e = rng.randrange(1, 3)
-            box = max(2, 30 // (p**e * n))
+            e = rng.randrange(0, 3)
             ideal = random_primary_ideal(n, rng)
-            assert ideal_identity_counterexample(ideal, p, e, box) is None
+            assert ideal_identity_counterexample(ideal, p, e) is None
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 9])
+    def test_each_generator_under_the_top_and_lowered_residues(self, q):
+        ideal = MonomialIdeal(2, ((0, 3), (2, 1), (4, 0)))
+        p, e = {1: (2, 0), 2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2)}[q]
+        top = (q - 1, q - 1)
+        lowered = [a for _, a in residue_class_cases(2, q) if a != top]
+        expected = [
+            tuple(q * x + y for x, y in zip(g, r)) for g in ideal.gens for r in [top] + lowered
+        ]
+        found, calls = _recorded(ideal_identity_counterexample, _TRUE_KERNEL, ideal, p, e)
+        assert found is None
+        assert calls == [(a, q) for a in expected]
 
 
 _TRUE_KERNEL = cartier._trace_exponent
@@ -291,12 +304,13 @@ _CUBE = (2, ((0, 3), (1, 2), (2, 1), (3, 0)))
 
 
 class TestCounterexampleOrder:
-    """With a deliberately wrong trace, the verifiers report fixed counterexamples.
+    """With a deliberately wrong trace, the scans report fixed counterexamples.
 
     The expected values were recorded before bracket membership was decided
-    per q-block. They pin the lexicographic scan order, the rule that the
-    first traced form to escape the ideal is returned, and the minimum of
-    the image/ideal symmetric difference otherwise.
+    per q-block, and the plain ideal-image scan still reports them. They pin
+    the lexicographic scan order, the rule that the first traced form to
+    escape the ideal is returned, and the minimum of the image/ideal
+    symmetric difference otherwise.
     """
 
     @pytest.mark.parametrize(
@@ -321,7 +335,7 @@ class TestCounterexampleOrder:
     )
     def test_ideal_identity(self, monkeypatch, wrong, ideal, p, e, box, expected):
         monkeypatch.setattr(cartier, "_trace_exponent", wrong)
-        assert ideal_identity_counterexample(MonomialIdeal(*ideal), p, e, box) == expected
+        assert _plain_ideal_identity_counterexample(MonomialIdeal(*ideal), p, e, box) == expected
 
     @pytest.mark.parametrize(
         "wrong, n, p, e, box, expected",
@@ -472,114 +486,6 @@ def _recorded(scan, wrapped, *args):
     return result, calls
 
 
-class TestRowWalk:
-    """The row walk traces exactly what the plain scan traces, in its order."""
-
-    @given(
-        n=st.integers(1, 3),
-        p=st.sampled_from([2, 3]),
-        e=st.integers(1, 2),
-        box=st.integers(0, 4),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_same_trace_calls_as_plain_scan(self, n, p, e, box, seed):
-        ideal = random_primary_ideal(n, random.Random(seed))
-        for wrapped in (_TRUE_KERNEL, _lowered_trace, _outward_trace):
-            walked = _recorded(ideal_identity_counterexample, wrapped, ideal, p, e, box)
-            plain = _recorded(_plain_ideal_identity_counterexample, wrapped, ideal, p, e, box)
-            assert walked == plain
-
-
-class TestUpSetQuestions:
-    """Each line of the target box costs one binary search, and no bracket ideal is asked."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_questions_per_line_are_logarithmic(self, monkeypatch, seed):
-        n, p, e, box = 3, 2, 1, 10
-        ideal = random_primary_ideal(n, random.Random(seed))
-        has, contains = MonomialIdeal._has, MonomialIdeal.__contains__
-        asked = {"other ideals": 0, "ideal": 0, "escape checks": 0}
-
-        def counting_has(asked_ideal, a):
-            # the bracket would be another object, equal to bracket_power(ideal, p, e)
-            asked["ideal" if asked_ideal is ideal else "other ideals"] += 1
-            return has(asked_ideal, a)
-
-        def counting_contains(asked_ideal, a):
-            asked["escape checks"] += 1
-            return contains(asked_ideal, a)
-
-        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
-        monkeypatch.setattr(MonomialIdeal, "__contains__", counting_contains)
-        assert ideal_identity_counterexample(ideal, p, e, box) is None
-        # every trace of the true kernel is in the box, so the line firsts answer
-        # each escape check and the ideal is asked the line questions only
-        bound = (box + 1) ** (n - 1) * math.ceil(math.log2(box + 2))
-        assert asked["other ideals"] == asked["escape checks"] == 0
-        assert 0 < asked["ideal"] <= bound
-
-    def test_only_traces_out_of_the_box_ask_the_ideal(self, monkeypatch):
-        ideal, p, e, box = MonomialIdeal(2, ((0, 2), (2, 1), (6, 0))), 2, 1, 3
-        has, asked = MonomialIdeal._has, []
-
-        def counting_has(asked_ideal, a):
-            if max(a) > box:
-                asked.append(a)
-            return has(asked_ideal, a)
-
-        monkeypatch.setattr(MonomialIdeal, "_has", counting_has)
-        for kernel, answer in [(_TRUE_KERNEL, None), (_outward_trace, (5, 0))]:
-            asked.clear()
-            found, calls = _recorded(ideal_identity_counterexample, kernel, ideal, p, e, box)
-            traced = [t for t in (kernel(a, q) for a, q in calls) if t is not None]
-            # the walk stops at the escape, so each trace out of the box asks once
-            assert asked == [t for t in traced if max(t) > box]
-            assert found == answer
-        assert asked
-
-
-class TestSharedWalk:
-    """Ideals that share a box share one walk over their sum's bracket members."""
-
-    @given(
-        n=st.integers(1, 3),
-        pe=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
-        box=st.integers(0, 3),
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_each_answer_is_its_own_plain_scan(self, n, pe, box, seeds):
-        p, e = pe
-        # small boxes: at most 1000 points for each plain scan
-        while box and (p**e * (box + 1)) ** n > 1000:
-            box -= 1
-        ideals = [random_primary_ideal(n, random.Random(seed)) for seed in seeds]
-        kernels = (_lowered_trace, _lossy_trace, _reversed_trace, _phantom_trace, _outward_trace)
-        for kernel in (_TRUE_KERNEL, *kernels):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(cartier, "_trace_exponent", kernel)
-                shared = ideal_identity_counterexamples(ideals, p, e, box)
-                plain = [_plain_ideal_identity_counterexample(ideal, p, e, box) for ideal in ideals]
-            assert shared == plain
-        # under the true kernel no ideal escapes, so the walk traces every member of the sum
-        total = MonomialIdeal(n, tuple(g for ideal in ideals for g in ideal.gens))
-        walked = _recorded(ideal_identity_counterexamples, _TRUE_KERNEL, ideals, p, e, box)
-        summed = _recorded(_plain_ideal_identity_counterexample, _TRUE_KERNEL, total, p, e, box)
-        assert walked == ([None] * len(ideals), summed[1])
-
-    def test_mixed_variable_counts_refused(self):
-        message = r"^a shared walk needs one variable count, got \[1, 2\]$"
-        with pytest.raises(ValueError, match=message):
-            ideal_identity_counterexamples([maximal_ideal(2), maximal_ideal(1)], 2, 1, 2)
-
-    def test_no_ideals(self):
-        assert ideal_identity_counterexamples([], 2, 1, 2) == []
-        # p, e and box are checked even so
-        with pytest.raises(ValueError, match=r"^box must be >= 0$"):
-            ideal_identity_counterexamples([], 2, 1, -1)
-
-
 def _negative_trace(exponent, q):
     # malformed on purpose: every nonzero image starts with -1
     t = _TRUE_KERNEL(exponent, q)
@@ -592,44 +498,119 @@ def _float_trace(exponent, q):
     return None if t is None else (float(t[0]),) + t[1:]
 
 
-def _raised(scan, kernel, *args):
-    """The ValueError message the scan raises under the kernel, and the kernel calls before it."""
-    calls = []
+def _plain_residue_counterexample(n, p, e, box):
+    """Oracle: the plain box scan of the residue table, each exponent through the public trace.
 
-    def recording(exponent, q):
-        calls.append((exponent, q))
-        return kernel(exponent, q)
+    x^a dx must trace to x^((a+1)/q - 1) dx when q divides every entry of
+    a + 1, and to zero otherwise.
+    """
+    q = p**e
+    for a in itertools.product(range(q * (box + 1)), repeat=n):
+        expected = tuple((x + 1) // q - 1 for x in a) if all((x + 1) % q == 0 for x in a) else None
+        traced = trace(MonomialForm(1, a), p, e)
+        if (None if traced.is_zero else traced.exponent) != expected:
+            return a
+    return None
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cartier, "_trace_exponent", recording)
-        with pytest.raises(ValueError) as raised:
-            scan(*args)
-    return str(raised.value), calls
+
+_WRONG_KERNELS = {
+    "lowered": _lowered_trace,
+    "lossy": _lossy_trace,
+    "reversed": _reversed_trace,
+    "phantom": _phantom_trace,
+    "outward": _outward_trace,
+}
 
 
-class TestMalformedTraces:
-    """A kernel image that is no exponent is refused at its first escape check."""
+class TestDesignAgainstPlainScans:
+    """The residue-complete design and the plain box scans agree on every test kernel.
 
-    @pytest.mark.parametrize(
-        "kernel, message",
-        [
-            (_negative_trace, r"^exponent entries must be >= 0, got \(-1, "),
-            (_float_trace, r"^exponent entries must be integers, got \(\d+\.0, "),
-        ],
-        ids=["negative", "float"],
+    Both pass the true kernel, and both fail each wrong one. The phantom
+    kernel traces only zero classes wrongly, onto x^(a // q), which is in I
+    whenever x^a is in I^[q]: surjectivity and the ideal identity still hold
+    under it, so among the scans only the plain residue scan catches it.
+    """
+
+    @given(
+        n=st.integers(1, 3),
+        pe=st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2)]),
+        seed=st.integers(0, 2**32 - 1),
     )
-    @pytest.mark.parametrize("p, e, box", [(2, 1, 3), (3, 1, 2), (2, 2, 1)])
-    def test_same_error_after_the_same_calls_as_the_plain_scan(self, kernel, message, p, e, box):
-        gens = [((1, 1),), ((0, 1), (2, 0)), ((1, 0), (0, 1))]
-        ideals = [MonomialIdeal(2, g) for g in gens]
-        for ideal in ideals:
-            walked = _raised(ideal_identity_counterexample, kernel, ideal, p, e, box)
-            assert walked == _raised(_plain_ideal_identity_counterexample, kernel, ideal, p, e, box)
-            assert re.match(message, walked[0])
-        # a shared walk raises at the first nonzero trace of the sum's bracket
-        total = MonomialIdeal(2, tuple(g for ideal in ideals for g in ideal.gens))
-        shared = _raised(ideal_identity_counterexamples, kernel, ideals, p, e, box)
-        assert shared == _raised(_plain_ideal_identity_counterexample, kernel, total, p, e, box)
+    @settings(max_examples=12, deadline=None)
+    def test_design_and_plain_scans_agree(self, n, pe, seed):
+        p, e = pe
+        ideal = random_primary_ideal(n, random.Random(seed))
+        # box 1 reaches total degree 2 from n = 2 on, box 2 at n = 1; at most 5832 points
+        box = 3 if n < 3 else 1
+        for name, kernel in [("true", _TRUE_KERNEL), *_WRONG_KERNELS.items()]:
+            if n == 1 and name == "reversed":
+                continue  # reversing one entry changes nothing
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cartier, "_trace_exponent", kernel)
+                table = residue_table_counterexample(n, p, e)
+                design = ideal_identity_counterexample(ideal, p, e)
+                identities = [
+                    _plain_surjectivity_counterexample(n, p, e, box),
+                    _plain_ideal_identity_counterexample(ideal, p, e, box),
+                ]
+                residues = _plain_residue_counterexample(n, p, e, box)
+            if name == "true":
+                assert table is design is residues is None
+                assert identities == [None, None]
+            else:
+                assert table is not None and residues is not None, name
+                assert (identities != [None, None]) == (name != "phantom"), name
+
+    @pytest.mark.parametrize("kernel", [_negative_trace, _float_trace], ids=["negative", "float"])
+    def test_malformed_images_fail_the_design(self, monkeypatch, kernel):
+        # the plain ideal scan refuses the first nonzero image as an exponent; the
+        # design reports the exponent it traced: (2.0,) == (2,), so types count
+        monkeypatch.setattr(cartier, "_trace_exponent", kernel)
+        ideal = MonomialIdeal(2, ((0, 1), (2, 0)))
+        with pytest.raises(ValueError, match=r"^exponent entries must be "):
+            _plain_ideal_identity_counterexample(ideal, 2, 1, 1)
+        assert ideal_identity_counterexample(ideal, 2, 1) == (1, 3)
+        assert residue_table_counterexample(2, 2, 1) == (1, 1)
+
+
+class TestResidueTable:
+    """Every residue of [0, q)^n under the design's shifts and the far corner 30*1."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p, e", [(2, 0), (2, 1), (3, 1), (2, 2)])
+    def test_every_residue_under_every_shift(self, n, p, e):
+        q = p**e
+        top = (q - 1,) * n
+        shifts = [c for c, a in residue_class_cases(n, q) if a == top] + [(30,) * n]
+        residues = list(itertools.product(range(q), repeat=n))
+        found, calls = _recorded(residue_table_counterexample, _TRUE_KERNEL, n, p, e)
+        assert found is None
+        assert calls == [
+            (tuple(q * x + y for x, y in zip(c, r)), q) for c in shifts for r in residues
+        ]
+
+    def test_first_counterexample_at_q_9(self, monkeypatch):
+        # the first shift of degree 2 mod 3, 2*e_1, on the top residue
+        monkeypatch.setattr(cartier, "_trace_exponent", _lossy_trace)
+        assert residue_table_counterexample(2, 3, 2) == (26, 8)
+
+    def test_far_corner_reaches_the_30_box(self, monkeypatch):
+        def deep(exponent, q):
+            # wrong on purpose, and only far out: drops every image with all entries >= 30
+            t = _TRUE_KERNEL(exponent, q)
+            return None if t is not None and min(t) >= 30 else t
+
+        monkeypatch.setattr(cartier, "_trace_exponent", deep)
+        assert residue_table_counterexample(2, 2, 1) == (61, 61)
+        assert surjectivity_counterexample(2, 2, 1, 30) == (30, 30)
+        assert surjectivity_counterexample(2, 2, 1, 29) is None
+
+    def test_over_the_limit(self):
+        # up to 2 + 4n shifts of q^n residues of n entries; 2^14 of them at n = 14 is 950,272
+        assert residue_table_counterexample(14, 2, 0) is None
+        message = r"^the residue table would trace up to 62 shifts of 2\^15 residues, over"
+        with pytest.raises(ValueError, match=message):
+            residue_table_counterexample(15, 2, 1)
 
 
 _BIG_PRIME = 1000000000000000003
@@ -684,7 +665,6 @@ class TestResidueClassDesign:
         monkeypatch.setattr(cartier, "_trace_exponent", wrong)
         report = cartier_report(n, p, e, 0)
         assert not (report["semilinear"] and report["iteration"])
-        assert report["counterexample"]["check"] in ("semilinear", "iteration")
 
     def test_first_counterexample_at_q_9(self, monkeypatch):
         # the first shift of degree 2 mod 3, on the top residue
@@ -753,7 +733,7 @@ class TestExponentChecksMatchForms:
 
 
 class TestWorkLimit:
-    """A walk over more than WORK_LIMIT points is refused before it allocates."""
+    """A q, a walk or a design over WORK_LIMIT is refused before it is built."""
 
     def test_estimate_at_the_limit(self):
         limit = cartier.WORK_LIMIT
@@ -772,26 +752,47 @@ class TestWorkLimit:
         with pytest.raises(ValueError, match=r"^the surjectivity walk would visit 31\^5 points"):
             surjectivity_counterexample(5, 2, 1, 30)
 
-    def test_ideal_walk_over_the_limit(self):
-        # q * (box + 1) = 3 * 10^18 per coordinate: refused before any row is built
-        message = rf"^the ideal identity walk would visit {3 * _BIG_PRIME}\^2 points"
-        with pytest.raises(ValueError, match=message):
-            ideal_identity_counterexample(power(maximal_ideal(2), 2), _BIG_PRIME, 1, 2)
-        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit \d+\^1 points"):
-            ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), 101, 4, 2)
+    @pytest.mark.parametrize(
+        "p, e, bits",
+        [(_BIG_PRIME, 1, 60), (101, 4, 25), (1000003, 1, 20), (2, 20, 21), (3, 10**12, 10**12 + 1)],
+    )
+    def test_q_over_the_limit_is_refused_before_it_is_computed(self, p, e, bits):
+        # 3^(10^12) would never be computed: the bit lengths decide
+        message = rf"^q = {p}\^{e} has at least {bits} bits, over the work limit of 1000000$"
+        for check in (
+            lambda: surjectivity_counterexample(1, p, e, 0),
+            lambda: ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), p, e),
+            lambda: residue_table_counterexample(1, p, e),
+            lambda: cartier_report(1, p, e, 0),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check()
 
-    def test_report_checks_both_costs_before_the_default_ideal(self, monkeypatch):
+    @pytest.mark.parametrize("p, e", [(2, 19), (999983, 1), (_BIG_PRIME, 0), (3, 12)])
+    def test_q_at_most_the_limit_is_allowed(self, p, e):
+        assert surjectivity_counterexample(1, p, e, 0) is None
+        assert ideal_identity_counterexample(MonomialIdeal(1, ((1,),)), p, e) is None
+        assert cartier_report(1, p, e, 0)["ideal_identity"]
+
+    def test_report_checks_every_cost_before_the_default_ideal(self, monkeypatch):
         def unbuilt(*args):
             raise AssertionError("the default ideal was built")
 
         monkeypatch.setattr(cartier, "power", unbuilt)
-        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit"):
+        with pytest.raises(ValueError, match=r"^q = 1000000000000000003\^1 has at least 60 bits"):
             cartier_report(2, _BIG_PRIME, 1, 2)
         with pytest.raises(ValueError, match=r"^the surjectivity walk would visit 31\^5 points"):
             cartier_report(5, 2, 1, 30)
-        # the ideal identity runs on min(box, 8): 16^5 > 10^6 but the full box is refused first
-        with pytest.raises(ValueError, match=r"^the ideal identity walk would visit 18\^5 points"):
-            cartier_report(5, 2, 1, 10)
+        # m^2 in 38 variables has 741 generators, each under 38 lowered residues at q = 2
+        message = r"^the ideal design would trace 28158 lowered forms of 38 entries, over"
+        with pytest.raises(ValueError, match=message):
+            cartier_report(38, 2, 1, 0)
+
+    def test_ideal_design_at_the_limit(self):
+        # 703 generators of m^2 in 37 variables: 703 * 37 * 37 = 962,407 entries
+        assert cartier_report(37, 2, 1, 0)["ideal_identity"]
+        # at q = 1 no residue is lowered, so m^2's own budget decides
+        assert cartier_report(38, 2, 0, 0)["ideal_identity"]
 
     def test_design_over_the_limit(self, monkeypatch):
         # (1 + 7n) * n entries: n = 377 holds 995,280, n = 378 holds 1,000,566

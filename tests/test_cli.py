@@ -825,17 +825,19 @@ class TestRunFuzz:
 
 
 class TestCartierWorkLimit:
-    """A cartier request whose walk is over the work limit exits 2 with one line."""
+    """A cartier request whose q or walk is over the work limit exits 2 with one line."""
 
     @pytest.mark.parametrize(
         "argv, estimate",
         [
             (["--n", "2", "--p", "1000000000000000003", "--e", "1", "--box", "2"],
-             "the ideal identity walk would visit 3000000000000000009^2 points"),
+             "q = 1000000000000000003^1 has at least 60 bits"),
             (["--n", "1", "--p", "101", "--e", "4", "--box", "2"],
-             "the ideal identity walk would visit 312181203^1 points"),
+             "q = 101^4 has at least 25 bits"),
             (["--n", "5", "--p", "2", "--e", "1", "--box", "30"],
              "the surjectivity walk would visit 31^5 points"),
+            (["--n", "38", "--p", "2", "--e", "1", "--box", "0"],
+             "the ideal design would trace 28158 lowered forms of 38 entries"),
         ],
     )
     def test_refused(self, capsys, argv, estimate):
@@ -860,6 +862,27 @@ class TestCartierWorkLimit:
         # these raised RecursionError, or would build millions of generator entries
         err = f"invalid input: {estimate}, over the work limit of 1000000\n"
         assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+
+
+class TestHugeIntegers:
+    """A q or a report integer past the digit limit exits 2 with one line, at once."""
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["cartier", "--n", "1", "--p", "3", "--e", "10000000", "--box", "0"],
+             "invalid input: q = 3^10000000 has at least 10000001 bits, "
+             "over the work limit of 1000000\n"),
+            (["jets", "--model", "pn:1", "--m", "2", "--l", "1", "--p", "3", "--e", "100000"],
+             "invalid input: the report holds an integer of more than 4300 digits\n"),
+        ],
+        ids=["cartier-q", "jets-report"],
+    )
+    def test_refused_with_one_line(self, capsys, argv, err, fmt):
+        code, out, diagnostics = run_cli(capsys, [*argv, "--format", fmt])
+        assert (code, out, diagnostics) == (EXIT_BAD_INPUT, "", err)
+        assert "Traceback" not in diagnostics and "set_int_max_str_digits" not in diagnostics
 
 
 class TestWorkBudgets:

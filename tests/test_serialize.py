@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 import frobjets
+from frobjets import serialize
 from frobjets.cartier import (
     MonomialForm,
     cartier_report,
     ideal_identity_counterexample,
     iteration_counterexample,
+    residue_table_counterexample,
     semilinearity_counterexample,
     surjectivity_counterexample,
 )
@@ -74,6 +76,18 @@ class TestToJsonable:
         with pytest.raises((TypeError, ValueError)):
             to_jsonable({"x": value})
 
+    def test_integers_up_to_the_digit_limit(self, monkeypatch):
+        # at the interpreter's limit of 50 digits: 10^50 - 1 renders, 10^50 has 51 digits
+        monkeypatch.setattr(serialize, "_max_str_digits", lambda: 50)
+        top = 10**50 - 1
+        assert dumps_report({"x": [top, -top, Fraction(1, top)]}) == (
+            f'{{\n  "x": [\n    {top},\n    -{top},\n    "1/{top}"\n  ]\n}}\n'
+        )
+        message = r"^the report holds an integer of more than 50 digits$"
+        for value in (top + 1, -top - 1, Fraction(top + 1, 3), Fraction(3, top + 1)):
+            with pytest.raises(ValueError, match=message):
+                to_jsonable({"x": value})
+
 
 class TestParseInt:
     @pytest.mark.parametrize("value", [0, -3, 2, 10**40])
@@ -117,9 +131,11 @@ INTEGER_PARAMETERS = [
     ("characteristic", lambda v: surjectivity_counterexample(2, v, 1, 2)),
     ("e", lambda v: surjectivity_counterexample(2, 2, v, 2)),
     ("box", lambda v: surjectivity_counterexample(2, 2, 1, v)),
-    ("characteristic", lambda v: ideal_identity_counterexample(_M2, v, 1, 2)),
-    ("Frobenius exponent e", lambda v: ideal_identity_counterexample(_M2, 2, v, 2)),
-    ("box", lambda v: ideal_identity_counterexample(_M2, 2, 1, v)),
+    ("characteristic", lambda v: ideal_identity_counterexample(_M2, v, 1)),
+    ("e", lambda v: ideal_identity_counterexample(_M2, 2, v)),
+    ("n", lambda v: residue_table_counterexample(v, 2, 1)),
+    ("characteristic", lambda v: residue_table_counterexample(2, v, 1)),
+    ("e", lambda v: residue_table_counterexample(2, 2, v)),
     ("characteristic", lambda v: semilinearity_counterexample(v, 1, [])),
     ("e", lambda v: semilinearity_counterexample(2, v, [])),
     ("characteristic", lambda v: iteration_counterexample(v, 1, 1, _FORMS)),
