@@ -33,7 +33,7 @@ from .jets import (
     separates_frobenius_jets,
 )
 from .models import SectionModel, projective_space
-from .monomials import ensure_prime
+from .monomials import WORK_LIMIT, _over_limit, ensure_prime
 from .serialize import format_fraction, parse_fraction, parse_int
 
 SESHADRI = "seshadri"
@@ -129,34 +129,37 @@ def seshadri_lower(model: SectionModel, m_max: int) -> BoundCertificate:
     """Best bound max s(m)/m over degrees up to m_max; ties go to smallest m.
 
     That is exact_seshadri's certificate (b, a) when b <= m_max; only a
-    smaller m_max scans the degrees.
+    smaller m_max scans the degrees, refused when m_max * rows is over WORK_LIMIT.
     """
     parse_int(m_max, "m_max", 1)
     exact = exact_seshadri(model)
     if exact.witness[0] <= m_max:
         return exact
+    if m_max * len(model.rows) > WORK_LIMIT:
+        raise _over_limit(f"the Seshadri scan would ask {len(model.rows)} rows at {m_max} degrees")
     scan = ((m, s_jets(model, m)) for m in range(1, m_max + 1))
     return BoundCertificate(SESHADRI, max(scan, key=lambda cell: certified_value(SESHADRI, cell)))
 
 
-def frobenius_thresholds(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
-    """The thresholds m_e (None: no m separates) of the grid rows e = 0, ..., e_max."""
+def frobenius_sweep(model: SectionModel, p: int, ell: int, m_max: int, e_max: int):
+    """The thresholds m_e (None: no m separates) of rows e = 0, ..., e_max, and
+    the best cell's certificate (None: no cell separates), refused before any
+    threshold when over WORK_LIMIT. Row e's best cell is (m_e, e) if m_e <= m_max;
+    max keeps the first maximum, so ties go to the smallest e, then m.
+    """
     if parse_int(m_max, "m_max") < 1 or parse_int(e_max, "e_max") < 1:
         raise ValueError("m_max and e_max must be >= 1")
     parse_int(ell, "ell", 0)
-    # the first row checks p
-    return [frobenius_threshold(model, ell, e, p) for e in range(e_max + 1)]
-
-
-def _best_frobenius_certificate(thresholds, p: int, ell: int, m_max: int):
-    """Certificate for the largest value of the grid, None if no cell separates.
-
-    Row e's best cell is (m_e, e) when m_e <= m_max; max keeps the first
-    maximum over ascending e, so ties go to the smallest e, then the smallest m.
-    """
+    ensure_prime(p)
+    # each threshold computes a load per model row from p^e, of at most the
+    # 64-bit words of p^e_max, so the sweep grows as e_max^2
+    loads, words = len(model.rows) * (e_max + 1), e_max * (p - 1).bit_length() // 64 + 1
+    if loads * words > WORK_LIMIT:
+        raise _over_limit(f"the Frobenius sweep would compute {loads} loads of up to {words} words")
+    thresholds = [frobenius_threshold(model, ell, e, p) for e in range(e_max + 1)]
     cells = [(m_e, e) for e, m_e in enumerate(thresholds) if m_e is not None and m_e <= m_max]
     best = max(cells, key=lambda cell: certified_value(FROBENIUS, cell, ell, p), default=None)
-    return None if best is None else BoundCertificate(FROBENIUS, best, ell, p)
+    return thresholds, None if best is None else BoundCertificate(FROBENIUS, best, ell, p)
 
 
 def frobenius_seshadri_lower(
@@ -166,8 +169,7 @@ def frobenius_seshadri_lower(
 
     Returns None when no grid cell separates ("no certificate").
     """
-    thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
-    return _best_frobenius_certificate(thresholds, p, ell, m_max)
+    return frobenius_sweep(model, p, ell, m_max, e_max)[1]
 
 
 def certificate_at(model: SectionModel, p: int, ell: int, m: int, e: int) -> BoundCertificate:

@@ -22,8 +22,8 @@ of [0, q)^n under the shifts of residue_class_cases and the far corner 30*1.
 The ideal identity takes each generator g of the ideal as a shift: the top
 residue, in I^[q], traces onto g, and residue_class_cases' lowered residues
 trace to zero, so every generator of I is hit and no class near one leaves I.
-q = p^e over WORK_LIMIT is refused from bit lengths before it is computed,
-and no walk or design over WORK_LIMIT is built.
+Every q = p^e is monomials._frobenius_power's, bounded in bits; a walk or a
+design also refuses q over WORK_LIMIT in value, and none over it is built.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from operator import add, ne
 from typing import NamedTuple
 
 from .monomials import Exponent, MonomialIdeal, ensure_prime, maximal_ideal, power
-from .monomials import WORK_LIMIT, _check_exponent, _check_work, _over_limit, _power_over_limit
+from .monomials import WORK_LIMIT, _check_exponent, _check_work, _frobenius_power, _over_limit
+from .monomials import _power_over_limit, _q_over_limit
 from .serialize import parse_int
 
 
@@ -68,8 +69,7 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
     The exponent is mapped by _trace_exponent; the zero form is
     MonomialForm(0, (0,) * n).
     """
-    ensure_prime(p)
-    q = p ** parse_int(e, "e", 0)
+    q = _frobenius_power(p, e)
     coeff = parse_int(w.coeff, "coefficient") % p
     _check_exponent(w.exponent, len(w.exponent))
     image = _trace_exponent(w.exponent, q) if coeff else None
@@ -79,11 +79,12 @@ def trace(w: MonomialForm, p: int, e: int) -> MonomialForm:
     return MonomialForm(coeff, image)
 
 
-def _frobenius_power(p: int, e: int) -> int:
-    """q = p^e, refused before it is computed when over WORK_LIMIT."""
-    if _power_over_limit(p, e):
-        raise _over_limit(f"q = {p}^{e} has at least {e * (p.bit_length() - 1) + 1} bits")
-    return p**e
+def _small_frobenius_power(p: int, e: int) -> int:
+    """q = p^e of a walk or a design: refused also when over WORK_LIMIT in value."""
+    q = _frobenius_power(p, e)
+    if q > WORK_LIMIT:
+        raise _q_over_limit(p, e)
+    return q
 
 
 def _check_design(n: int, q: int, gens: int) -> None:
@@ -113,7 +114,7 @@ def surjectivity_counterexample(n: int, p: int, e: int, box: int):
     parse_int(n, "n", 1)
     ensure_prime(p)
     targets = _box(n, box)
-    q = _frobenius_power(p, parse_int(e, "e", 0))
+    q = _small_frobenius_power(p, e)
     _check_work("surjectivity", box + 1, n)
     preimages = product(range(q - 1, q * (box + 1), q), repeat=n)
     # lazy, so the kernel stops at the first mismatch; each side has its own targets
@@ -147,8 +148,7 @@ def residue_table_counterexample(n: int, p: int, e: int):
     up to 2 + 4n shifts of q^n residues of n entries, are over WORK_LIMIT.
     """
     parse_int(n, "n", 1)
-    ensure_prime(p)
-    q = _frobenius_power(p, parse_int(e, "e", 0))
+    q = _small_frobenius_power(p, e)
     if _power_over_limit(q, n) or (2 + 4 * n) * q**n * n > WORK_LIMIT:
         raise _over_limit(f"the residue table would trace up to {2 + 4 * n} shifts of {q}^{n} residues")
     top = (q - 1,) * n
@@ -163,7 +163,7 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int):
     to x^g dx, and the lowered residues of residue_class_cases under g must
     trace to zero. Refused when q or the design is over WORK_LIMIT.
     """
-    q = _frobenius_power(ensure_prime(p), parse_int(e, "e", 0))
+    q = _small_frobenius_power(p, e)
     n = ideal.n
     _check_design(n, q, len(ideal.gens))
     top = (q - 1,) * n
@@ -173,8 +173,7 @@ def ideal_identity_counterexample(ideal: MonomialIdeal, p: int, e: int):
 
 def semilinearity_counterexample(p: int, e: int, samples):
     """A (c, a) pair violating trace(x^(p^e*c) x^a dx) == x^c trace(x^a dx), or None."""
-    ensure_prime(p)
-    q = p ** parse_int(e, "e", 0)
+    q = _frobenius_power(p, e)
     for c, a in samples:
         lhs = _trace_exponent(tuple(map(add, a, map(q.__mul__, c))), q)
         rhs = _trace_exponent(a, q)
@@ -219,8 +218,7 @@ def random_primary_ideal(n: int, rng) -> MonomialIdeal:
 
 def iteration_counterexample(p: int, e1: int, e2: int, exponents):
     """An exponent where the (e1+e2)-fold trace differs from the composite, or None."""
-    ensure_prime(p)
-    q1, q2 = p ** parse_int(e1, "e1", 0), p ** parse_int(e2, "e2", 0)
+    q1, q2 = _frobenius_power(p, e1, "e1"), _frobenius_power(p, e2, "e2")
     q = q1 * q2
     for a in exponents:
         once = _trace_exponent(a, q1)
@@ -241,7 +239,7 @@ def cartier_report(n: int, p: int, e: int, box: int, ideal: MonomialIdeal | None
         raise ValueError(f"ideal has {ideal.n} variables, expected n = {n}")
     ensure_prime(p)
     parse_int(box, "box", 0)
-    q = _frobenius_power(p, parse_int(e, "e", 0))
+    q = _small_frobenius_power(p, e)
     _check_work("surjectivity", box + 1, n)
     # m^2 has C(n + 1, 2) generators
     _check_design(n, q, n * (n + 1) // 2 if ideal is None else len(ideal.gens))

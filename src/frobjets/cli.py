@@ -24,20 +24,13 @@ from typing import Callable, NamedTuple
 
 from fractions import Fraction
 
-from .bounds import (
-    FROBENIUS,
-    _best_frobenius_certificate,
-    certified_value,
-    closed_form_pn,
-    frobenius_thresholds,
-    seshadri_lower,
-)
+from .bounds import FROBENIUS, certified_value, closed_form_pn, frobenius_sweep, seshadri_lower
 from .cartier import cartier_report
 from .fano import DataContradictionError, FanoInput, charpn_verdict
 from .jets import missing_exponent, pn_threshold, separates_by_cobasis
 from .models import model_from_spec
 from .monomials import WORK_LIMIT, MonomialIdeal, _over_limit, verify_lemma_monomials
-from .principal_parts import det_pp_recursive, mori_endgame, rank_pp
+from .principal_parts import det_pp_closed, mori_endgame
 from .serialize import (
     dumps_report,
     format_fraction,
@@ -114,18 +107,13 @@ def _cmd_seshadri(params):
     e_max = 4 if params["e_max"] is None else params["e_max"]
     if p is None:
         raise ValueError("missing parameters: ['p']")
-    # each threshold computes a load per model row from p^e, of at most the
-    # 64-bit words of p^e_max, so the sweep grows as e_max^2
-    loads, words = len(model.rows) * (e_max + 1), e_max * (p - 1).bit_length() // 64 + 1
-    if loads * words > WORK_LIMIT:
-        raise _over_limit(f"the Frobenius sweep would compute {loads} loads of up to {words} words")
-    thresholds = frobenius_thresholds(model, p, ell, m_max, e_max)
+    thresholds, cert = frobenius_sweep(model, p, ell, m_max, e_max)
     # the table has a row per cell; a table too large is refused before its file is opened
     if params["sweep_csv"] and m_max * (e_max + 1) > WORK_LIMIT:
         raise _over_limit(f"the sweep table would hold {m_max}*{e_max + 1} rows")
     if model.kind == "pn":
         closed = closed_form_pn(model.n, ell)
-    payload = _certificate_payload(_best_frobenius_certificate(thresholds, p, ell, m_max), closed)
+    payload = _certificate_payload(cert, closed)
     if params["sweep_csv"]:
         with open(params["sweep_csv"], "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -155,8 +143,9 @@ def _cmd_cartier(params):
 
 
 def _cmd_pp(params):
-    n, ell = params["n"], params["l"]
-    return {"rank": rank_pp(n, ell), "det": det_pp_recursive(n, ell)}, EXIT_OK
+    # the rank of the principal-parts bundle is the L exponent of its determinant
+    det = det_pp_closed(params["n"], params["l"])
+    return {"rank": det.l_exp, "det": det}, EXIT_OK
 
 
 def _cmd_mori_endgame(params):

@@ -36,8 +36,8 @@ from .models import SectionModel
 from .monomials import (
     Exponent,
     MonomialIdeal,
+    _frobenius_power,
     bracket_power,
-    ensure_prime,
     maximal_ideal,
     power,
     staircase_corners,
@@ -61,8 +61,7 @@ def pn_threshold(n: int, ell: int, e: int, p: int) -> int:
     """
     parse_int(n, "n", 1)
     parse_int(ell, "ell", 0)
-    ensure_prime(p)
-    return _load(1, n, ell, p ** parse_int(e, "e", 0))
+    return _load(1, n, ell, _frobenius_power(p, e))
 
 
 def _load(W: int, S: int, ell: int, q: int) -> int:
@@ -74,7 +73,7 @@ def _check_jets(ell: int, e: int, p: int) -> int:
     """q = p^e, once ell and e are integers >= 0 and p is a prime."""
     if parse_int(ell, "ell") < 0 or parse_int(e, "e") < 0:
         raise ValueError("ell and e must be >= 0")
-    return ensure_prime(p) ** e
+    return _frobenius_power(p, e)
 
 
 def frobenius_threshold(model: SectionModel, ell: int, e: int, p: int) -> int | None:

@@ -20,7 +20,8 @@ Neither shape is re-minimalized: the compositions of k are the minimal
 generators of m^k, and scaling by q keeps an antichain an antichain.
 
 Construction checks all generators at once, and one at a time only to name
-the first bad one; m^k over WORK_LIMIT generator entries is refused unbuilt.
+the first bad one; m^k over WORK_LIMIT generator entries is refused unbuilt,
+and ``_frobenius_power`` refuses a q = p^e over WORK_LIMIT bits uncomputed.
 An ideal is an up-set, so the cobasis and the staircase corners are one
 walk (``_outside``) by binary search, not a scan of a box.
 """
@@ -39,7 +40,7 @@ from .serialize import parse_int
 Exponent = tuple[int, ...]
 
 
-# the most points one walk may visit, or generator entries one m^k may hold
+# the most points one walk may visit, entries one m^k may hold, or bits one p^e may have
 WORK_LIMIT = 10**6
 
 
@@ -93,6 +94,18 @@ def ensure_prime(p: int) -> int:
     if not is_prime(parse_int(p, "characteristic")):
         raise ValueError(f"characteristic must be prime, got {p}")
     return p
+
+
+def _q_over_limit(p: int, e: int) -> ValueError:
+    return _over_limit(f"q = {p}^{e} has at least {e * (p.bit_length() - 1) + 1} bits")
+
+
+def _frobenius_power(p: int, e: int, name: str = "e") -> int:
+    """q = p^e for a prime p and an e >= 0 (`name`); over WORK_LIMIT bits, refused uncomputed."""
+    ensure_prime(p)
+    if parse_int(e, name, 0) * (p.bit_length() - 1) >= WORK_LIMIT:
+        raise _q_over_limit(p, e)
+    return p**e
 
 
 def _check_exponent(a, n: int) -> Exponent:
@@ -313,8 +326,7 @@ def power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
 def bracket_power(ideal: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
     """Frobenius power: every generator exponent scaled entrywise by p^e."""
-    ensure_prime(p)
-    q = p ** parse_int(e, "Frobenius exponent e", 0)
+    q = _frobenius_power(p, e, "Frobenius exponent e")
     if q == 1:
         return ideal
     # Scaling by q keeps the sorted minimal antichain sorted and minimal.

@@ -27,7 +27,7 @@ from frobjets.bounds import (
     exact_frobenius_seshadri,
     exact_seshadri,
     frobenius_seshadri_lower,
-    frobenius_thresholds,
+    frobenius_sweep,
     gg_twist_extend,
     seshadri_lower,
     subsequence_demo,
@@ -68,7 +68,7 @@ def frobenius_sweep_table(model, p, ell, m_max, e_max):
     oracle above checks the table, and the table checks the reduction.
     """
     rows = []
-    for e, m_e in enumerate(frobenius_thresholds(model, p, ell, m_max, e_max)):
+    for e, m_e in enumerate(frobenius_sweep(model, p, ell, m_max, e_max)[0]):
         numerator = (p**e - 1) * (ell + 1)
         for m in range(1, m_max + 1):
             separating = m_e is not None and m >= m_e
@@ -235,6 +235,26 @@ class TestSeshadriLower:
         assert cert.value == Fraction(witness[1], witness[0])
         assert len(calls) == scanned
 
+    def test_scan_over_the_limit_is_refused_unscanned(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bounds, "s_jets", lambda *args: calls.append(args) or s_jets(*args))
+        monkeypatch.setattr(bounds, "WORK_LIMIT", 12)
+        # two rows, of slopes 1/7 and 1/9: b = 9, and 6 degrees of 2 rows are at the limit
+        model = custom_staircase(2, [((7, 0), 1), ((0, 9), 1)])
+        assert seshadri_lower(model, 6).witness == (1, 0)
+        assert len(calls) == 6
+        message = r"^the Seshadri scan would ask 2 rows at 7 degrees, over the work limit of 1000000$"
+        with pytest.raises(ValueError, match=message):
+            seshadri_lower(model, 7)
+        # the exact certificate is never refused
+        for m_max in (9, 10**12):
+            assert seshadri_lower(model, m_max).witness == (9, 1)
+        assert len(calls) == 6
+        # at the real limit, a scan of 10^9 degrees (about an hour) is refused too
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^the Seshadri scan would ask 1 rows at 1000000000 "):
+            seshadri_lower(custom_staircase(1, [((10**9 + 7,), 1)]), 10**9)
+
 
 class TestFrobeniusSeshadriLower:
     def test_p2_reference(self):
@@ -283,7 +303,7 @@ class TestFrobeniusSeshadriLower:
         ],
     )
     def test_grid_validated_in_order(self, p, ell, m_max, e_max, message):
-        for sweep in (frobenius_thresholds, frobenius_seshadri_lower):
+        for sweep in (frobenius_sweep, frobenius_seshadri_lower):
             with pytest.raises(ValueError, match=message):
                 sweep(projective_space(2), p, ell, m_max, e_max)
 

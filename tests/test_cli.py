@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stdout
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from test_jets import (
     models_up_to_three_variables,
 )
 
-from frobjets import acceptance, bounds, cli
+from frobjets import acceptance, bounds, cli, principal_parts
 from frobjets.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -32,6 +33,7 @@ from frobjets.cli import (
 )
 from frobjets.fano import CharPnVerdict
 from frobjets.jets import frobenius_threshold, separates_frobenius_jets
+from frobjets.models import projective_space
 from frobjets.monomials import verify_lemma_monomials
 from frobjets.principal_parts import mori_endgame
 
@@ -250,6 +252,19 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, ["pp", "--n", "2", "--l", "2"])
         assert code == EXIT_OK
         assert json.loads(out) == {"det": {"l": 6, "omega": 4}, "rank": 6}
+
+    def test_pp_reads_the_closed_form_once(self, capsys, monkeypatch):
+        # the recursion made 5000 big-integer comb calls twice: killed at 30 s
+        def unused(*args):
+            raise AssertionError("the handler ran the recursion")
+
+        monkeypatch.setattr(principal_parts, "det_pp_recursive", unused)
+        code, out, _ = run_cli(capsys, ["pp", "--n", "5000", "--l", "5000"])
+        assert code == EXIT_OK
+        # C(n + l, n), and l / (n + 1) of it
+        total = comb(10000, 5000)
+        expected = {"det": {"l": total, "omega": total * 5000 // 5001}, "rank": total}
+        assert json.loads(out) == expected
 
     def test_inclusion_check(self, capsys):
         code, out, _ = run_cli(
@@ -876,8 +891,14 @@ class TestHugeIntegers:
              "over the work limit of 1000000\n"),
             (["jets", "--model", "pn:1", "--m", "2", "--l", "1", "--p", "3", "--e", "100000"],
              "invalid input: the report holds an integer of more than 4300 digits\n"),
+            (["jets", "--model", "pn:1", "--m", "2", "--l", "1", "--p", "3", "--e", "10000000"],
+             "invalid input: q = 3^10000000 has at least 10000001 bits, "
+             "over the work limit of 1000000\n"),
+            (["inclusion-check", "--n", "1", "--l", "0", "--e", "10000000", "--p", "3"],
+             "invalid input: q = 3^10000000 has at least 10000001 bits, "
+             "over the work limit of 1000000\n"),
         ],
-        ids=["cartier-q", "jets-report"],
+        ids=["cartier-q", "jets-report", "jets-q", "inclusion-check-q"],
     )
     def test_refused_with_one_line(self, capsys, argv, err, fmt):
         code, out, diagnostics = run_cli(capsys, [*argv, "--format", fmt])
@@ -886,7 +907,7 @@ class TestHugeIntegers:
 
 
 class TestWorkBudgets:
-    """A Frobenius sweep or a mori-endgame list over the work limit exits 2 before any work."""
+    """A Frobenius sweep or a mori-endgame list over the work limit is refused before any work."""
 
     @pytest.mark.parametrize(
         "argv, estimate",
@@ -895,13 +916,20 @@ class TestWorkBudgets:
              "the Frobenius sweep would compute 100001 loads of up to 1563 words"),
             (["mori-endgame", "--a", ",".join(["1"] * 13)],
              "13 summands have C(26, 14) quotient degrees"),
+            (lambda: bounds.frobenius_seshadri_lower(projective_space(1), 2, 0, 5, 100000),
+             "the Frobenius sweep would compute 100001 loads of up to 1563 words"),
         ],
-        ids=["e-max", "mori-endgame"],
+        ids=["e-max", "mori-endgame", "library-e-max"],
     )
     def test_refused_with_one_line(self, capsys, argv, estimate):
-        # both were killed at 8 s before they had a budget
-        err = f"invalid input: {estimate}, over the work limit of 1000000\n"
-        assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", err)
+        # all three were killed at 8 s before they had a budget
+        err = f"{estimate}, over the work limit of 1000000"
+        if callable(argv):
+            with pytest.raises(ValueError) as refused:
+                argv()
+            assert str(refused.value) == err
+        else:
+            assert run_cli(capsys, argv) == (EXIT_BAD_INPUT, "", f"invalid input: {err}\n")
 
     def test_sweep_at_the_limit_answers(self, capsys):
         # pn:1 has one row and 2^e fits in e // 64 + 1 words: 8000 * 125 is the limit
@@ -919,19 +947,19 @@ class TestWorkBudgets:
 
         def recording(*args):
             computed.append(args)
-            return bounds.frobenius_thresholds(*args)
+            return frobenius_threshold(*args)
 
-        monkeypatch.setattr(cli, "WORK_LIMIT", 12)
-        monkeypatch.setattr(cli, "frobenius_thresholds", recording)
+        monkeypatch.setattr(bounds, "WORK_LIMIT", 12)
+        monkeypatch.setattr(bounds, "frobenius_threshold", recording)
         # product:1,1,1,2 has two rows: 2 * (5 + 1) loads of one word are at the limit
         argv = ["seshadri", "--model", "product:1,1,1,2", "--p", "3", "--m-max", "5", "--e-max"]
         assert run_cli(capsys, argv + ["5"])[0] == EXIT_OK
-        assert len(computed) == 1
+        assert len(computed) == 6
         code, _, err = run_cli(capsys, argv + ["6"])
         assert code == EXIT_BAD_INPUT
         estimate = "the Frobenius sweep would compute 14 loads of up to 1 words"
         assert err.startswith(f"invalid input: {estimate}, over")
-        assert len(computed) == 1
+        assert len(computed) == 6
 
 
 class TestCartierSeed:

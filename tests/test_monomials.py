@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobjets import monomials
-from frobjets.cartier import random_primary_ideal
+from frobjets.cartier import (
+    MonomialForm,
+    iteration_counterexample,
+    random_primary_ideal,
+    semilinearity_counterexample,
+    trace,
+)
+from frobjets.jets import frobenius_threshold, pn_threshold
+from frobjets.models import projective_space
 from frobjets.monomials import (
     InclusionReport,
     MonomialIdeal,
@@ -399,6 +407,37 @@ class TestBracketPower:
     def test_composite_characteristic_rejected(self):
         with pytest.raises(ValueError):
             bracket_power(maximal_ideal(1), 4, 1)
+
+
+class TestFrobeniusPower:
+    """Every caller of _frobenius_power takes a q of up to WORK_LIMIT bits and refuses more."""
+
+    CALLERS = {
+        "bracket_power": lambda p, e: bracket_power(maximal_ideal(1), p, e),
+        "frobenius_threshold": lambda p, e: frobenius_threshold(projective_space(1), 0, e, p),
+        "pn_threshold": lambda p, e: pn_threshold(1, 0, e, p),
+        "trace": lambda p, e: trace(MonomialForm(1, (1,)), p, e),
+        "semilinearity": lambda p, e: semilinearity_counterexample(p, e, []),
+        "iteration-e1": lambda p, e: iteration_counterexample(p, e, 0, []),
+        "iteration-e2": lambda p, e: iteration_counterexample(p, 0, e, []),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_bits_at_most_the_limit(self, caller):
+        # 2^999999 has exactly 10^6 bits
+        self.CALLERS[caller](2, 999_999)
+        for p, e, bits in ((2, 10**6, 10**6 + 1), (3, 10**12, 10**12 + 1)):
+            # 3^(10^12) would never be computed: the bit lengths decide
+            message = rf"^q = {p}\^{e} has at least {bits} bits, over the work limit of 1000000$"
+            with pytest.raises(ValueError, match=message):
+                self.CALLERS[caller](p, e)
+
+    def test_checks_p_then_e(self):
+        with pytest.raises(ValueError, match="characteristic must be prime"):
+            monomials._frobenius_power(4, -1)
+        for name in ("e", "e1", "Frobenius exponent e"):
+            with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+                monomials._frobenius_power(2, -1, name)
 
 
 class TestContains:
