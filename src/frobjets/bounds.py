@@ -33,7 +33,7 @@ from .jets import (
     separates_frobenius_jets,
 )
 from .models import SectionModel, projective_space
-from .monomials import WORK_LIMIT, _over_limit, ensure_prime
+from .monomials import WORK_LIMIT, _frobenius_power, _over_limit, ensure_prime
 from .serialize import format_fraction, parse_fraction, parse_int
 
 SESHADRI = "seshadri"
@@ -45,11 +45,14 @@ class RuleInapplicableError(ValueError):
 
 
 def certified_value(kind: str, witness: tuple[int, int], ell=None, p=None) -> Fraction:
-    """The value s/m of an ordinary witness (m, s), (p^e - 1)(ell + 1)/m of a Frobenius (m, e)."""
+    """The value s/m of an ordinary witness (m, s), (p^e - 1)(ell + 1)/m of a Frobenius (m, e).
+
+    p^e is monomials._frobenius_power's, refused uncomputed over WORK_LIMIT bits.
+    """
     m, second = witness
     if kind == SESHADRI:
         return Fraction(second, m)
-    return Fraction((p**second - 1) * (ell + 1), m)
+    return Fraction((_frobenius_power(p, second) - 1) * (ell + 1), m)
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def subsequence_demo(n: int, ell: int, p: int, e_max: int) -> SubsequenceDemo:
 def tensor_power_scale(cert: BoundCertificate, r: int, p: int) -> BoundCertificate:
     """Stretch a Frobenius witness (m, e) to (m * d_r, r * e), d_r = (p^(re)-1)/(p^e-1).
 
-    The certified value is unchanged.
+    The certified value is unchanged. A p^(re) over WORK_LIMIT bits is refused uncomputed.
     """
     if cert.kind != FROBENIUS:
         raise RuleInapplicableError("tensor-power scaling applies to Frobenius certificates")
@@ -231,7 +234,7 @@ def tensor_power_scale(cert: BoundCertificate, r: int, p: int) -> BoundCertifica
     m, e = cert.witness
     if e == 0:
         raise RuleInapplicableError("tensor-power scaling needs a witness with e >= 1")
-    d_r = (p ** (r * e) - 1) // (p**e - 1)
+    d_r = (_frobenius_power(p, r * e) - 1) // (_frobenius_power(p, e) - 1)
     scaled = replace(
         cert,
         witness=(m * d_r, r * e),

@@ -9,6 +9,10 @@ type, default and flag help. `build_parser` makes the flags from it; `run`
 checks each request against it before a handler runs. A --config document
 holds "command", "parameters" and "output_format" (other keys are ignored);
 its parameters are the flags, as JSON integers, strings and booleans.
+
+A handler imports the modules it computes with when it runs, so a call
+loads only its own subcommand's modules; `import frobjets.cli` itself loads
+`serialize` and the standard library alone.
 """
 
 from __future__ import annotations
@@ -24,14 +28,8 @@ from typing import Callable, NamedTuple
 
 from fractions import Fraction
 
-from .bounds import FROBENIUS, certified_value, closed_form_pn, frobenius_sweep, seshadri_lower
-from .cartier import cartier_report
-from .fano import DataContradictionError, FanoInput, charpn_verdict
-from .jets import missing_exponent, pn_threshold, separates_by_cobasis
-from .models import model_from_spec
-from .monomials import WORK_LIMIT, MonomialIdeal, _over_limit, verify_lemma_monomials
-from .principal_parts import det_pp_closed, mori_endgame
 from .serialize import (
+    DataContradictionError,
     dumps_report,
     format_fraction,
     parse_int,
@@ -55,22 +53,26 @@ class RunConfig:
 
 
 def _cmd_inclusion_check(params):
-    report = verify_lemma_monomials(params["n"], params["l"], params["e"], params["p"])
+    from . import monomials
+
+    report = monomials.verify_lemma_monomials(params["n"], params["l"], params["e"], params["p"])
     return report, EXIT_OK if report.all_ok else EXIT_CHECK_FAILED
 
 
 def _cmd_jets(params):
-    model = model_from_spec(params["model"])
+    from . import jets, models
+
+    model = models.model_from_spec(params["model"])
     m, ell, e, p = params["m"], params["l"], params["e"], params["p"]
-    witness = missing_exponent(model, m, ell, e, p)
+    witness = jets.missing_exponent(model, m, ell, e, p)
     separates = witness is None
     payload = {"separates": separates, "m": m, "l": ell, "e": e, "p": p}
     if model.kind == "pn":
-        payload["pn_threshold"] = pn_threshold(model.n, ell, e, p)
+        payload["pn_threshold"] = jets.pn_threshold(model.n, ell, e, p)
     if not separates:
         payload["witness_missing_exponent"] = list(witness)
     if params["oracle"]:
-        oracle = separates_by_cobasis(model, m, ell, e, p)
+        oracle = jets.separates_by_cobasis(model, m, ell, e, p)
         payload["oracle"] = oracle
         payload["methods_agree"] = oracle == separates
         if oracle != separates:
@@ -89,7 +91,9 @@ def _certificate_payload(cert, closed_form=None):
 
 
 def _cmd_seshadri(params):
-    model = model_from_spec(params["model"])
+    from . import bounds, models, monomials
+
+    model = models.model_from_spec(params["model"])
     m_max = params["m_max"]
     closed = None
     if params["kind"] == "ordinary":
@@ -97,7 +101,7 @@ def _cmd_seshadri(params):
         given = [name for name in ("p", "l", "e_max", "sweep_csv") if params[name] is not None]
         if given:
             raise ValueError(f"parameters {given} apply only to kind 'frobenius'")
-        cert = seshadri_lower(model, m_max)
+        cert = bounds.seshadri_lower(model, m_max)
         if model.kind == "pn":
             closed = Fraction(1)
         payload = _certificate_payload(cert, closed)
@@ -107,12 +111,12 @@ def _cmd_seshadri(params):
     e_max = 4 if params["e_max"] is None else params["e_max"]
     if p is None:
         raise ValueError("missing parameters: ['p']")
-    thresholds, cert = frobenius_sweep(model, p, ell, m_max, e_max)
+    thresholds, cert = bounds.frobenius_sweep(model, p, ell, m_max, e_max)
     # the table has a row per cell; a table too large is refused before its file is opened
-    if params["sweep_csv"] and m_max * (e_max + 1) > WORK_LIMIT:
-        raise _over_limit(f"the sweep table would hold {m_max}*{e_max + 1} rows")
+    if params["sweep_csv"] and m_max * (e_max + 1) > monomials.WORK_LIMIT:
+        raise monomials._over_limit(f"the sweep table would hold {m_max}*{e_max + 1} rows")
     if model.kind == "pn":
-        closed = closed_form_pn(model.n, ell)
+        closed = bounds.closed_form_pn(model.n, ell)
     payload = _certificate_payload(cert, closed)
     if params["sweep_csv"]:
         with open(params["sweep_csv"], "w", newline="") as handle:
@@ -122,8 +126,8 @@ def _cmd_seshadri(params):
             for e, m_e in enumerate(thresholds):
                 for m in range(1, m_max + 1):
                     if m_e is not None and m >= m_e:
-                        value = format_fraction(certified_value(FROBENIUS, (m, e), ell, p))
-                        writer.writerow([m, e, True, value])
+                        value = bounds.certified_value(bounds.FROBENIUS, (m, e), ell, p)
+                        writer.writerow([m, e, True, format_fraction(value)])
                     else:
                         writer.writerow([m, e, False, ""])
         payload["sweep_csv"] = params["sweep_csv"]
@@ -131,29 +135,37 @@ def _cmd_seshadri(params):
 
 
 def _cmd_cartier(params):
+    from . import cartier, monomials
+
     n, ideal = params["n"], None
     if params["ideal"]:
         gens = json.loads(params["ideal"])
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise ValueError(f"ideal must be a JSON array of integer arrays, got {gens!r}")
-        ideal = MonomialIdeal(n, tuple(gens))
-    payload = cartier_report(n, params["p"], params["e"], params["box"], ideal=ideal)
+        ideal = monomials.MonomialIdeal(n, tuple(gens))
+    payload = cartier.cartier_report(n, params["p"], params["e"], params["box"], ideal=ideal)
     ok = all(v for k, v in payload.items() if k != "counterexample")
     return payload, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _cmd_pp(params):
+    from . import principal_parts
+
     # the rank of the principal-parts bundle is the L exponent of its determinant
-    det = det_pp_closed(params["n"], params["l"])
+    det = principal_parts.det_pp_closed(params["n"], params["l"])
     return {"rank": det.l_exp, "det": det}, EXIT_OK
 
 
 def _cmd_mori_endgame(params):
+    from . import principal_parts
+
     degrees = [parse_text_int(x, "summand degree") for x in params["a"].split(",")]
-    return mori_endgame(degrees), EXIT_OK
+    return principal_parts.mori_endgame(degrees), EXIT_OK
 
 
 def _cmd_fano(params):
+    from . import fano
+
     if params["json"] is not None:
         doc = json.loads(params["json"])
     elif params["input"] is not None:
@@ -161,11 +173,11 @@ def _cmd_fano(params):
             doc = json.load(handle)
     else:
         raise ValueError("fano needs --input FILE or --json TEXT")
-    return charpn_verdict(FanoInput.from_json(doc)), EXIT_OK
+    return fano.charpn_verdict(fano.FanoInput.from_json(doc)), EXIT_OK
 
 
 def _cmd_verify_all(params):
-    # imported here, as in main: only verify-all loads the battery
+    # like every handler, it imports its module here; the battery loads the whole package
     from . import acceptance
 
     results = acceptance.run_all()

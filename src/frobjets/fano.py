@@ -13,16 +13,13 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .monomials import ensure_prime
-from .serialize import parse_fraction, parse_int
+# DataContradictionError lives in serialize so that the CLI catches it without this module
+from .serialize import DataContradictionError, parse_fraction, parse_int
 
 # rule identifiers for the characterization verdict, by what each one needs
 RULE_POINT_CHAR_P = "point_bound_char_p"
 RULE_POINT_CHAR_ZERO = "point_bound_char_zero"
 RULE_ALL_POINTS_DEGREE = "all_points_degree_bound"
-
-
-class DataContradictionError(ValueError):
-    """Supplied geometric data contradict a claimed bound."""
 
 
 def _parse_curves(curves) -> tuple[tuple[int, int], ...]:

@@ -3,7 +3,8 @@
 Rationals serialize as "num/den" strings and minus infinity as "-inf", so
 emitted reports parse back without any floating point. parse_int is the
 package's one integer check, run once on an integer argument where it
-enters the package.
+enters the package. DataContradictionError is defined here, where the CLI
+can catch it without importing `fano`, which raises it and exports it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from fractions import Fraction
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
+class DataContradictionError(ValueError):
+    """Supplied geometric data contradict a claimed bound."""
+
+
 def _check_digits(value: int) -> int:
     """The int `value`, refused when its decimal text would pass the digit limit.
 
@@ -28,6 +33,16 @@ def _check_digits(value: int) -> int:
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise ValueError(f"the report holds an integer of more than {limit} digits")
     return value
+
+
+def check_digit_estimate(low_bits: int, what: str) -> None:
+    """Refuse `what`, uncomputed, when it is at least 2^low_bits and that passes the digit limit.
+
+    2^b >= 10^(3b/10), so such a value has at least 3b//10 + 1 digits.
+    """
+    limit, digits = _max_str_digits(), low_bits * 3 // 10 + 1
+    if limit and digits > limit:
+        raise ValueError(f"{what} has at least {digits} digits, over the report's limit of {limit}")
 
 
 def format_fraction(value: Fraction) -> str:

@@ -456,6 +456,22 @@ class TestDerivationRules:
         cert = certificate_at(model, 2, 0, 2, 1)
         assert gg_twist_extend(cert, 0, model) == cert
 
+    def test_huge_q_refused_before_any_power(self):
+        # p^(re) and a witness's p^e are monomials._frobenius_power's; both ran seconds of **
+        q_line = r"^q = 3\^10000000 has at least 10000001 bits, over the work limit of 1000000$"
+        cert = BoundCertificate(FROBENIUS, (2, 1), ell=0, p=3)
+        with pytest.raises(ValueError, match=q_line):
+            tensor_power_scale(cert, 10**7, 3)
+        with pytest.raises(ValueError, match=q_line):
+            BoundCertificate(FROBENIUS, (1, 10**7), ell=0, p=3)
+        # the earlier checks keep their messages and come first
+        with pytest.raises(RuleInapplicableError, match="certificate characteristic 3 != 2"):
+            tensor_power_scale(cert, 10**7, 2)
+        with pytest.raises(ValueError, match="^characteristic must be prime, got 4$"):
+            BoundCertificate(FROBENIUS, (1, 10**7), ell=0, p=4)
+        with pytest.raises(ValueError, match="^ell must be >= 0$"):
+            BoundCertificate(FROBENIUS, (1, 10**7), ell=-1, p=3)
+
     def test_chained_rules_reproduce_geometric_witnesses(self):
         # Witnesses m0 * (p^(re) - 1) / (p^(e0) - 1) from scaling then twisting.
         model = projective_space(2)

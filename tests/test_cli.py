@@ -18,7 +18,7 @@ from test_jets import (
     models_up_to_three_variables,
 )
 
-from frobjets import acceptance, bounds, cli, principal_parts
+from frobjets import acceptance, bounds, jets, principal_parts
 from frobjets.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -94,7 +94,8 @@ class TestJetsCommand:
         def flipped(model, m, ell, e, p):
             return not separates_frobenius_jets(model, m, ell, e, p)
 
-        monkeypatch.setattr(cli, "separates_by_cobasis", flipped)
+        # the handler calls jets.separates_by_cobasis, looked up when it runs
+        monkeypatch.setattr(jets, "separates_by_cobasis", flipped)
         argv = ["jets", "--model", "pn:2", "--m", "4", "--l", "1", "--e", "1", "--oracle"]
         assert run_cli(capsys, argv) == (
             EXIT_CHECK_FAILED,
@@ -265,6 +266,15 @@ class TestOtherCommands:
         total = comb(10000, 5000)
         expected = {"det": {"l": total, "omega": total * 5000 // 5001}, "rank": total}
         assert json.loads(out) == expected
+
+    def test_pp_past_the_digit_limit_refused_with_one_line(self, capsys):
+        err = (
+            "invalid input: C(600000, 300000) has at least 90001 digits, "
+            "over the report's limit of 4300\n"
+        )
+        assert run_cli(capsys, ["pp", "--n", "300000", "--l", "300000"]) == (
+            EXIT_BAD_INPUT, "", err
+        )
 
     def test_inclusion_check(self, capsys):
         code, out, _ = run_cli(
