@@ -45,14 +45,11 @@ class RuleInapplicableError(ValueError):
 
 
 def certified_value(kind: str, witness: tuple[int, int], ell=None, p=None) -> Fraction:
-    """The value s/m of an ordinary witness (m, s), (p^e - 1)(ell + 1)/m of a Frobenius (m, e).
-
-    p^e is monomials._frobenius_power's, refused uncomputed over WORK_LIMIT bits.
-    """
+    """The value s/m of an ordinary witness (m, s), (p^e - 1)(ell + 1)/m of a Frobenius (m, e)."""
     m, second = witness
     if kind == SESHADRI:
         return Fraction(second, m)
-    return Fraction((_frobenius_power(p, second) - 1) * (ell + 1), m)
+    return Fraction((p**second - 1) * (ell + 1), m)
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,10 @@ class BoundCertificate:
 
     The witness is (m, s) for the ordinary kind, (m, e) for the Frobenius
     kind, exact ints with m >= 1 and s, e >= 0; a Frobenius certificate has
-    ell >= 0 and a prime p, an ordinary one neither; the derivation is a
-    tuple of non-empty strings. The fields are checked at construction, and
-    `value` is set to what certified_value gives them.
+    ell >= 0, a prime p and a p^e of at most WORK_LIMIT bits, an ordinary one
+    neither; the derivation is a tuple of non-empty strings. The fields are
+    checked at construction, and `value` is set to what certified_value gives
+    them.
     """
 
     kind: str
@@ -84,7 +82,8 @@ class BoundCertificate:
         parse_int(second, "witness s" if self.kind == SESHADRI else "witness e", 0)
         if self.kind == FROBENIUS:
             parse_int(self.ell, "ell", 0)
-            ensure_prime(self.p)
+            # the witness's p^e is bounded here, where e enters; certified_value computes it
+            _frobenius_power(self.p, second)
         elif self.ell is not None or self.p is not None:
             raise ValueError("an ordinary certificate has no ell or p")
         steps = self.derivation

@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from .serialize import (
     DataContradictionError,
+    check_digit_estimate,
     dumps_report,
     format_fraction,
     parse_int,
@@ -151,8 +152,14 @@ def _cmd_cartier(params):
 def _cmd_pp(params):
     from . import principal_parts
 
+    n, ell = params["n"], params["l"]
+    # a rank C(n+l, n) too long for the report is refused before comb, from
+    # C(N, k) >= (N // k)^k >= 2^(k * (bits of N // k - 1)), N = n + l, k = min(n, l)
+    k = min(n, ell)
+    if k > 0:
+        check_digit_estimate(k * (((n + ell) // k).bit_length() - 1), f"C({n + ell}, {n})")
     # the rank of the principal-parts bundle is the L exponent of its determinant
-    det = principal_parts.det_pp_closed(params["n"], params["l"])
+    det = principal_parts.det_pp_closed(n, ell)
     return {"rank": det.l_exp, "det": det}, EXIT_OK
 
 

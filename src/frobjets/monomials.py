@@ -91,9 +91,6 @@ def is_prime(p: int) -> bool:
 
 def ensure_prime(p: int) -> int:
     """Return p if it is a prime characteristic; raise ValueError otherwise."""
-    # every q = p^e asks this: a small prime, as an exact int, is answered by the table alone
-    if type(p) is int and p in _SMALL_PRIMES:
-        return p
     if not is_prime(parse_int(p, "characteristic")):
         raise ValueError(f"characteristic must be prime, got {p}")
     return p

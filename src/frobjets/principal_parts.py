@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .monomials import WORK_LIMIT, _capped_binomial, _over_limit
-from .serialize import check_digit_estimate, parse_int
+from .serialize import parse_int
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,10 @@ def det_pp_closed(n: int, ell: int) -> PicClass:
     """Closed form (omega^ell tensor L^(n+1)) ^ (C(n+ell, n) / (n+1)).
 
     The division is carried out in exact arithmetic and must be integral;
-    a non-integral exponent would contradict the recursion and raises. A
-    C(n+ell, n) with provably more digits than a report may hold is refused
-    before it is computed.
+    a non-integral exponent would contradict the recursion and raises.
     """
     if parse_int(n, "n") < 1 or parse_int(ell, "ell") < 0:
         raise ValueError("need n >= 1 and ell >= 0")
-    # C(N, k) >= (N // k)^k >= 2^(k * (bits of N // k - 1)) with N = n + ell, k = min(n, ell)
-    k = min(n, ell)
-    if k:
-        check_digit_estimate(k * (((n + ell) // k).bit_length() - 1), f"C({n + ell}, {n})")
     total = comb(n + ell, n)
     omega_exp = Fraction(ell * total, n + 1)
     l_exp = Fraction((n + 1) * total, n + 1)

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stdout
 from math import comb
@@ -18,7 +20,7 @@ from test_jets import (
     models_up_to_three_variables,
 )
 
-from frobjets import acceptance, bounds, jets, principal_parts
+from frobjets import acceptance, bounds, jets, monomials, principal_parts, serialize
 from frobjets.cli import (
     COMMANDS,
     EXIT_BAD_INPUT,
@@ -27,6 +29,7 @@ from frobjets.cli import (
     EXIT_OK,
     OUTPUT_FORMATS,
     RunConfig,
+    _cmd_pp,
     build_parser,
     main,
     run,
@@ -34,7 +37,7 @@ from frobjets.cli import (
 from frobjets.fano import CharPnVerdict
 from frobjets.jets import frobenius_threshold, separates_frobenius_jets
 from frobjets.models import projective_space
-from frobjets.monomials import verify_lemma_monomials
+from frobjets.monomials import is_prime, verify_lemma_monomials
 from frobjets.principal_parts import mori_endgame
 
 
@@ -216,6 +219,27 @@ class TestSeshadriCommand:
         lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + m_max * (e_max + 1)
 
+    def test_sweep_csv_checks_p_per_request_not_per_row(self, capsys, tmp_path, monkeypatch):
+        # p = 1000003 runs Miller-Rabin on each check; m_0 = 1, so every row separates
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return is_prime(p)
+
+        monkeypatch.setattr(monomials, "is_prime", counted)
+        counts = []
+        for m_max in ("50", "500"):
+            calls.clear()
+            argv = [
+                "seshadri", "--model", "pn:1", "--kind", "frobenius", "--p", "1000003",
+                "--l", "0", "--m-max", m_max, "--e-max", "1",
+                "--sweep-csv", str(tmp_path / "sweep.csv"),
+            ]
+            assert run_cli(capsys, argv)[0] == EXIT_OK
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4
+
     @given(
         model=models_up_to_three_variables(),
         p=st.sampled_from([2, 3]),
@@ -275,6 +299,29 @@ class TestOtherCommands:
         assert run_cli(capsys, ["pp", "--n", "300000", "--l", "300000"]) == (
             EXIT_BAD_INPUT, "", err
         )
+
+    def test_pp_refused_only_past_the_digit_limit(self, monkeypatch):
+        # at a limit of 12 digits, every answer is comb itself and every refusal is right
+        monkeypatch.setattr(serialize, "_max_str_digits", lambda: 12)
+        refused = 0
+        for n, ell in itertools.product(range(1, 80), range(0, 80)):
+            try:
+                payload, _ = _cmd_pp({"n": n, "l": ell})
+            except ValueError as exc:
+                refused += 1
+                assert len(str(comb(n + ell, n))) > 12, (n, ell)
+                assert re.fullmatch(
+                    rf"C\({n + ell}, {n}\) has at least \d+ digits, "
+                    r"over the report's limit of 12",
+                    str(exc),
+                )
+            else:
+                assert payload["rank"] == comb(n + ell, n)
+        assert refused > 0
+        # the library computes what the report refuses; with no limit, so does the report
+        assert principal_parts.det_pp_closed(60, 60).l_exp == comb(120, 60)
+        monkeypatch.setattr(serialize, "_max_str_digits", lambda: 0)
+        assert _cmd_pp({"n": 60, "l": 60})[0]["rank"] == comb(120, 60)
 
     def test_inclusion_check(self, capsys):
         code, out, _ = run_cli(

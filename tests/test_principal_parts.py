@@ -1,12 +1,11 @@
 import itertools
 import random
-import re
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from frobjets import principal_parts, serialize
+from frobjets import principal_parts
 from frobjets.principal_parts import (
     PicClass,
     det_pp_closed,
@@ -166,37 +165,3 @@ class TestMoriWorkLimit:
         # C(2 * 10^5, 10^5 + 1) has about 60,000 digits; the estimate stops at its second factor
         with pytest.raises(ValueError, match=r"^100000 summands have C\(200000, 100001\)"):
             mori_endgame((1,) * 10**5)
-
-
-class TestClosedFormDigitLimit:
-    """A C(n+ell, n) with provably too many digits for a report is refused before comb."""
-
-    def test_refused_only_past_the_limit(self, monkeypatch):
-        # at a limit of 12 digits, every answer has at most 12 and every refusal is right
-        monkeypatch.setattr(serialize, "_max_str_digits", lambda: 12)
-        refused = 0
-        for n, ell in itertools.product(range(1, 80), range(0, 80)):
-            digits = len(str(comb(n + ell, n)))
-            try:
-                det = det_pp_closed(n, ell)
-            except ValueError as exc:
-                refused += 1
-                assert digits > 12, (n, ell)
-                assert re.fullmatch(
-                    rf"C\({n + ell}, {n}\) has at least \d+ digits, "
-                    r"over the report's limit of 12",
-                    str(exc),
-                )
-            else:
-                assert det.l_exp == comb(n + ell, n)
-        assert refused > 0
-
-    def test_no_limit_refuses_nothing(self, monkeypatch):
-        monkeypatch.setattr(serialize, "_max_str_digits", lambda: 0)
-        assert det_pp_closed(60, 60).l_exp == comb(120, 60)
-
-    def test_huge_request_refused_at_once(self):
-        # comb(600000, 300000) took about 5 s before the report refused it
-        message = r"^C\(600000, 300000\) has at least 90001 digits, over the report's limit of 4300$"
-        with pytest.raises(ValueError, match=message):
-            det_pp_closed(300000, 300000)
